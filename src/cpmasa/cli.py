@@ -21,6 +21,7 @@ from .errors import (
     AssertionFailure,
     CpmasaError,
     DimensionMismatch,
+    NumericalFailure,
     ParseError,
 )
 from .gksl import (
@@ -36,8 +37,7 @@ from .masa import (
     Masa,
     find_masa_m2,
     classical_restriction,
-    is_invariant_generator,
-    is_invariant_map,
+    is_invariant,
     rebolledo_check,
     search_masa,
     solve_generator_coefficients,
@@ -47,14 +47,27 @@ from .masa import (
 __all__ = ["main"]
 
 
+def _is_number(value) -> bool:
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parse_tolerance(value, name: str) -> float | None:
+    """A JSON number or a numeric string such as "1e-9"; booleans are refused."""
+    if value is None:
+        return None
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ParseError(f"{name} must be a number, got {value!r}")
+
+
 def _parse_scalar(value) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(float(value), 0.0)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(part, (int, float)) for part in value)
-    ):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
         return complex(float(value[0]), float(value[1]))
     raise ParseError(f"expected a number or [re, im] pair, got {value!r}")
 
@@ -150,8 +163,8 @@ class _Problem:
         self.masa_matrix = (
             _parse_matrix(data["masa"], "masa") if data.get("masa") is not None else None
         )
-        self.atol = data.get("atol")
-        self.rtol = data.get("rtol")
+        self.atol = _parse_tolerance(data.get("atol"), f"{path}: atol")
+        self.rtol = _parse_tolerance(data.get("rtol"), f"{path}: rtol")
         self.echo = {
             "kind": kind,
             "dim": self.dim,
@@ -202,8 +215,8 @@ def _resolve_tol(args, problem: _Problem | None) -> Tolerance:
         if rtol is None:
             rtol = problem.rtol
     return Tolerance(
-        atol=DEFAULT_TOL.atol if atol is None else float(atol),
-        rtol=DEFAULT_TOL.rtol if rtol is None else float(rtol),
+        atol=DEFAULT_TOL.atol if atol is None else atol,
+        rtol=DEFAULT_TOL.rtol if rtol is None else rtol,
     )
 
 
@@ -248,10 +261,7 @@ def _cmd_check_invariance(args) -> tuple[dict, bool]:
     problem = _load_problem(args.input)
     tol = _resolve_tol(args, problem)
     masa = _load_masa(args, problem, tol)
-    if problem.kind == "cp_map":
-        verdict = is_invariant_map(problem.payload, masa, tol)
-    else:
-        verdict = is_invariant_generator(problem.payload, masa, tol)
+    verdict = is_invariant(problem.payload, masa, tol)
     report = {
         "invariant": _verdict_record(verdict),
         "tolerance": _tol_record(tol),
@@ -271,10 +281,7 @@ def _cmd_find_masa(args) -> tuple[dict, bool]:
             problem.payload, restarts=args.restarts, seed=args.seed, tol=tol
         )
         method = "multi_start_descent"
-    if problem.kind == "cp_map":
-        verdict = is_invariant_map(problem.payload, masa, tol)
-    else:
-        verdict = is_invariant_generator(problem.payload, masa, tol)
+    verdict = is_invariant(problem.payload, masa, tol)
     report = {
         "masa": _masa_record(masa),
         "method": method,
@@ -291,10 +298,7 @@ def _cmd_search_masa(args) -> tuple[dict, bool]:
     masa, residual = search_masa(
         problem.payload, restarts=args.restarts, seed=args.seed, tol=tol
     )
-    if problem.kind == "cp_map":
-        verdict = is_invariant_map(problem.payload, masa, tol)
-    else:
-        verdict = is_invariant_generator(problem.payload, masa, tol)
+    verdict = is_invariant(problem.payload, masa, tol)
     report = {
         "masa": _masa_record(masa),
         "search_residual": float(residual),
@@ -510,29 +514,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict):
-    print(json.dumps(_encode(report), indent=2, sort_keys=True))
+def _render(report: dict) -> str:
+    try:
+        return json.dumps(_encode(report), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise NumericalFailure(f"report holds a non-finite number ({err})") from err
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = _COMMANDS[args.command]
     started = time.perf_counter()
+    failure = None
     try:
-        report, ok = handler(args)
-    except AssertionFailure as err:
-        report = getattr(err, "report", {"ok": False, "error": str(err)})
+        try:
+            report, ok = handler(args)
+        except AssertionFailure as err:
+            failure = err
+            report, ok = getattr(err, "report", {"ok": False, "error": str(err)}), False
         if args.timing:
             report["timing"] = {"seconds": time.perf_counter() - started}
-        _emit(report)
-        print(f"error: {err}", file=sys.stderr)
-        return 1 if args.assert_ else 0
+        text = _render(report)
     except CpmasaError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.timing:
-        report["timing"] = {"seconds": time.perf_counter() - started}
-    _emit(report)
+    print(text)
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
     return 0 if (ok or not args.assert_) else 1
 
 

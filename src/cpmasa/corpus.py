@@ -35,9 +35,7 @@ from .linalg import (
 from .masa import (
     Masa,
     classical_restriction,
-    is_invariant_generator,
-    is_invariant_map,
-    is_invariant_superoperator,
+    is_invariant,
     rebolledo_check,
     search_invariant_projections,
     search_masa,
@@ -302,7 +300,7 @@ def _verify_ex2_1(entry: CorpusEntry, tol: Tolerance) -> list:
     superop = map_superoperator(t)
     worst = np.inf
     for time in (0.1, 1.0, 3.7):
-        verdict = is_invariant_superoperator(matrix_exp(time * superop, tol), diag, tol)
+        verdict = is_invariant(matrix_exp(time * superop, tol), diag, tol)
         worst = min(worst, verdict.residual)
     checks.append(
         _check("semigroup_stays_noninvariant", worst >= 1e-4, {"residual": worst})
@@ -318,7 +316,7 @@ def _verify_ex2_2(entry: CorpusEntry, tol: Tolerance) -> list:
         _check("unital", unital.residual <= 1e-12, {"residual": unital.residual})
     )
     diag = Masa.diagonal(2)
-    invariant = is_invariant_map(t, diag, tol)
+    invariant = is_invariant(t, diag, tol)
     checks.append(
         _check(
             "diagonal_invariant",
@@ -351,7 +349,7 @@ def _verify_ex2_8(entry: CorpusEntry, tol: Tolerance) -> list:
     markov = frobenius(apply_generator(gen, np.eye(2, dtype=complex)))
     checks.append(_check("markov", markov <= 1e-10, {"residual": markov}))
     diag = Masa.diagonal(2)
-    invariant = is_invariant_generator(gen, diag, tol)
+    invariant = is_invariant(gen, diag, tol)
     checks.append(
         _check(
             "diagonal_invariant",
@@ -391,7 +389,7 @@ def _verify_ex3_2(entry: CorpusEntry, tol: Tolerance) -> list:
     markov = frobenius(apply_generator(gen, np.eye(3, dtype=complex)))
     checks.append(_check("markov", markov <= 1e-10, {"residual": markov}))
     diag = Masa.diagonal(3)
-    invariant = is_invariant_generator(gen, diag, tol)
+    invariant = is_invariant(gen, diag, tol)
     checks.append(
         _check(
             "diagonal_invariant",

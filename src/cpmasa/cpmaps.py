@@ -18,11 +18,13 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     Verdict,
+    _haar_isometry,
+    _kraus_images,
     dag,
+    expand_over,
     frobenius,
     hermitian_eig,
     require_matrix,
-    vec,
 )
 
 __all__ = [
@@ -59,6 +61,21 @@ class KrausMap:
 
     def __len__(self) -> int:
         return len(self.operators)
+
+    def apply(self, x) -> np.ndarray:
+        """T(X), evaluated by `apply_cp`."""
+        return apply_cp(self, x)
+
+    def superoperator(self) -> np.ndarray:
+        """The d²×d² matrix of T, built by the module-level `superoperator`."""
+        return superoperator(self)
+
+    def projection_images(self, masa) -> np.ndarray:
+        """Images T(u_k u_k*) of the masa's minimal projections, in masa coordinates.
+
+        Computed from B_i = U* L_i U in O(n·d³), without the superoperator.
+        """
+        return _kraus_images(masa.to_coordinates(np.stack(self.operators)))
 
 
 @dataclass(frozen=True)
@@ -135,22 +152,6 @@ def minimal_kraus(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     return out
 
 
-def _expansion_coefficients(family: KrausMap, basis_ops, tol: Tolerance) -> np.ndarray:
-    """Least-squares coordinates of each family operator over given basis ops."""
-    stack = np.column_stack([vec(b) for b in basis_ops])
-    coef = np.zeros((len(family), len(basis_ops)), dtype=complex)
-    scale = max(1.0, max(frobenius(op) for op in family.operators))
-    for j, op in enumerate(family.operators):
-        x, _, _, _ = np.linalg.lstsq(stack, vec(op), rcond=None)
-        res = float(np.linalg.norm(stack @ x - vec(op)))
-        if res > 10 * tol.threshold(scale):
-            raise NumericalFailure(
-                f"operator {j} is not in the span of the minimal family (residual {res:.3e})"
-            )
-        coef[j] = x
-    return coef
-
-
 def kraus_transform(t: KrausMap, s: KrausMap, tol: Tolerance = DEFAULT_TOL):
     """Partial isometry relating two Kraus presentations of one map.
 
@@ -168,8 +169,8 @@ def kraus_transform(t: KrausMap, s: KrausMap, tol: Tolerance = DEFAULT_TOL):
     if distance > tol.threshold(max(frobenius(st), frobenius(ss))):
         return Inequivalent(distance)
     base = minimal_kraus(t, tol)
-    p = _expansion_coefficients(t, base.operators, tol)
-    q = _expansion_coefficients(s, base.operators, tol)
+    p = expand_over(base.operators, t.operators, tol)
+    q = expand_over(base.operators, s.operators, tol)
     # both coefficient matrices are isometries onto the minimal index space,
     # so V = Q P* is the connecting partial isometry
     return DecompositionTransform(v_matrix=q @ dag(p))
@@ -188,9 +189,5 @@ def random_unital_kraus(rng: np.random.Generator, d: int, count: int) -> KrausMa
     Built from a Haar isometry ℂ^d → ℂ^d ⊗ ℂ^count sliced into blocks, so
     Σ L_i* L_i = 1 holds exactly by construction.
     """
-    z = rng.standard_normal((d * count, d)) + 1j * rng.standard_normal((d * count, d))
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    q = q * ph
+    q = _haar_isometry(rng, d * count, d)
     return KrausMap([q[i * d : (i + 1) * d, :] for i in range(count)])

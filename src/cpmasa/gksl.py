@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import Inequivalent, KrausMap, apply_cp, minimal_kraus
+from .cpmaps import Inequivalent, KrausMap, apply_cp, is_unital, minimal_kraus
 from .cpmaps import superoperator as map_superoperator
 from .errors import (
     DimensionMismatch,
@@ -28,18 +28,19 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _kraus_images,
     complex_from_realified,
-    complex_least_squares,
     dag,
+    expand_over,
     frobenius,
+    least_squares,
     matrix_exp,
     matrix_rank_tol,
-    offdiag,
-    real_linear_least_squares,
     realify_conjugate_linear_system,
     require_matrix,
     vec,
 )
+from .masa import is_invariant
 
 __all__ = [
     "GkslGenerator",
@@ -92,6 +93,26 @@ class GkslGenerator:
         """Imaginary part of the drift, the effective Hamiltonian."""
         return (self.beta - dag(self.beta)) / 2j
 
+    def apply(self, x) -> np.ndarray:
+        """L(X), evaluated by `apply_generator`."""
+        return apply_generator(self, x)
+
+    def superoperator(self) -> np.ndarray:
+        """The d²×d² matrix of L, built by the module-level `superoperator`."""
+        return superoperator(self)
+
+    def _in_coordinates(self, masa) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked jump operators U* L_i U and the drift U* β U."""
+        return masa.to_coordinates(np.stack(self.kraus.operators)), masa.to_coordinates(self.beta)
+
+    def projection_images(self, masa) -> np.ndarray:
+        """Images L(u_k u_k*) of the masa's minimal projections, in masa coordinates.
+
+        The jump part's images, plus row k of β' = U* β U added to row k of
+        image k and its conjugate to column k.
+        """
+        return _kraus_images(*self._in_coordinates(masa))
+
 
 def apply_generator(gen: GkslGenerator, x) -> np.ndarray:
     """Evaluate L(X) = Σ L_i* X L_i + X·beta + beta*·X."""
@@ -137,8 +158,6 @@ def semigroup_at(gen: GkslGenerator, t: float, tol: Tolerance = DEFAULT_TOL) -> 
 
 def generator_from_map(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> GkslGenerator:
     """The Markov generator T - id of a unital CP map T."""
-    from .cpmaps import is_unital
-
     verdict = is_unital(t, tol)
     if not verdict.ok:
         raise NotUnital(f"map is not unital, residual {verdict.residual:.3e}")
@@ -170,7 +189,7 @@ class TransformWitness:
         return -dag(self.m_matrix) @ self.eta_prime
 
 
-def _witness_checks(gen, other, m, eta_prime, gamma, drift_residual, scale) -> dict:
+def _witness_checks(gen, other, m, eta_prime, gamma, drift_residual) -> dict:
     mtm = dag(m) @ m
     mmt_eta = m @ (dag(m) @ eta_prime)
     return {
@@ -180,7 +199,7 @@ def _witness_checks(gen, other, m, eta_prime, gamma, drift_residual, scale) -> d
         "partial_isometry_defect": frobenius(m @ dag(m) @ m - m),
         "eta_prime_range_defect": float(np.linalg.norm(mmt_eta - eta_prime)),
         "real_part_defect": abs(gamma.real + float(np.vdot(eta_prime, eta_prime).real) / 2),
-        "scale": scale,
+        "scale": max(1.0, max(frobenius(op) for op in other.kraus.operators)),
     }
 
 
@@ -198,21 +217,10 @@ def _drift_gamma(gen, other, m, eta_prime, tol):
 
 def _direct_witness(gen: GkslGenerator, other: GkslGenerator, tol: Tolerance) -> TransformWitness:
     """Unique expansion of the other family over {1, L_i} for independent {1, L_i}."""
-    d = gen.dim
-    basis = np.column_stack(
-        [vec(np.eye(d, dtype=complex))] + [vec(op) for op in gen.kraus.operators]
-    )
-    scale = max(1.0, max(frobenius(op) for op in other.kraus.operators))
-    coef = np.zeros((len(gen.kraus) + 1, len(other.kraus)), dtype=complex)
-    for j, op in enumerate(other.kraus.operators):
-        x, res = complex_least_squares(basis, vec(op))
-        if res > 10 * tol.threshold(scale):
-            raise NumericalFailure(
-                f"operator {j} does not expand over the reference family (residual {res:.3e})"
-            )
-        coef[:, j] = x
-    eta_prime = coef[0, :].copy()
-    m = coef[1:, :].T.copy()
+    basis = (np.eye(gen.dim, dtype=complex),) + gen.kraus.operators
+    coef = expand_over(basis, other.kraus.operators, tol)
+    eta_prime = coef[:, 0]
+    m = coef[:, 1:]
     gamma, drift_residual = _drift_gamma(gen, other, m, eta_prime, tol)
     drift_scale = max(1.0, frobenius(gen.beta), frobenius(other.beta))
     if drift_residual > 10 * tol.threshold(drift_scale):
@@ -222,7 +230,7 @@ def _direct_witness(gen: GkslGenerator, other: GkslGenerator, tol: Tolerance) ->
         eta_prime=eta_prime,
         m_matrix=m,
         h_scalar=float(gamma.imag),
-        checks=_witness_checks(gen, other, m, eta_prime, gamma, drift_residual, scale),
+        checks=_witness_checks(gen, other, m, eta_prime, gamma, drift_residual),
     )
 
 
@@ -232,13 +240,7 @@ def _traceless_reduction(gen: GkslGenerator, tol: Tolerance):
     traces = np.array([np.trace(op) / d for op in gen.kraus.operators])
     traceless = [op - traces[i] * np.eye(d) for i, op in enumerate(gen.kraus.operators)]
     minimal = minimal_kraus(KrausMap(traceless), tol)
-    stack = np.column_stack([vec(op) for op in minimal.operators])
-    coords = np.zeros((len(traceless), len(minimal)), dtype=complex)
-    for i, op in enumerate(traceless):
-        x, res = complex_least_squares(stack, vec(op))
-        if res > 10 * tol.threshold(max(1.0, frobenius(op))):
-            raise NumericalFailure("traceless family failed to expand over its minimal form")
-        coords[i] = x
+    coords = expand_over(minimal.operators, traceless, tol)
     return traces, minimal, coords
 
 
@@ -281,26 +283,19 @@ def gksl_equivalent(
         raise NumericalFailure(
             "equal generators produced canonical jump parts of different sizes"
         )
-    stack_l = np.column_stack([vec(op) for op in minimal_l.operators])
-    w = np.zeros((len(minimal_k), len(minimal_l)), dtype=complex)
-    for b, op in enumerate(minimal_k.operators):
-        x, res = complex_least_squares(stack_l, vec(op))
-        if res > 10 * tol.threshold(max(1.0, frobenius(op))):
-            raise NumericalFailure("canonical jump parts do not span the same operator space")
-        w[b] = x
+    w = expand_over(minimal_l.operators, minimal_k.operators, tol)
     m = q @ w @ dag(p)
     eta_prime = traces_k - m @ traces_l
     gamma, drift_residual = _drift_gamma(gen, other, m, eta_prime, tol)
     drift_scale = max(1.0, frobenius(gen.beta), frobenius(other.beta))
     if drift_residual > 10 * tol.threshold(drift_scale):
         raise NumericalFailure(f"drift equation failed, residual {drift_residual:.3e}")
-    scale = max(1.0, max(frobenius(op) for op in other.kraus.operators))
     return TransformWitness(
         gamma=gamma,
         eta_prime=eta_prime,
         m_matrix=m,
         h_scalar=float(gamma.imag),
-        checks=_witness_checks(gen, other, m, eta_prime, gamma, drift_residual, scale),
+        checks=_witness_checks(gen, other, m, eta_prime, gamma, drift_residual),
     )
 
 
@@ -345,24 +340,6 @@ class SplitVerdict:
         return self.feasible
 
 
-def _rotated(gen: GkslGenerator, masa):
-    u = masa.basis_unitary
-    ops = [dag(u) @ op @ u for op in gen.kraus.operators]
-    return ops, dag(u) @ gen.beta @ u
-
-
-def _generator_invariance_residual(gen: GkslGenerator, masa) -> float:
-    d = gen.dim
-    ops, b = _rotated(gen, masa)
-    worst = 0.0
-    for k in range(d):
-        e_kk = np.zeros((d, d), dtype=complex)
-        e_kk[k, k] = 1
-        image = sum(dag(op) @ e_kk @ op for op in ops) + e_kk @ b + dag(b) @ e_kk
-        worst = max(worst, frobenius(offdiag(image)))
-    return worst
-
-
 def cp_part_diagonalizable(
     gen: GkslGenerator, masa, tol: Tolerance = DEFAULT_TOL
 ) -> SplitVerdict:
@@ -375,11 +352,11 @@ def cp_part_diagonalizable(
     gamma = -⟨eta, eta⟩/2), whose jump part alone then preserves the masa.
     The generator must preserve the masa to begin with.
     """
-    inv_residual = _generator_invariance_residual(gen, masa)
+    inv_residual = is_invariant(gen, masa, tol).residual
     if inv_residual > tol.threshold(max(1.0, frobenius(superoperator(gen)))):
         raise NotInvariant(f"generator does not preserve the masa, residual {inv_residual:.3e}")
     d = gen.dim
-    ops, b = _rotated(gen, masa)
+    ops, b = gen._in_coordinates(masa)
     rows = []
     rhs = []
     for r in range(d):
@@ -391,7 +368,7 @@ def cp_part_diagonalizable(
     a = np.asarray(rows, dtype=complex)
     b_vec = np.asarray(rhs, dtype=complex)
     # unknowns are conj(eta); the system is complex-linear in them
-    z, residual = complex_least_squares(a, b_vec)
+    z, residual = least_squares(a, b_vec)
     threshold = tol.threshold(max(1.0, float(np.linalg.norm(b_vec))))
     if residual > threshold:
         return SplitVerdict(
@@ -421,11 +398,11 @@ def _certificate(a_real, b_real, labels, tol: Tolerance) -> InfeasibilityCertifi
     accepted_rows: list[int] = []
     for idx in order:
         trial = accepted_rows + [int(idx)]
-        x, res = real_linear_least_squares(a_real[trial], b_real[trial])
+        x, res = least_squares(a_real[trial], b_real[trial])
         if res <= tol.threshold(max(1.0, float(np.linalg.norm(b_real[trial])))):
             accepted_rows = trial
     if accepted_rows:
-        x, _ = real_linear_least_squares(a_real[accepted_rows], b_real[accepted_rows])
+        x, _ = least_squares(a_real[accepted_rows], b_real[accepted_rows])
     else:
         x = np.zeros(a_real.shape[1])
     accepted_mask = np.zeros(len(a_real), dtype=bool)
@@ -451,7 +428,7 @@ def hamiltonian_part_diagonalizable(
     values and the violated equations.
     """
     d = gen.dim
-    ops, b = _rotated(gen, masa)
+    ops, b = gen._in_coordinates(masa)
     p_rows = []
     q_rows = []
     rhs = []
@@ -468,7 +445,7 @@ def hamiltonian_part_diagonalizable(
     a_real, b_real = realify_conjugate_linear_system(
         np.asarray(p_rows, dtype=complex), np.asarray(q_rows, dtype=complex), np.asarray(rhs)
     )
-    x, residual = real_linear_least_squares(a_real, b_real)
+    x, residual = least_squares(a_real, b_real)
     threshold = tol.threshold(max(1.0, float(np.linalg.norm(b_real))))
     if residual <= threshold:
         return SplitVerdict(

@@ -34,6 +34,7 @@ __all__ = [
     "frobenius",
     "require_matrix",
     "hermitian_eig",
+    "least_squares",
     "real_linear_least_squares",
     "complex_least_squares",
     "realify_conjugate_linear_system",
@@ -176,33 +177,51 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     return w, _phase_normalize_columns(v)
 
 
-def real_linear_least_squares(a, b) -> tuple[np.ndarray, float]:
-    """Minimum-norm least-squares solution of a real system.
+def least_squares(a, b) -> tuple[np.ndarray, float | np.ndarray]:
+    """Minimum-norm least-squares solution of ``a x = b``, real or complex.
 
-    Returns the minimizer x of ``‖a x − b‖₂`` of smallest Euclidean norm,
-    together with the achieved residual.
+    `b` is a vector or a matrix whose columns are separate right-hand sides.
+    Returns the minimizer x of ``‖a x − b‖₂`` of smallest Euclidean norm, in
+    the common dtype of `a` and `b` (real systems stay real), with the
+    achieved residual: a float for a vector `b`, one per column for a matrix.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
+    a = np.asarray(a)
+    b = np.asarray(b)
+    dtype = np.result_type(a, b, np.float64)
+    a = a.astype(dtype, copy=False)
+    b = b.astype(dtype, copy=False)
+    if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"incompatible system shapes {a.shape} and {b.shape}")
     if a.shape[1] == 0:
-        return np.zeros(0), float(np.linalg.norm(b))
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
+        x = np.zeros((0,) + b.shape[1:], dtype=dtype)
+    else:
+        x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
     # residues from lstsq are unreliable for rank-deficient systems
-    return x, float(np.linalg.norm(a @ x - b))
+    residual = np.linalg.norm(a @ x - b, axis=0)
+    return x, float(residual) if b.ndim == 1 else residual
 
 
-def complex_least_squares(a, b) -> tuple[np.ndarray, float]:
-    """Minimum-norm least squares over complex unknowns."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"incompatible system shapes {a.shape} and {b.shape}")
-    if a.shape[1] == 0:
-        return np.zeros(0, dtype=complex), float(np.linalg.norm(b))
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    return x, float(np.linalg.norm(a @ x - b))
+real_linear_least_squares = least_squares
+complex_least_squares = least_squares
+
+
+def expand_over(basis, ops, tol: Tolerance) -> np.ndarray:
+    """Coordinates of each operator over a family of basis operators.
+
+    Row j holds the least-squares coordinates of ``ops[j]``, all found by one
+    solve with a matrix right-hand side. Raises NumericalFailure when an
+    operator's residual exceeds ``10·tol.threshold(max(1, ‖op‖_F))``, that is,
+    when it does not lie in the span of the basis.
+    """
+    stack = np.column_stack([vec(b) for b in basis])
+    rhs = np.column_stack([vec(op) for op in ops])
+    x, residuals = least_squares(stack, rhs)
+    for j, (res, norm) in enumerate(zip(residuals, np.linalg.norm(rhs, axis=0))):
+        if res > 10 * tol.threshold(max(1.0, float(norm))):
+            raise NumericalFailure(
+                f"operator {j} does not lie in the span of the basis (residual {res:.3e})"
+            )
+    return x.T
 
 
 def realify_conjugate_linear_system(p, q, rhs) -> tuple[np.ndarray, np.ndarray]:
@@ -305,10 +324,30 @@ def commutant_intersection(
     return len(basis), basis
 
 
-def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Haar-distributed d×d unitary (QR of a complex Ginibre matrix)."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def _kraus_images(ops: np.ndarray, drift: np.ndarray | None = None) -> np.ndarray:
+    """Images of E_11, ..., E_dd under X ↦ Σ_i B_i* X B_i (+ X·β + β*·X).
+
+    `ops` stacks the B_i and `drift` is β. Image k is Σ_i conj(B_i[k,:])ᵀ B_i[k,:],
+    plus β[k,:] added to its row k and conj(β[k,:]) to its column k, so all d
+    images cost O(n·d³) and never form the superoperator.
+    """
+    images = np.einsum("ikr,iks->krs", ops.conj(), ops)
+    if drift is not None:
+        k = np.arange(images.shape[0])
+        images[k, k, :] += drift
+        images[k, :, k] += drift.conj()
+    return images
+
+
+def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Haar-distributed rows×cols isometry: QR of a complex Ginibre matrix, R's diagonal made positive."""
+    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(z)
     ph = np.diag(r).copy()
     ph /= np.abs(ph)
     return q * ph
+
+
+def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Haar-distributed d×d unitary (QR of a complex Ginibre matrix)."""
+    return _haar_isometry(rng, d, d)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .cpmaps import KrausMap, apply_cp
-from .cpmaps import superoperator as map_superoperator
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -27,23 +25,21 @@ from .errors import (
     PatternExplosion,
     PreconditionFailed,
 )
-from .gksl import GkslGenerator, apply_generator
-from .gksl import superoperator as generator_superoperator
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     Verdict,
+    _kraus_images,
     _phase_normalize_columns,
-    complex_least_squares,
     dag,
     expm_skew,
     frobenius,
     haar_unitary,
     hermitian_eig,
+    least_squares,
     matrix_rank_tol,
     nullspace,
     offdiag,
-    real_linear_least_squares,
     require_matrix,
     unvec,
     vec,
@@ -57,6 +53,7 @@ __all__ = [
     "PatternIntersection",
     "RebolledoVerdict",
     "masa_from_selfadjoint",
+    "is_invariant",
     "is_invariant_map",
     "is_invariant_generator",
     "is_invariant_superoperator",
@@ -131,55 +128,72 @@ class Infeasible:
         return False
 
 
-def _as_superoperator(source) -> tuple[int, np.ndarray]:
-    if isinstance(source, KrausMap):
-        return source.dim, map_superoperator(source)
-    if isinstance(source, GkslGenerator):
-        return source.dim, generator_superoperator(source)
-    s = require_matrix(source, name="superoperator")
-    d = int(round(np.sqrt(s.shape[0])))
-    if d * d != s.shape[0]:
-        raise DimensionMismatch(f"superoperator side {s.shape[0]} is not a square")
-    return d, s
+class _Superoperator:
+    """An evolution known only through its d²×d² matrix under column-stacking vec.
+
+    Offers the members that KrausMap and GkslGenerator offer: `dim`,
+    `apply`, `superoperator` and `projection_images`.
+    """
+
+    def __init__(self, matrix):
+        s = require_matrix(matrix, name="superoperator")
+        d = int(round(np.sqrt(s.shape[0])))
+        if d * d != s.shape[0]:
+            raise DimensionMismatch(f"superoperator side {s.shape[0]} is not a square")
+        self.dim = d
+        self.matrix = s
+
+    def apply(self, x) -> np.ndarray:
+        return unvec(self.matrix @ vec(x), self.dim)
+
+    def superoperator(self) -> np.ndarray:
+        return self.matrix
+
+    def projection_images(self, masa: Masa) -> np.ndarray:
+        return np.array(
+            [masa.to_coordinates(self.apply(masa.projection(k))) for k in range(self.dim)]
+        )
 
 
-def _rotated_projection_images(apply_fn, masa: Masa) -> list[np.ndarray]:
-    """Images of the minimal projections, in masa coordinates."""
-    return [masa.to_coordinates(apply_fn(masa.projection(k))) for k in range(masa.dim)]
+def _evolution(source):
+    """A KrausMap or GkslGenerator as it is; anything else read as a superoperator."""
+    return source if hasattr(source, "projection_images") else _Superoperator(source)
 
 
-def _invariance_verdict(images, tol: Tolerance) -> Verdict:
-    residual = max(frobenius(offdiag(img)) for img in images)
-    scale = max(1.0, max(frobenius(img) for img in images))
+def _projection_images(source, masa: Masa) -> np.ndarray:
+    evolution = _evolution(source)
+    if evolution.dim != masa.dim:
+        raise DimensionMismatch(f"evolution dim {evolution.dim} vs masa dim {masa.dim}")
+    return evolution.projection_images(masa)
+
+
+def _invariance_verdict(images: np.ndarray, tol: Tolerance) -> Verdict:
+    d = images.shape[-1]
+    residual = float(np.linalg.norm(images - images * np.eye(d), axis=(1, 2)).max())
+    scale = max(1.0, float(np.linalg.norm(images, axis=(1, 2)).max()))
+    if not (np.isfinite(residual) and np.isfinite(scale)):
+        raise NumericalFailure(
+            f"projection images are not finite (residual {residual}, scale {scale})"
+        )
     threshold = tol.threshold(scale)
     return Verdict(ok=residual <= threshold, residual=residual, threshold=threshold)
 
 
-def is_invariant_map(t: KrausMap, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> Verdict:
-    """Whether T(C) ⊆ C, by the off-diagonal residual on basis projections."""
-    if t.dim != masa.dim:
-        raise DimensionMismatch(f"map dim {t.dim} vs masa dim {masa.dim}")
-    images = _rotated_projection_images(lambda x: apply_cp(t, x), masa)
-    return _invariance_verdict(images, tol)
+def is_invariant(evolution, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> Verdict:
+    """Whether the masa C is invariant: T(C) ⊆ C for a CP map, L(C) ⊆ C for a generator.
+
+    `evolution` is a KrausMap, a GkslGenerator, or a d²×d² superoperator
+    array. For a generator, L(C) ⊆ C decides invariance under every e^{tL} by
+    linearity. The residual is the largest off-diagonal Frobenius mass of the
+    images of the masa's minimal projections, in masa coordinates. Raises
+    NumericalFailure when those images are not finite.
+    """
+    return _invariance_verdict(_projection_images(evolution, masa), tol)
 
 
-def is_invariant_generator(
-    gen: GkslGenerator, masa: Masa, tol: Tolerance = DEFAULT_TOL
-) -> Verdict:
-    """Whether L(C) ⊆ C; by linearity this decides invariance of e^{tL}."""
-    if gen.dim != masa.dim:
-        raise DimensionMismatch(f"generator dim {gen.dim} vs masa dim {masa.dim}")
-    images = _rotated_projection_images(lambda x: apply_generator(gen, x), masa)
-    return _invariance_verdict(images, tol)
-
-
-def is_invariant_superoperator(s, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> Verdict:
-    """Invariance for an evolution given only as a d²×d² superoperator."""
-    d, sm = _as_superoperator(s)
-    if d != masa.dim:
-        raise DimensionMismatch(f"superoperator dim {d} vs masa dim {masa.dim}")
-    images = _rotated_projection_images(lambda x: unvec(sm @ vec(x), d), masa)
-    return _invariance_verdict(images, tol)
+is_invariant_map = is_invariant
+is_invariant_generator = is_invariant
+is_invariant_superoperator = is_invariant
 
 
 @dataclass(frozen=True)
@@ -246,7 +260,7 @@ def _kraus_coefficient_solution(ops, tol: Tolerance):
         b_cplx = np.asarray(rhs_vals)
         a_real = np.vstack([a_cplx.real, a_cplx.imag])
         b_real = np.concatenate([b_cplx.real, b_cplx.imag])
-        x, res = real_linear_least_squares(a_real, b_real)
+        x, res = least_squares(a_real, b_real)
         residual_sq += res**2
         rhs_sq += float(np.linalg.norm(b_real)) ** 2
         for i in range(n):
@@ -259,7 +273,7 @@ def _kraus_coefficient_solution(ops, tol: Tolerance):
     return c_blocks, float(np.sqrt(residual_sq)), float(np.sqrt(rhs_sq))
 
 
-def solve_kraus_coefficients(t: KrausMap, masa: Masa, tol: Tolerance = DEFAULT_TOL):
+def solve_kraus_coefficients(t, masa: Masa, tol: Tolerance = DEFAULT_TOL):
     """Coefficient criterion for invariance of a CP map under conjugation.
 
     Feasibility of the commutator expansion over all basis projections is
@@ -292,32 +306,25 @@ class GeneratorCoefficientWitness:
     residual: float
 
 
-def solve_generator_coefficients(
-    gen: GkslGenerator, masa: Masa, tol: Tolerance = DEFAULT_TOL
-):
+def solve_generator_coefficients(gen, masa: Masa, tol: Tolerance = DEFAULT_TOL):
     """Coefficient criterion for invariance of a Lindblad-form generator.
 
     Stage 1 recovers, for each k, the k-th diagonal entries of the shifts
     from the row-k off-diagonal part of L(E_kk), where they enter linearly.
-    Stage 2 reads off gamma[k] from the (k,k) entry and accumulates the
-    consistency defects of all remaining entries. Stage 3 runs the CP-map
-    coefficient solver on the shifted family. The criterion is feasible iff
+    Stage 2 reads off gamma[k] from the (k,k) entry; the entries off row
+    and column k are those of the jump part alone, so they agree by
+    construction. Stage 3 runs the CP-map coefficient solver on the shifted
+    family. The criterion is feasible iff
     the combined residual stays below tolerance, which happens exactly when
     L(C) ⊆ C.
     """
     if gen.dim != masa.dim:
         raise DimensionMismatch(f"generator dim {gen.dim} vs masa dim {masa.dim}")
     d = gen.dim
-    ops = [masa.to_coordinates(op) for op in gen.kraus.operators]
-    beta = masa.to_coordinates(gen.beta)
+    ops, beta = gen._in_coordinates(masa)
     n = len(ops)
-    images = []
-    for k in range(d):
-        e_kk = np.zeros((d, d), dtype=complex)
-        e_kk[k, k] = 1
-        img = sum(dag(op) @ e_kk @ op for op in ops) + e_kk @ beta + dag(beta) @ e_kk
-        images.append(img)
-    scale = max(1.0, float(np.sqrt(sum(frobenius(img) ** 2 for img in images))))
+    images = _kraus_images(ops, beta)
+    scale = max(1.0, frobenius(images))
 
     x = np.zeros((n, d), dtype=complex)
     gamma = np.zeros(d)
@@ -332,23 +339,11 @@ def solve_generator_coefficients(
             for i in range(n):
                 m[row, i] = ops[i][k, s]
             rhs[row] = sum(np.conj(op[k, k]) * op[k, s] for op in ops) - img[k, s]
-        z, res1 = complex_least_squares(m, rhs)
+        z, res1 = least_squares(m, rhs)
         x[:, k] = np.conj(z)
-        # diagonal entry k defines gamma; everything else must be consistent
-        gamma_k = img[k, k] - sum(abs(op[k, k] - x[i, k]) ** 2 for i, op in enumerate(ops))
-        gamma[k] = gamma_k.real
-        defect_sq = res1**2 + abs(gamma_k.imag) ** 2
-        for r in other:
-            diag_term = img[r, r] - sum(abs(op[k, r]) ** 2 for op in ops)
-            defect_sq += abs(diag_term) ** 2
-            for s in other:
-                if s == r:
-                    continue
-                off_term = img[r, s] - sum(
-                    np.conj(op[k, r]) * op[k, s] for op in ops
-                )
-                defect_sq += abs(off_term) ** 2
-        residual_sq += defect_sq
+        # diagonal entry k, real by construction, defines gamma
+        gamma[k] = (img[k, k] - sum(abs(op[k, k] - x[i, k]) ** 2 for i, op in enumerate(ops))).real
+        residual_sq += res1**2
 
     shifted = [op - np.diag(x[i]) for i, op in enumerate(ops)]
     c_blocks, res3, _ = _kraus_coefficient_solution(shifted, tol)
@@ -385,7 +380,7 @@ class RebolledoVerdict:
 
 
 def rebolledo_check(
-    t: KrausMap,
+    t,
     masa: Masa,
     tol: Tolerance = DEFAULT_TOL,
     max_enumeration_dim: int = 5,
@@ -483,21 +478,6 @@ _PAULI = (
 )
 
 
-def _as_apply(source, dim: int | None = None):
-    if isinstance(source, KrausMap):
-        return source.dim, (lambda x: apply_cp(source, x))
-    if isinstance(source, GkslGenerator):
-        return source.dim, (lambda x: apply_generator(source, x))
-    if isinstance(source, np.ndarray):
-        d, sm = _as_superoperator(source)
-        return d, (lambda x: unvec(sm @ vec(x), d))
-    if callable(source):
-        if dim is None:
-            raise PreconditionFailed("a bare callable needs an explicit dimension")
-        return dim, source
-    raise PreconditionFailed(f"unsupported evolution source {type(source).__name__}")
-
-
 def find_masa_m2(alpha_map, tol: Tolerance = DEFAULT_TOL) -> Masa:
     """Invariant masa of a *-map on M₂ whose unit image is scalar.
 
@@ -506,12 +486,12 @@ def find_masa_m2(alpha_map, tol: Tolerance = DEFAULT_TOL) -> Masa:
     generated by the corresponding eigenvector is invariant. The returned
     masa is the best real-eigenvalue candidate by direct invariance residual.
     """
-    d, apply_fn = _as_apply(alpha_map, dim=2)
-    if d != 2:
-        raise DimensionMismatch(f"the constructive finder needs dim 2, got {d}")
+    evolution = _evolution(alpha_map)
+    if evolution.dim != 2:
+        raise DimensionMismatch(f"the constructive finder needs dim 2, got {evolution.dim}")
     eye = np.eye(2, dtype=complex)
-    unit_image = np.asarray(apply_fn(eye), dtype=complex)
-    pauli_images = [np.asarray(apply_fn(s), dtype=complex) for s in _PAULI]
+    unit_image = evolution.apply(eye)
+    pauli_images = [evolution.apply(s) for s in _PAULI]
     scale = max(1.0, frobenius(unit_image), *[frobenius(img) for img in pauli_images])
     unit_defect = frobenius(unit_image - (np.trace(unit_image) / 2) * eye)
     if unit_defect > tol.threshold(scale):
@@ -544,8 +524,7 @@ def find_masa_m2(alpha_map, tol: Tolerance = DEFAULT_TOL) -> Masa:
         y = y / np.linalg.norm(y)
         generator_elt = sum(y[a] * _PAULI[a] for a in range(3))
         masa = masa_from_selfadjoint(generator_elt, tol)
-        images = _rotated_projection_images(apply_fn, masa)
-        residual = max(frobenius(offdiag(img)) for img in images)
+        residual = is_invariant(evolution, masa, tol).residual
         if best is None or residual < best[0]:
             best = (residual, masa)
     if best[0] > 1000 * tol.threshold(scale):
@@ -632,8 +611,9 @@ def search_masa(
     """
     if restarts < 1:
         raise PreconditionFailed("restarts must be positive")
-    d, superop = _as_superoperator(objective_source)
-    search = _MasaSearch(superop, d)
+    evolution = _evolution(objective_source)
+    d = evolution.dim
+    search = _MasaSearch(evolution.superoperator(), d)
     best_u = np.eye(d, dtype=complex)
     best_value = search.objective(best_u)
     for r in range(restarts):
@@ -660,7 +640,7 @@ def _skew_from_params(params: np.ndarray, d: int) -> np.ndarray:
 
 
 def search_invariant_projections(
-    gen: GkslGenerator, seed: int = 42, tol: Tolerance = DEFAULT_TOL
+    gen, seed: int = 42, tol: Tolerance = DEFAULT_TOL
 ) -> list:
     """Heuristic search for projections commuting with their own image.
 
@@ -674,7 +654,7 @@ def search_invariant_projections(
         (np.zeros((d, d), dtype=complex), 0.0),
         (np.eye(d, dtype=complex), 0.0),
     ]
-    scale = max(1.0, frobenius(generator_superoperator(gen)))
+    scale = max(1.0, frobenius(gen.superoperator()))
     cut = tol.threshold(scale)
     n_params = d * d
 
@@ -683,7 +663,7 @@ def search_invariant_projections(
             u = expm_skew(_skew_from_params(params, d))
             frame = u[:, :rank]
             q = frame @ dag(frame)
-            lq = apply_generator(gen, q)
+            lq = gen.apply(q)
             return frobenius(q @ lq - lq @ q) ** 2
 
         return objective
@@ -721,25 +701,16 @@ def classical_restriction(source, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> n
     projection, so diag vectors evolve by matrix action: a Q-matrix for a
     Markov generator, a stochastic matrix for a unital CP map.
     """
-    if isinstance(source, KrausMap):
-        verdict = is_invariant_map(source, masa, tol)
-    elif isinstance(source, GkslGenerator):
-        verdict = is_invariant_generator(source, masa, tol)
-    else:
-        raise PreconditionFailed(f"unsupported evolution source {type(source).__name__}")
+    images = _projection_images(source, masa)
+    verdict = _invariance_verdict(images, tol)
     if not verdict.ok:
         raise NotInvariant(
             f"masa is not invariant, residual {verdict.residual:.3e} "
             f"exceeds {verdict.threshold:.3e}"
         )
-    d, apply_fn = _as_apply(source)
-    images = _rotated_projection_images(apply_fn, masa)
-    a = np.zeros((d, d))
-    imag_worst = 0.0
-    for l, img in enumerate(images):
-        diag = np.diagonal(img)
-        a[:, l] = diag.real
-        imag_worst = max(imag_worst, float(np.abs(diag.imag).max()))
+    diags = np.diagonal(images, axis1=1, axis2=2)
+    a = diags.real.T.copy()
+    imag_worst = float(np.abs(diags.imag).max())
     if imag_worst > 10 * tol.threshold(max(1.0, float(np.abs(a).max()))):
         raise NumericalFailure(
             f"projection images have non-real diagonal, defect {imag_worst:.3e}"

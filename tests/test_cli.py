@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cpmasa
+from cpmasa import cli
 from cpmasa.cli import main
 
 try:
@@ -216,6 +217,55 @@ def test_error_exit_codes(capsys, tmp_path):
     bad = write_json(tmp_path / "bad.json", {"kind": "cp_map"})
     assert main(["check-invariance", "--input", bad]) == 2
     assert main(["corpus", "ex0_0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"atol": "x"},
+        {"atol": True},
+        {"rtol": False},
+        {"kraus": [[[True, False], [False, True]]]},
+    ],
+    ids=["atol-string", "atol-bool", "rtol-bool", "bool-matrix-entries"],
+)
+def test_malformed_numbers_exit_2(capsys, tmp_path, fields):
+    problem = {"kind": "cp_map", "kraus": [[[1, 0], [0, 1]]], **fields}
+    path = write_json(tmp_path / "problem.json", problem)
+    assert main(["check-invariance", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_numeric_string_tolerances_are_read(capsys, tmp_path):
+    problem = {"kind": "cp_map", "kraus": [[[1, 0], [0, 1]]], "atol": "1e-4", "rtol": "1e-5"}
+    path = write_json(tmp_path / "problem.json", problem)
+    code, report = run_cli(capsys, "check-invariance", "--input", path)
+    assert code == 0
+    assert report["tolerance"] == {"atol": 1e-4, "rtol": 1e-5}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_arithmetic_exits_2(capsys, tmp_path):
+    # the images of the identity scaled by 1e308 overflow
+    path = write_json(
+        tmp_path / "huge.json", {"kind": "cp_map", "kraus": [[[1e308, 0], [0, 1e308]]]}
+    )
+    assert main(["check-invariance", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_non_finite_report_is_not_emitted(capsys, monkeypatch, map_problem):
+    monkeypatch.setitem(
+        cli._COMMANDS, "check-invariance", lambda args: ({"residual": float("nan")}, True)
+    )
+    assert main(["check-invariance", "--input", map_problem]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_console_script_entry_point(map_problem):

@@ -25,6 +25,8 @@ from cpmasa.errors import (
 from cpmasa.linalg import (
     complex_from_realified,
     complex_least_squares,
+    expand_over,
+    least_squares,
     matrix_rank_tol,
     real_linear_least_squares,
     realify_conjugate_linear_system,
@@ -184,6 +186,31 @@ def test_complex_least_squares_matches_direct_solve():
     x, res = complex_least_squares(a, a @ x0)
     assert np.linalg.norm(x - x0) < 1e-10
     assert res < 1e-10
+
+
+def test_least_squares_matrix_rhs_matches_column_solves():
+    rng = np.random.default_rng(12)
+    a = complex_gaussian(rng, (5, 3))
+    b = np.column_stack([a @ complex_gaussian(rng, 3), complex_gaussian(rng, 5)])
+    x, res = least_squares(a, b)
+    assert x.shape == (3, 2) and res.shape == (2,)
+    for j in range(2):
+        xj, rj = least_squares(a, b[:, j])
+        assert np.allclose(x[:, j], xj, atol=1e-12)
+        assert res[j] == pytest.approx(rj, abs=1e-12)
+    assert res[0] < 1e-10 < res[1]
+    x_real, _ = least_squares(a.real, b.real)
+    assert x_real.dtype == np.float64
+
+
+def test_expand_over_coordinates_and_span_check():
+    rng = np.random.default_rng(13)
+    basis = [complex_gaussian(rng, (3, 3)) for _ in range(2)]
+    coef = complex_gaussian(rng, (4, 2))
+    ops = [coef[j, 0] * basis[0] + coef[j, 1] * basis[1] for j in range(4)]
+    assert np.allclose(expand_over(basis, ops, DEFAULT_TOL), coef, atol=1e-10)
+    with pytest.raises(NumericalFailure):
+        expand_over(basis, ops + [complex_gaussian(rng, (3, 3))], DEFAULT_TOL)
 
 
 def test_realified_conjugate_linear_system_roundtrip():

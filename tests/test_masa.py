@@ -16,6 +16,7 @@ from cpmasa import (
     frobenius,
     generator_superoperator,
     haar_unitary,
+    is_invariant,
     is_invariant_generator,
     is_invariant_map,
     is_invariant_superoperator,
@@ -33,6 +34,7 @@ from cpmasa.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     NotInvariant,
+    NumericalFailure,
     PatternExplosion,
     PreconditionFailed,
 )
@@ -115,6 +117,42 @@ def test_invariance_dimension_mismatch():
     t = KrausMap([np.eye(2, dtype=complex)])
     with pytest.raises(DimensionMismatch):
         is_invariant_map(t, Masa.diagonal(3))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_invariance_non_finite_images_raise():
+    t = KrausMap([1e308 * np.eye(2, dtype=complex)])
+    with pytest.raises(NumericalFailure):
+        is_invariant(t, Masa.diagonal(2))
+
+
+def test_search_masa_raw_superoperator_matches_kraus_map():
+    rng = np.random.default_rng(14)
+    t, _ = invariant_map_instance(rng, 3, 2)
+    masa, residual = search_masa(t, restarts=3, seed=5)
+    raw_masa, raw_residual = search_masa(map_superoperator(t), restarts=3, seed=5)
+    assert raw_residual == residual
+    assert np.array_equal(raw_masa.basis_unitary, masa.basis_unitary)
+
+
+def test_find_masa_m2_on_raw_superoperator():
+    t = random_unital_map(np.random.default_rng(15), 2, 3)
+    masa = find_masa_m2(map_superoperator(t))
+    assert is_invariant(t, masa).ok
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: is_invariant(s, Masa.diagonal(2)),
+        lambda s: search_masa(s, restarts=1),
+        find_masa_m2,
+    ],
+    ids=["is_invariant", "search_masa", "find_masa_m2"],
+)
+def test_raw_superoperator_side_must_be_square(call):
+    with pytest.raises(DimensionMismatch):
+        call(np.eye(5, dtype=complex))
 
 
 def test_kraus_coefficients_agree_with_invariance():
