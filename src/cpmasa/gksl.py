@@ -189,10 +189,24 @@ class TransformWitness:
         return -dag(self.m_matrix) @ self.eta_prime
 
 
-def _witness_checks(gen, other, m, eta_prime, gamma, drift_residual) -> dict:
+def _transform_witness(gen, other, m, eta_prime, tol: Tolerance) -> TransformWitness:
+    """Witness for the mixing m and shift eta_prime, gamma read off the drift equation.
+
+    Raises NumericalFailure when the drift equation leaves more than a scalar.
+    """
+    d = gen.dim
+    eta = -dag(m) @ eta_prime
+    residual_matrix = other.beta - gen.beta
+    for i, op in enumerate(gen.kraus.operators):
+        residual_matrix = residual_matrix - np.conj(eta[i]) * op
+    gamma = complex(np.trace(residual_matrix) / d)
+    drift_residual = frobenius(residual_matrix - gamma * np.eye(d))
+    drift_scale = max(1.0, frobenius(gen.beta), frobenius(other.beta))
+    if drift_residual > 10 * tol.threshold(drift_scale):
+        raise NumericalFailure(f"drift equation failed, residual {drift_residual:.3e}")
     mtm = dag(m) @ m
     mmt_eta = m @ (dag(m) @ eta_prime)
-    return {
+    checks = {
         "superoperator_distance": frobenius(superoperator(gen) - superoperator(other)),
         "drift_equation_residual": drift_residual,
         "isometry_defect": frobenius(mtm - np.eye(mtm.shape[0])),
@@ -201,37 +215,16 @@ def _witness_checks(gen, other, m, eta_prime, gamma, drift_residual) -> dict:
         "real_part_defect": abs(gamma.real + float(np.vdot(eta_prime, eta_prime).real) / 2),
         "scale": max(1.0, max(frobenius(op) for op in other.kraus.operators)),
     }
-
-
-def _drift_gamma(gen, other, m, eta_prime, tol):
-    """gamma from the drift equation, with the scalar-deviation residual."""
-    d = gen.dim
-    eta = -dag(m) @ eta_prime
-    residual_matrix = other.beta - gen.beta
-    for i, op in enumerate(gen.kraus.operators):
-        residual_matrix = residual_matrix - np.conj(eta[i]) * op
-    gamma = complex(np.trace(residual_matrix) / d)
-    drift_residual = frobenius(residual_matrix - gamma * np.eye(d))
-    return gamma, drift_residual
+    return TransformWitness(
+        gamma=gamma, eta_prime=eta_prime, m_matrix=m, h_scalar=float(gamma.imag), checks=checks
+    )
 
 
 def _direct_witness(gen: GkslGenerator, other: GkslGenerator, tol: Tolerance) -> TransformWitness:
     """Unique expansion of the other family over {1, L_i} for independent {1, L_i}."""
     basis = (np.eye(gen.dim, dtype=complex),) + gen.kraus.operators
     coef = expand_over(basis, other.kraus.operators, tol)
-    eta_prime = coef[:, 0]
-    m = coef[:, 1:]
-    gamma, drift_residual = _drift_gamma(gen, other, m, eta_prime, tol)
-    drift_scale = max(1.0, frobenius(gen.beta), frobenius(other.beta))
-    if drift_residual > 10 * tol.threshold(drift_scale):
-        raise NumericalFailure(f"drift equation failed, residual {drift_residual:.3e}")
-    return TransformWitness(
-        gamma=gamma,
-        eta_prime=eta_prime,
-        m_matrix=m,
-        h_scalar=float(gamma.imag),
-        checks=_witness_checks(gen, other, m, eta_prime, gamma, drift_residual),
-    )
+    return _transform_witness(gen, other, coef[:, 1:], coef[:, 0], tol)
 
 
 def _traceless_reduction(gen: GkslGenerator, tol: Tolerance):
@@ -286,17 +279,7 @@ def gksl_equivalent(
     w = expand_over(minimal_l.operators, minimal_k.operators, tol)
     m = q @ w @ dag(p)
     eta_prime = traces_k - m @ traces_l
-    gamma, drift_residual = _drift_gamma(gen, other, m, eta_prime, tol)
-    drift_scale = max(1.0, frobenius(gen.beta), frobenius(other.beta))
-    if drift_residual > 10 * tol.threshold(drift_scale):
-        raise NumericalFailure(f"drift equation failed, residual {drift_residual:.3e}")
-    return TransformWitness(
-        gamma=gamma,
-        eta_prime=eta_prime,
-        m_matrix=m,
-        h_scalar=float(gamma.imag),
-        checks=_witness_checks(gen, other, m, eta_prime, gamma, drift_residual),
-    )
+    return _transform_witness(gen, other, m, eta_prime, tol)
 
 
 @dataclass(frozen=True)
@@ -357,16 +340,9 @@ def cp_part_diagonalizable(
         raise NotInvariant(f"generator does not preserve the masa, residual {inv_residual:.3e}")
     d = gen.dim
     ops, b = gen._in_coordinates(masa)
-    rows = []
-    rhs = []
-    for r in range(d):
-        for s in range(d):
-            if r == s:
-                continue
-            rows.append([op[r, s] for op in ops])
-            rhs.append(-b[r, s])
-    a = np.asarray(rows, dtype=complex)
-    b_vec = np.asarray(rhs, dtype=complex)
+    r, s = np.nonzero(~np.eye(d, dtype=bool))
+    a = ops[:, r, s].T
+    b_vec = -b[r, s]
     # unknowns are conj(eta); the system is complex-linear in them
     z, residual = least_squares(a, b_vec)
     threshold = tol.threshold(max(1.0, float(np.linalg.norm(b_vec))))
@@ -429,22 +405,12 @@ def hamiltonian_part_diagonalizable(
     """
     d = gen.dim
     ops, b = gen._in_coordinates(masa)
-    p_rows = []
-    q_rows = []
-    rhs = []
-    labels = []
-    for r in range(d):
-        for s in range(d):
-            if r == s:
-                continue
-            # (M - M*)_{rs} = Σ_i c_i L_i[r,s] - conj(c_i) conj(L_i[s,r]) + 2B_rs - 2 conj(B_sr)
-            p_rows.append([op[r, s] for op in ops])
-            q_rows.append([-np.conj(op[s, r]) for op in ops])
-            rhs.append(-(2 * b[r, s] - 2 * np.conj(b[s, r])))
-            labels.extend([f"({r},{s}).re", f"({r},{s}).im"])
+    r, s = np.nonzero(~np.eye(d, dtype=bool))
+    # (M - M*)_{rs} = Σ_i c_i L_i[r,s] - conj(c_i) conj(L_i[s,r]) + 2B_rs - 2 conj(B_sr)
     a_real, b_real = realify_conjugate_linear_system(
-        np.asarray(p_rows, dtype=complex), np.asarray(q_rows, dtype=complex), np.asarray(rhs)
+        ops[:, r, s].T, -ops[:, s, r].conj().T, -(2 * b[r, s] - 2 * np.conj(b[s, r]))
     )
+    labels = [f"({i},{j}).{part}" for i, j in zip(r, s) for part in ("re", "im")]
     x, residual = least_squares(a_real, b_real)
     threshold = tol.threshold(max(1.0, float(np.linalg.norm(b_real))))
     if residual <= threshold:

@@ -177,13 +177,16 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     return w, _phase_normalize_columns(v)
 
 
-def least_squares(a, b) -> tuple[np.ndarray, float | np.ndarray]:
+def least_squares(a, b, rcond: float | None = None) -> tuple[np.ndarray, float | np.ndarray]:
     """Minimum-norm least-squares solution of ``a x = b``, real or complex.
 
     `b` is a vector or a matrix whose columns are separate right-hand sides.
     Returns the minimizer x of ``‖a x − b‖₂`` of smallest Euclidean norm, in
     the common dtype of `a` and `b` (real systems stay real), with the
     achieved residual: a float for a vector `b`, one per column for a matrix.
+    Singular values below ``rcond·σ_max(a)`` count as zero; the default is
+    numpy's ``eps·max(a.shape)``. Raises NumericalFailure when the solver
+    fails on non-finite entries.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -195,7 +198,10 @@ def least_squares(a, b) -> tuple[np.ndarray, float | np.ndarray]:
     if a.shape[1] == 0:
         x = np.zeros((0,) + b.shape[1:], dtype=dtype)
     else:
-        x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
+        try:
+            x, _, _, _ = np.linalg.lstsq(a, b, rcond=rcond)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"least squares failed: {exc}") from exc
     # residues from lstsq are unreliable for rank-deficient systems
     residual = np.linalg.norm(a @ x - b, axis=0)
     return x, float(residual) if b.ndim == 1 else residual
@@ -203,6 +209,30 @@ def least_squares(a, b) -> tuple[np.ndarray, float | np.ndarray]:
 
 real_linear_least_squares = least_squares
 complex_least_squares = least_squares
+
+
+def _disjoint_least_squares(systems) -> list:
+    """Solve same-shaped blocks (a, b) that share no unknowns and no equations.
+
+    Each block gets its own `least_squares` call, but singular values are cut
+    as one solve of the block-diagonal whole would cut them: below numpy's
+    ``eps·max(shape)·σ_max`` of the whole, not of the block. A block that
+    vanishes up to rounding then gets zero unknowns instead of ones fitted to
+    its rounding noise. Returns one (x, residual) pair per block.
+    """
+    if not all(np.all(np.isfinite(a)) for a, _ in systems):
+        raise NumericalFailure("system matrix is not finite")
+    norms = [np.linalg.norm(a, 2) for a, _ in systems]
+    rows, cols = systems[0][0].shape
+    cut = np.finfo(float).eps * len(systems) * max(rows, cols) * max(norms)
+    solutions = []
+    for (a, b), norm in zip(systems, norms):
+        if norm > cut:
+            solutions.append(least_squares(a, b, rcond=cut / norm))
+        else:  # the whole block is cut; LAPACK would read rcond >= 1 as eps
+            x = np.zeros((cols,) + b.shape[1:], dtype=np.result_type(a, b))
+            solutions.append((x, np.linalg.norm(b, axis=0)))
+    return solutions
 
 
 def expand_over(basis, ops, tol: Tolerance) -> np.ndarray:
@@ -230,15 +260,16 @@ def realify_conjugate_linear_system(p, q, rhs) -> tuple[np.ndarray, np.ndarray]:
     Each complex unknown z_i occupies two adjacent real unknowns
     (Re z_i, Im z_i); each complex equation contributes two real rows.
     Conjugate-linear terms become sign flips in the imaginary columns.
+    `rhs` is a vector or a matrix whose columns are separate right-hand sides.
     """
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
-    if p.shape != q.shape or p.ndim != 2 or rhs.shape != (p.shape[0],):
+    if p.shape != q.shape or p.ndim != 2 or rhs.ndim not in (1, 2) or rhs.shape[0] != p.shape[0]:
         raise DimensionMismatch(f"incompatible system shapes {p.shape}, {q.shape}, {rhs.shape}")
     m, n = p.shape
     a_real = np.zeros((2 * m, 2 * n))
-    b_real = np.zeros(2 * m)
+    b_real = np.zeros((2 * m,) + rhs.shape[1:])
     # z = x + iy: coefficient of x is p + q, coefficient of y is i(p - q)
     cx = p + q
     cy = 1j * (p - q)

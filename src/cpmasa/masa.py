@@ -29,8 +29,10 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     Verdict,
+    _disjoint_least_squares,
     _kraus_images,
     _phase_normalize_columns,
+    complex_from_realified,
     dag,
     expm_skew,
     frobenius,
@@ -40,6 +42,7 @@ from .linalg import (
     matrix_rank_tol,
     nullspace,
     offdiag,
+    realify_conjugate_linear_system,
     require_matrix,
     unvec,
     vec,
@@ -167,15 +170,18 @@ def _projection_images(source, masa: Masa) -> np.ndarray:
     return evolution.projection_images(masa)
 
 
+def _checked_threshold(residual: float, scale: float, tol: Tolerance, what: str) -> float:
+    """Threshold for a residual measured against max(1, scale); both must be finite."""
+    if not (np.isfinite(residual) and np.isfinite(scale)):
+        raise NumericalFailure(f"{what} not finite (residual {residual}, scale {scale})")
+    return tol.threshold(max(1.0, scale))
+
+
 def _invariance_verdict(images: np.ndarray, tol: Tolerance) -> Verdict:
     d = images.shape[-1]
     residual = float(np.linalg.norm(images - images * np.eye(d), axis=(1, 2)).max())
-    scale = max(1.0, float(np.linalg.norm(images, axis=(1, 2)).max()))
-    if not (np.isfinite(residual) and np.isfinite(scale)):
-        raise NumericalFailure(
-            f"projection images are not finite (residual {residual}, scale {scale})"
-        )
-    threshold = tol.threshold(scale)
+    scale = float(np.linalg.norm(images, axis=(1, 2)).max())
+    threshold = _checked_threshold(residual, scale, tol, "projection images are")
     return Verdict(ok=residual <= threshold, residual=residual, threshold=threshold)
 
 
@@ -210,66 +216,55 @@ class KrausCoefficientWitness:
     residual: float
 
 
-def _pair_positions(n: int):
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    return pairs, {p: idx for idx, p in enumerate(pairs)}
-
-
-def _kraus_coefficient_solution(ops, tol: Tolerance):
+def _kraus_coefficient_solution(ops: np.ndarray):
     """Solve the commutator expansion over a Hermitian family of diagonals.
 
     For each k the unknowns are diagonal vectors w_ij with w_ji = conj(w_ij)
     (so w_ii real), satisfying entrywise
-    Σ_j w_ij[r]·L_j[r,s] = (E_kk L_i - L_i E_kk)[r,s]. The symmetry is built
-    into the realified unknown layout rather than checked afterwards.
+    Σ_j w_ij[r]·L_j[r,s] = (E_kk L_i - L_i E_kk)[r,s]. The unknowns of row r
+    enter only the equations of row r: there they form a Hermitian n×n
+    matrix W with W R = C_k, where R[j, s] = L_j[r, s] and
+    C_k[i, s] = δ_rk L_i[k, s] - δ_sk L_i[r, k]. R does not depend on k, so
+    one least-squares solve per row takes all d right-hand sides at once, and
+    the minimum-norm solutions of these disjoint blocks together are that of
+    the whole system, with singular values cut as for the whole. The symmetry
+    is built into the realified unknowns (W_ii, then Re and Im of W_ab for
+    a < b) rather than checked afterwards.
     Returns (c_blocks, total_residual, rhs_norm).
     """
-    d = ops[0].shape[0]
-    n = len(ops)
-    pairs, pair_pos = _pair_positions(n)
-    base = n * d
-    cols = n * d + len(pairs) * 2 * d
+    n, d, _ = ops.shape
+    diag = np.arange(n)
+    upper, lower = np.triu_indices(n, 1)
+    pair = n + np.arange(len(upper))
+    # W_ii = (z_i + conj(z_i))/2 leaves Im z_i a zero column, dropped to keep W_ii real
+    keep = np.r_[0 : 2 * n : 2, 2 * n : 2 * (n + len(upper))]
+    systems = []
+    for r in range(d):
+        rows = ops[:, r, :]
+        # equation (i, s): W_ab = z_ab enters row a, W_ba = conj(z_ab) row b
+        p = np.zeros((n, d, n + len(upper)), dtype=complex)
+        p[diag, :, diag] = rows / 2
+        q = p.copy()
+        p[upper, :, pair] = rows[lower]
+        q[lower, :, pair] = rows[upper]
+        # column k holds C_k
+        rhs = -rows[:, :, None] * np.eye(d)
+        rhs[:, :, r] += rows
+        a_real, b_real = realify_conjugate_linear_system(
+            p.reshape(n * d, -1), q.reshape(n * d, -1), rhs.reshape(n * d, d)
+        )
+        systems.append((a_real[:, keep], b_real))
     c_blocks = np.zeros((d, n, n, d), dtype=complex)
     residual_sq = 0.0
     rhs_sq = 0.0
-    for k in range(d):
-        e_kk = np.zeros((d, d), dtype=complex)
-        e_kk[k, k] = 1
-        coeff_rows = []
-        rhs_vals = []
-        for i in range(n):
-            comm = e_kk @ ops[i] - ops[i] @ e_kk
-            for r in range(d):
-                for s in range(d):
-                    coeff = np.zeros(cols, dtype=complex)
-                    for j in range(n):
-                        value = ops[j][r, s]
-                        if j == i:
-                            coeff[i * d + r] += value
-                        elif j > i:
-                            p = pair_pos[(i, j)]
-                            coeff[base + p * 2 * d + 2 * r] += value
-                            coeff[base + p * 2 * d + 2 * r + 1] += 1j * value
-                        else:
-                            p = pair_pos[(j, i)]
-                            coeff[base + p * 2 * d + 2 * r] += value
-                            coeff[base + p * 2 * d + 2 * r + 1] += -1j * value
-                    coeff_rows.append(coeff)
-                    rhs_vals.append(comm[r, s])
-        a_cplx = np.asarray(coeff_rows)
-        b_cplx = np.asarray(rhs_vals)
-        a_real = np.vstack([a_cplx.real, a_cplx.imag])
-        b_real = np.concatenate([b_cplx.real, b_cplx.imag])
-        x, res = least_squares(a_real, b_real)
-        residual_sq += res**2
-        rhs_sq += float(np.linalg.norm(b_real)) ** 2
-        for i in range(n):
-            c_blocks[k, i, i, :] = x[i * d : (i + 1) * d]
-        for (a, b), p in pair_pos.items():
-            block = x[base + p * 2 * d : base + (p + 1) * 2 * d]
-            w_ab = block[0::2] + 1j * block[1::2]
-            c_blocks[k, a, b, :] = w_ab
-            c_blocks[k, b, a, :] = np.conj(w_ab)
+    for r, ((_, b), (x, res)) in enumerate(zip(systems, _disjoint_least_squares(systems))):
+        residual_sq += float((res**2).sum())
+        rhs_sq += float(np.linalg.norm(b)) ** 2
+        w = np.zeros((n, n, d), dtype=complex)
+        w[diag, diag] = x[:n]
+        w[upper, lower] = complex_from_realified(x[n:])
+        w[lower, upper] = w[upper, lower].conj()
+        c_blocks[..., r] = np.moveaxis(w, 2, 0)
     return c_blocks, float(np.sqrt(residual_sq)), float(np.sqrt(rhs_sq))
 
 
@@ -278,13 +273,14 @@ def solve_kraus_coefficients(t, masa: Masa, tol: Tolerance = DEFAULT_TOL):
 
     Feasibility of the commutator expansion over all basis projections is
     equivalent to T(C) ⊆ C; returns the witness or Infeasible with the
-    least-squares residual either way.
+    least-squares residual either way. Raises NumericalFailure when the
+    residual or the norm of the right-hand sides is not finite.
     """
     if t.dim != masa.dim:
         raise DimensionMismatch(f"map dim {t.dim} vs masa dim {masa.dim}")
-    ops = [masa.to_coordinates(op) for op in t.operators]
-    c_blocks, residual, rhs_norm = _kraus_coefficient_solution(ops, tol)
-    threshold = tol.threshold(max(1.0, rhs_norm))
+    ops = masa.to_coordinates(np.stack(t.operators))
+    c_blocks, residual, rhs_norm = _kraus_coefficient_solution(ops)
+    threshold = _checked_threshold(residual, rhs_norm, tol, "commutator expansion is")
     if residual > threshold:
         return Infeasible(residual=residual, threshold=threshold)
     return KrausCoefficientWitness(c_blocks=c_blocks, residual=residual)
@@ -316,39 +312,32 @@ def solve_generator_coefficients(gen, masa: Masa, tol: Tolerance = DEFAULT_TOL):
     construction. Stage 3 runs the CP-map coefficient solver on the shifted
     family. The criterion is feasible iff
     the combined residual stays below tolerance, which happens exactly when
-    L(C) ⊆ C.
+    L(C) ⊆ C. Raises NumericalFailure when the residual or the scale of the
+    images is not finite.
     """
     if gen.dim != masa.dim:
         raise DimensionMismatch(f"generator dim {gen.dim} vs masa dim {masa.dim}")
     d = gen.dim
     ops, beta = gen._in_coordinates(masa)
-    n = len(ops)
     images = _kraus_images(ops, beta)
-    scale = max(1.0, frobenius(images))
+    idx = np.arange(d)
+    diagonals = ops[:, idx, idx]
 
-    x = np.zeros((n, d), dtype=complex)
-    gamma = np.zeros(d)
+    x = np.zeros((len(ops), d), dtype=complex)
     residual_sq = 0.0
     for k in range(d):
-        img = images[k]
-        other = [s for s in range(d) if s != k]
+        other = idx != k
         # row-k off-diagonal entries: the shifts appear linearly via conj(x_ik)
-        m = np.zeros((len(other), n), dtype=complex)
-        rhs = np.zeros(len(other), dtype=complex)
-        for row, s in enumerate(other):
-            for i in range(n):
-                m[row, i] = ops[i][k, s]
-            rhs[row] = sum(np.conj(op[k, k]) * op[k, s] for op in ops) - img[k, s]
-        z, res1 = least_squares(m, rhs)
+        m = ops[:, k, other].T
+        z, res1 = least_squares(m, m @ diagonals[:, k].conj() - images[k, k, other])
         x[:, k] = np.conj(z)
-        # diagonal entry k, real by construction, defines gamma
-        gamma[k] = (img[k, k] - sum(abs(op[k, k] - x[i, k]) ** 2 for i, op in enumerate(ops))).real
         residual_sq += res1**2
+    # diagonal entry k of image k, real by construction, defines gamma
+    gamma = (images[idx, idx, idx] - (np.abs(diagonals - x) ** 2).sum(axis=0)).real
 
-    shifted = [op - np.diag(x[i]) for i, op in enumerate(ops)]
-    c_blocks, res3, _ = _kraus_coefficient_solution(shifted, tol)
+    c_blocks, res3, _ = _kraus_coefficient_solution(ops - x[:, :, None] * np.eye(d))
     residual = float(np.sqrt(residual_sq + res3**2))
-    threshold = tol.threshold(scale)
+    threshold = _checked_threshold(residual, frobenius(images), tol, "generator criterion is")
     if residual > threshold:
         return Infeasible(residual=residual, threshold=threshold)
     inner = KrausCoefficientWitness(c_blocks=c_blocks, residual=res3)
@@ -607,7 +596,9 @@ def search_masa(
     images over the unitary group; returns the best masa found and the
     square root of the best objective value, which matches the invariance
     residual scale. Deterministic given the seed. A residual bounded away
-    from zero is numerical evidence of nonexistence, not a proof.
+    from zero is numerical evidence of nonexistence, not a proof. Raises
+    NumericalFailure when the superoperator or the objective at the identity
+    is not finite.
     """
     if restarts < 1:
         raise PreconditionFailed("restarts must be positive")
@@ -616,6 +607,9 @@ def search_masa(
     search = _MasaSearch(evolution.superoperator(), d)
     best_u = np.eye(d, dtype=complex)
     best_value = search.objective(best_u)
+    # a non-finite start is never improved on (comparisons with NaN fail)
+    if not (np.isfinite(best_value) and np.all(np.isfinite(search.s))):
+        raise NumericalFailure(f"superoperator is not finite (objective {best_value})")
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         u, value = search.descend(haar_unitary(rng, d), max_iters=max_iters)

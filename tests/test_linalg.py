@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cpmasa import (
     DEFAULT_TOL,
@@ -23,6 +24,7 @@ from cpmasa.errors import (
     ToleranceInvalid,
 )
 from cpmasa.linalg import (
+    _disjoint_least_squares,
     complex_from_realified,
     complex_least_squares,
     expand_over,
@@ -203,6 +205,37 @@ def test_least_squares_matrix_rhs_matches_column_solves():
     assert x_real.dtype == np.float64
 
 
+def test_least_squares_rcond_cuts_small_singular_values():
+    a = np.diag([1.0, 1e-6])
+    x, res = least_squares(a, np.array([1.0, 1.0]), rcond=1e-3)
+    assert np.allclose(x, [1.0, 0.0])
+    assert res == pytest.approx(1.0)
+
+
+def test_least_squares_non_finite_system_raises():
+    with pytest.raises(NumericalFailure):
+        least_squares(np.array([[np.inf, 1.0], [0.0, 1.0]]), np.array([1.0, 2.0]))
+
+
+def test_disjoint_least_squares_cuts_against_the_whole():
+    # singular values at rounding level next to a unit block are zero at
+    # working precision, as in one solve of the block-diagonal whole
+    rng = np.random.default_rng(14)
+    big = rng.standard_normal((4, 3))
+    mixed = np.vstack([np.diag([1e-3, 1e-17, 1e-17]), np.zeros((1, 3))])
+    tiny = 1e-17 * rng.standard_normal((4, 3))
+    b = rng.standard_normal((4, 2))
+    blocks = [(big, b), (mixed, b), (tiny, b)]
+    solutions = _disjoint_least_squares(blocks)
+    x_whole, r_whole = least_squares(scipy.linalg.block_diag(big, mixed, tiny), np.vstack([b] * 3))
+    assert np.allclose(np.vstack([x for x, _ in solutions]), x_whole, atol=1e-12)
+    assert np.array_equal(solutions[2][0], np.zeros((3, 2)))
+    assert np.allclose(solutions[2][1], np.linalg.norm(b, axis=0))
+    # on their own the rounding-level directions are solved, not cut
+    assert np.abs(least_squares(mixed, b)[0]).max() > 1e10
+    assert np.abs(least_squares(tiny, b)[0]).max() > 1.0
+
+
 def test_expand_over_coordinates_and_span_check():
     rng = np.random.default_rng(13)
     basis = [complex_gaussian(rng, (3, 3)) for _ in range(2)]
@@ -226,6 +259,19 @@ def test_realified_conjugate_linear_system_roundtrip():
         assert res < 1e-10
         z = complex_from_realified(x)
         assert np.linalg.norm(p @ z + q @ np.conj(z) - rhs) < 1e-9
+
+
+def test_realified_system_matrix_rhs_matches_columns():
+    rng = np.random.default_rng(4)
+    p = complex_gaussian(rng, (4, 2))
+    q = complex_gaussian(rng, (4, 2))
+    rhs = complex_gaussian(rng, (4, 3))
+    a_re, b_re = realify_conjugate_linear_system(p, q, rhs)
+    assert b_re.shape == (8, 3)
+    for j in range(3):
+        a_col, b_col = realify_conjugate_linear_system(p, q, rhs[:, j])
+        assert np.array_equal(a_col, a_re)
+        assert np.array_equal(b_col, b_re[:, j])
 
 
 def test_matrix_exp_pinned_values():

@@ -38,6 +38,7 @@ from cpmasa.errors import (
     PatternExplosion,
     PreconditionFailed,
 )
+from cpmasa.masa import _kraus_coefficient_solution
 
 from _ensembles import (
     complex_gaussian,
@@ -126,6 +127,24 @@ def test_invariance_non_finite_images_raise():
         is_invariant(t, Masa.diagonal(2))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_kraus_coefficients_non_finite_raise():
+    # the right-hand sides overflow, so the residual and its threshold are inf
+    t = KrausMap([1e200 * np.array([[1, 1], [0, 1]], dtype=complex)])
+    with pytest.raises(NumericalFailure):
+        solve_kraus_coefficients(t, Masa.diagonal(2))
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
+)
+def test_generator_coefficients_non_finite_raise():
+    # the images overflow, so the rates are NaN and the image scale is inf
+    gen = GkslGenerator(KrausMap([1e200 * np.eye(2, dtype=complex)]), np.eye(2, dtype=complex))
+    with pytest.raises(NumericalFailure):
+        solve_generator_coefficients(gen, Masa.diagonal(2))
+
+
 def test_search_masa_raw_superoperator_matches_kraus_map():
     rng = np.random.default_rng(14)
     t, _ = invariant_map_instance(rng, 3, 2)
@@ -155,11 +174,17 @@ def test_raw_superoperator_side_must_be_square(call):
         call(np.eye(5, dtype=complex))
 
 
-def test_kraus_coefficients_agree_with_invariance():
+def _criterion_cases(root):
+    """Seeded (seed, rng, d, n): 30 small draws, then d = 8, 8, 16, 16 with n = 3."""
     for seed in range(30):
-        rng = np.random.default_rng([400, seed])
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(1, 4))
+        rng = np.random.default_rng([root, seed])
+        yield seed, rng, int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    for seed, d in enumerate((8, 8, 16, 16), start=30):
+        yield seed, np.random.default_rng([root, seed]), d, 3
+
+
+def test_kraus_coefficients_agree_with_invariance():
+    for seed, rng, d, n in _criterion_cases(400):
         if seed % 2 == 0:
             t, masa = invariant_map_instance(rng, d, n)
         else:
@@ -175,26 +200,93 @@ def test_kraus_coefficient_witness_identity():
     # sum_j c[k,i,j,:] weighted rows of L_j match the commutator of E_kk with L_i
     rng = np.random.default_rng(5)
     t, masa = invariant_map_instance(rng, 3, 2)
-    wit = solve_kraus_coefficients(t, masa)
-    assert not isinstance(wit, Infeasible)
-    d, n = 3, 2
-    a = [masa.to_coordinates(op) for op in t.operators]
-    c = wit.c_blocks
-    assert c.shape == (d, n, n, d)
+    # L_0 -> (L_0/sqrt2, L_0/sqrt2) keeps the map but makes the family
+    # linearly dependent, so the coefficients are not unique
+    t8, masa8 = invariant_map_instance(np.random.default_rng(16), 8, 2)
+    half = t8.operators[0] / np.sqrt(2)
+    dependent = KrausMap([half, half, t8.operators[1]])
+    for t, masa in ((t, masa), (dependent, masa8)):
+        wit = solve_kraus_coefficients(t, masa)
+        assert not isinstance(wit, Infeasible)
+        d, n = t.dim, len(t)
+        a = [masa.to_coordinates(op) for op in t.operators]
+        c = wit.c_blocks
+        assert c.shape == (d, n, n, d)
+        for k in range(d):
+            e_kk = np.zeros((d, d), dtype=complex)
+            e_kk[k, k] = 1
+            for i in range(n):
+                lhs = np.zeros((d, d), dtype=complex)
+                for j in range(n):
+                    lhs += np.diag(c[k, i, j]) @ a[j]
+                rhs = e_kk @ a[i] - a[i] @ e_kk
+                assert frobenius(lhs - rhs) < 1e-8
+        # hermitian symmetry of the coefficient matrix of each masa element
+        for k in range(d):
+            for r in range(d):
+                block = c[k, :, :, r]
+                assert frobenius(block - dag(block)) < 1e-10
+
+
+def _dense_kraus_reference(ops):
+    """The commutator expansion as one dense least-squares system per k, in loops.
+
+    Unknowns per k: w_ii[r] real, then (Re, Im) of w_ab[r] for each pair a < b.
+    """
+    n, d, _ = ops.shape
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    c_blocks = np.zeros((d, n, n, d), dtype=complex)
+    residual_sq = rhs_sq = 0.0
     for k in range(d):
-        e_kk = np.zeros((d, d), dtype=complex)
+        e_kk = np.zeros((d, d))
         e_kk[k, k] = 1
+        rows, rhs = [], []
         for i in range(n):
-            lhs = np.zeros((d, d), dtype=complex)
-            for j in range(n):
-                lhs += np.diag(c[k, i, j]) @ a[j]
-            rhs = e_kk @ a[i] - a[i] @ e_kk
-            assert frobenius(lhs - rhs) < 1e-8
-    # hermitian symmetry of the coefficient matrix of each masa element
-    for k in range(d):
-        for r in range(d):
-            block = c[k, :, :, r]
-            assert frobenius(block - dag(block)) < 1e-10
+            comm = e_kk @ ops[i] - ops[i] @ e_kk
+            for r in range(d):
+                for s in range(d):
+                    coeff = np.zeros((n + 2 * len(pairs), d), dtype=complex)
+                    coeff[i, r] = ops[i, r, s]
+                    for p, (a, b) in enumerate(pairs):
+                        if i == a:
+                            coeff[n + 2 * p : n + 2 * p + 2, r] = ops[b, r, s] * np.array([1, 1j])
+                        elif i == b:
+                            coeff[n + 2 * p : n + 2 * p + 2, r] = ops[a, r, s] * np.array([1, -1j])
+                    rows.append(coeff.ravel())
+                    rhs.append(comm[r, s])
+        a_cplx, b_cplx = np.array(rows), np.array(rhs)
+        a_real = np.vstack([a_cplx.real, a_cplx.imag])
+        b_real = np.concatenate([b_cplx.real, b_cplx.imag])
+        x = np.linalg.lstsq(a_real, b_real, rcond=None)[0].reshape(-1, d)
+        residual_sq += np.linalg.norm(a_real @ x.ravel() - b_real) ** 2
+        rhs_sq += np.linalg.norm(b_real) ** 2
+        c_blocks[k, np.arange(n), np.arange(n)] = x[:n]
+        for p, (a, b) in enumerate(pairs):
+            c_blocks[k, a, b] = x[n + 2 * p] + 1j * x[n + 2 * p + 1]
+            c_blocks[k, b, a] = np.conj(c_blocks[k, a, b])
+    return c_blocks, np.sqrt(residual_sq), np.sqrt(rhs_sq)
+
+
+def test_kraus_coefficients_match_dense_reference():
+    # the per-row solves against one dense system per k: generic, invariant
+    # (rows that vanish up to rounding) and linearly dependent families
+    for seed in range(12):
+        rng = np.random.default_rng([450, seed])
+        d, n = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        if seed % 3 == 0:
+            t, masa = generic_map_instance(rng, d, n)
+        else:
+            t, masa = invariant_map_instance(rng, d, n)
+        ops = list(t.operators)
+        if seed % 3 == 2:
+            ops = [ops[0] / np.sqrt(2), ops[0] / np.sqrt(2)] + ops[1:]
+        coords = masa.to_coordinates(np.stack(ops))
+        c, residual, rhs_norm = _kraus_coefficient_solution(coords)
+        c_ref, residual_ref, rhs_ref = _dense_kraus_reference(coords)
+        bound = 1e-12 * max(1.0, rhs_ref)
+        assert abs(residual - residual_ref) <= bound
+        assert abs(rhs_norm - rhs_ref) <= bound
+        assert np.abs(c - c_ref).max() <= bound
 
 
 def test_kraus_coefficients_infeasible_reports_residual():
@@ -207,10 +299,7 @@ def test_kraus_coefficients_infeasible_reports_residual():
 
 
 def test_generator_coefficients_agree_with_invariance():
-    for seed in range(30):
-        rng = np.random.default_rng([500, seed])
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(1, 4))
+    for seed, rng, d, n in _criterion_cases(500):
         if seed % 2 == 0:
             gen, masa = invariant_generator_instance(rng, d, n, gauge_shift=(seed % 4 == 0))
         else:
@@ -333,6 +422,15 @@ def test_search_masa_rejects_bad_restarts():
     t = KrausMap([np.eye(2, dtype=complex)])
     with pytest.raises(PreconditionFailed):
         search_masa(t, restarts=0)
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
+)
+def test_search_masa_non_finite_superoperator_raises():
+    t = KrausMap([1e308 * np.eye(2, dtype=complex)])
+    with pytest.raises(NumericalFailure):
+        search_masa(t, restarts=2)
 
 
 def test_search_invariant_projections_trivial_pair():
