@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     DegenerateSpectrum,
@@ -41,7 +40,6 @@ from .linalg import (
     least_squares,
     matrix_rank_tol,
     nullspace,
-    offdiag,
     realify_conjugate_linear_system,
     require_matrix,
     unvec,
@@ -524,63 +522,83 @@ def find_masa_m2(alpha_map, tol: Tolerance = DEFAULT_TOL) -> Masa:
     return best[1]
 
 
-class _MasaSearch:
-    """Local descent on the unitary group for the invariance objective."""
+_MAX_ITERS = 150
 
-    def __init__(self, superop: np.ndarray, dim: int):
-        self.s = superop
-        self.d = dim
 
-    def _rotated(self, u: np.ndarray) -> np.ndarray:
-        return np.kron(u.T, dag(u)) @ self.s @ np.kron(u.conj(), u)
+def _pair_form(superop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of A_i and B_i with T(X) = Σ_i A_i X B_i, read off a d²×d² superoperator.
 
-    def _parts(self, u: np.ndarray):
-        d = self.d
-        s_rot = self._rotated(u)
-        gs = [unvec(s_rot[:, k * d + k], d) for k in range(d)]
-        hs = [offdiag(g) for g in gs]
-        value = sum(frobenius(h) ** 2 for h in hs)
-        return value, s_rot, gs, hs
+    Under column-stacking vec, S[(r, c), (p, q)] = Σ_i A_i[r, p] B_i[q, c];
+    realigned to rows (r, p) and columns (q, c), S becomes Σ_i vec(A_i)
+    vec(B_i)ᵀ, whose SVD gives the pairs. Singular values at or below
+    eps·d²·σ_max are dropped, so a map of n Kraus operators keeps at most n
+    pairs and a generator at most n + 2. Raises NumericalFailure when the
+    superoperator is not finite.
+    """
+    if not np.all(np.isfinite(superop)):
+        raise NumericalFailure("superoperator is not finite")
+    d = int(round(np.sqrt(superop.shape[0])))
+    realigned = superop.reshape(d, d, d, d).transpose(1, 3, 2, 0).reshape(d * d, d * d)
+    u, s, vh = np.linalg.svd(realigned)
+    keep = s > np.finfo(float).eps * d * d * s[0]
+    return (u[:, keep] * s[keep]).T.reshape(-1, d, d), vh[keep].reshape(-1, d, d)
 
-    def objective(self, u: np.ndarray) -> float:
-        return self._parts(u)[0]
 
-    def gradient(self, u: np.ndarray):
-        d = self.d
-        value, s_rot, gs, hs = self._parts(u)
-        s_dag = dag(s_rot)
-        grad = np.zeros((d, d), dtype=complex)
-        for k in range(d):
-            g, h = gs[k], hs[k]
-            m = unvec(s_dag @ vec(h), d)
-            e_kk = np.zeros((d, d), dtype=complex)
-            e_kk[k, k] = 1
-            grad += dag(h) @ g - g @ dag(h) + e_kk @ dag(m) - dag(m) @ e_kk
-        return value, (dag(grad) - grad) / 2
+def _masked_objective(pairs, inputs: np.ndarray, mask: np.ndarray):
+    """f(u) = Σ_m ‖mask ⊙ u* T(u X_m u*) u‖²_F over unitaries u, with its gradient.
 
-    def descend(self, u0: np.ndarray, max_iters: int, step0: float = 0.1):
-        u = u0
-        value, direction = self.gradient(u)
-        step = step0
-        for _ in range(max_iters):
-            norm = frobenius(direction)
-            if norm < 1e-14 or value < 1e-24:
+    `pairs` is T's pair form, row m of `inputs` the diagonal of X_m. In
+    u-coordinates the image of E_cc is P_c = Σ_i a_i E_cc b_i with
+    a_i = u* A_i u and b_i = u* B_i u, so every image costs O(|pairs|·d³).
+    With K_c = Σ_m X_m[c] (mask ⊙ Σ_c' X_m[c'] P_c'), the derivative of f
+    along u·exp(tΩ) is 2 Re⟨Z, Ω⟩ for
+    Z = Σ_i [a_i*, Σ_c K_c b_i* E_cc] + [b_i*, Σ_c E_cc a_i* K_c];
+    the returned gradient g = Z − Z* is skew-Hermitian and gives that
+    derivative as Re tr(g* Ω). Raises NumericalFailure when f is not finite
+    at the identity.
+    """
+    left, right = pairs
+
+    def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
+        a = dag(u) @ left @ u
+        b = dag(u) @ right @ u
+        images = np.einsum("iac,icb->cab", a, b)
+        masked = mask * np.einsum("mc,cab->mab", inputs, images)
+        k = np.einsum("mc,mab->cab", inputs, masked)
+        grad_a = np.einsum("cae,ice->iac", k, b.conj())
+        grad_b = np.einsum("iac,cab->icb", a.conj(), k)
+        a_h = a.conj().swapaxes(1, 2)
+        b_h = b.conj().swapaxes(1, 2)
+        z = (a_h @ grad_a - grad_a @ a_h + b_h @ grad_b - grad_b @ b_h).sum(axis=0)
+        return float(np.vdot(masked, masked).real), z - dag(z)
+
+    # a non-finite start is never improved on (comparisons with NaN fail)
+    at_identity = objective(np.eye(mask.shape[-1], dtype=complex))[0]
+    if not np.isfinite(at_identity):
+        raise NumericalFailure(f"search objective is not finite ({at_identity})")
+    return objective
+
+
+def _descend(objective, u: np.ndarray, max_iters: int) -> tuple[np.ndarray, float]:
+    """Steepest descent on U(d) along u·exp(−t·g/‖g‖), with a halving step search."""
+    value, grad = objective(u)
+    step = 0.1
+    for _ in range(max_iters):
+        norm = frobenius(grad)
+        if norm < 1e-14 or value < 1e-24:
+            break
+        unit_dir = grad / norm
+        while step > 1e-10:
+            candidate = u @ expm_skew(-step * unit_dir)
+            candidate_value, candidate_grad = objective(candidate)
+            if candidate_value < value:
+                u, value, grad = candidate, candidate_value, candidate_grad
+                step = min(step * 1.2, 0.5)
                 break
-            unit_dir = direction / norm
-            improved = False
-            while step > 1e-10:
-                candidate = u @ expm_skew(-step * unit_dir)
-                candidate_value = self.objective(candidate)
-                if candidate_value < value:
-                    u = candidate
-                    value, direction = self.gradient(u)
-                    step = min(step * 1.2, 0.5)
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        return u, value
+            step *= 0.5
+        else:
+            break
+    return u, value
 
 
 def search_masa(
@@ -588,7 +606,7 @@ def search_masa(
     restarts: int = 200,
     seed: int = 42,
     tol: Tolerance = DEFAULT_TOL,
-    max_iters: int = 150,
+    max_iters: int = _MAX_ITERS,
 ) -> tuple[Masa, float]:
     """Multi-start descent for an invariant masa of a map or generator.
 
@@ -604,15 +622,13 @@ def search_masa(
         raise PreconditionFailed("restarts must be positive")
     evolution = _evolution(objective_source)
     d = evolution.dim
-    search = _MasaSearch(evolution.superoperator(), d)
+    eye = np.eye(d)
+    objective = _masked_objective(_pair_form(evolution.superoperator()), eye, 1 - eye)
     best_u = np.eye(d, dtype=complex)
-    best_value = search.objective(best_u)
-    # a non-finite start is never improved on (comparisons with NaN fail)
-    if not (np.isfinite(best_value) and np.all(np.isfinite(search.s))):
-        raise NumericalFailure(f"superoperator is not finite (objective {best_value})")
+    best_value = objective(best_u)[0]
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        u, value = search.descend(haar_unitary(rng, d), max_iters=max_iters)
+        u, value = _descend(objective, haar_unitary(rng, d), max_iters)
         if value < best_value:
             best_u, best_value = u, value
         if np.sqrt(max(best_value, 0.0)) < tol.atol / 10:
@@ -620,65 +636,40 @@ def search_masa(
     return Masa(best_u), float(np.sqrt(max(best_value, 0.0)))
 
 
-def _skew_from_params(params: np.ndarray, d: int) -> np.ndarray:
-    skew = np.zeros((d, d), dtype=complex)
-    skew[np.diag_indices(d)] = 1j * params[:d]
-    idx = d
-    for a in range(d):
-        for b in range(a + 1, d):
-            z = params[idx] + 1j * params[idx + 1]
-            skew[a, b] = z
-            skew[b, a] = -np.conj(z)
-            idx += 2
-    return skew
-
-
 def search_invariant_projections(
     gen, seed: int = 42, tol: Tolerance = DEFAULT_TOL
 ) -> list:
     """Heuristic search for projections commuting with their own image.
 
-    Minimizes ‖[q, L(q)]‖_F over projections of each intermediate rank,
-    parameterized by a unitary column frame; 0 and 1 are always included
-    with residual 0. Returns (projection, residual) pairs whose residual
-    falls below the tolerance threshold, best first.
+    Minimizes ‖[q, L(q)]‖_F over projections q = u P u* of each intermediate
+    rank, P the first basis projections of that rank, by search_masa's
+    descent from 20 seeded Haar unitaries u per rank: in u-coordinates the
+    commutator is L's image of P outside P's two diagonal blocks. 0 and 1
+    are always included with residual 0. Returns (projection, residual)
+    pairs whose residual falls below the tolerance threshold, best first.
+    Raises NumericalFailure when the superoperator or the objective at the
+    identity is not finite.
     """
-    d = gen.dim
+    evolution = _evolution(gen)
+    d = evolution.dim
+    superop = evolution.superoperator()
+    pairs = _pair_form(superop)
+    cut = tol.threshold(max(1.0, frobenius(superop)))
     results = [
         (np.zeros((d, d), dtype=complex), 0.0),
         (np.eye(d, dtype=complex), 0.0),
     ]
-    scale = max(1.0, frobenius(gen.superoperator()))
-    cut = tol.threshold(scale)
-    n_params = d * d
-
-    def objective_for(rank: int):
-        def objective(params: np.ndarray) -> float:
-            u = expm_skew(_skew_from_params(params, d))
-            frame = u[:, :rank]
-            q = frame @ dag(frame)
-            lq = gen.apply(q)
-            return frobenius(q @ lq - lq @ q) ** 2
-
-        return objective
-
     found = []
     for rank in range(1, d):
-        objective = objective_for(rank)
+        block = np.arange(d) < rank
+        inputs = block[None, :].astype(float)
+        objective = _masked_objective(pairs, inputs, block[:, None] != block)
         for trial in range(20):
             rng = np.random.default_rng([seed, rank, trial])
-            start = 0.7 * rng.standard_normal(n_params)
-            outcome = scipy.optimize.minimize(
-                objective,
-                start,
-                method="BFGS",
-                jac="3-point",
-                options={"gtol": 1e-12, "maxiter": 400},
-            )
-            residual = float(np.sqrt(max(outcome.fun, 0.0)))
+            u, value = _descend(objective, haar_unitary(rng, d), _MAX_ITERS)
+            residual = float(np.sqrt(max(value, 0.0)))
             if residual > cut:
                 continue
-            u = expm_skew(_skew_from_params(outcome.x, d))
             frame = u[:, :rank]
             q = frame @ dag(frame)
             if any(frobenius(q - prev) <= 1e-8 for prev, _ in found):

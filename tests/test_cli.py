@@ -108,6 +108,35 @@ def test_find_masa_m2(capsys, map_problem):
     assert np.linalg.norm(u.conj().T @ u - np.eye(2)) < 1e-9
 
 
+@pytest.fixture
+def hidden_pattern_problem(tmp_path):
+    # one nonzero per row of each operator, hidden by a fixed rotation w
+    w = cpmasa.haar_unitary(np.random.default_rng(31), 3)
+    ops = [
+        np.array([[0, 0.6, 0], [0, 0, 0.8], [0.5, 0, 0]]),
+        np.diag([0.8, 0.6, np.sqrt(0.75)]),
+    ]
+    kraus = [w @ op @ w.conj().T for op in ops]
+    return write_json(
+        tmp_path / "hidden.json",
+        {
+            "kind": "cp_map",
+            "kraus": [[[[z.real, z.imag] for z in row] for row in op] for op in kraus],
+        },
+    )
+
+
+def test_find_masa_descent_is_seeded(capsys, hidden_pattern_problem):
+    argv = ["find-masa", "--input", hidden_pattern_problem, "--restarts", "5", "--seed", "3"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    report = json.loads(first)
+    assert report["method"] == "multi_start_descent"
+    assert report["invariant"]["ok"] is True
+
+
 def test_search_masa(capsys, map_problem):
     code, report = run_cli(
         capsys, "search-masa", "--input", map_problem, "--restarts", "10", "--seed", "5"

@@ -1,7 +1,9 @@
-"""The package's internal import graph: acyclic, with masa.py below cpmaps and gksl.
+"""The package's import graph: acyclic, with masa.py below cpmaps and gksl.
 
 gksl.py reuses masa.is_invariant; that needs masa.py to import neither
-cpmaps nor gksl, which would otherwise make the graph cyclic.
+cpmaps nor gksl, which would otherwise make the graph cyclic. Both masa
+finders share one descent on the unitary group, so no module imports
+scipy.optimize.
 """
 
 import ast
@@ -61,3 +63,22 @@ def test_import_graph_is_acyclic():
 
 def test_masa_imports_neither_cpmaps_nor_gksl():
     assert not _internal_imports(PACKAGE / "masa.py") & {"cpmaps", "gksl"}
+
+
+def _imports_scipy_optimize(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            if any(alias.name.startswith("scipy.optimize") for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            if module.startswith("scipy.optimize"):
+                return True
+            if module == "scipy" and any(alias.name == "optimize" for alias in node.names):
+                return True
+    return False
+
+
+def test_no_module_imports_scipy_optimize():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert not [path.name for path in paths if _imports_scipy_optimize(path)]

@@ -12,6 +12,7 @@ from cpmasa import (
     apply_generator,
     classical_restriction,
     dag,
+    expm_skew,
     find_masa_m2,
     frobenius,
     generator_superoperator,
@@ -38,7 +39,7 @@ from cpmasa.errors import (
     PatternExplosion,
     PreconditionFailed,
 )
-from cpmasa.masa import _kraus_coefficient_solution
+from cpmasa.masa import _kraus_coefficient_solution, _masked_objective, _pair_form
 
 from _ensembles import (
     complex_gaussian,
@@ -427,10 +428,57 @@ def test_search_masa_rejects_bad_restarts():
 @pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
 )
-def test_search_masa_non_finite_superoperator_raises():
-    t = KrausMap([1e308 * np.eye(2, dtype=complex)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: search_masa(KrausMap([1e308 * np.eye(2, dtype=complex)]), restarts=2),
+        lambda: search_invariant_projections(
+            GkslGenerator(KrausMap([1e200 * np.eye(2, dtype=complex)]), np.eye(2, dtype=complex)),
+            seed=1,
+        ),
+    ],
+    ids=["search_masa", "search_invariant_projections"],
+)
+def test_search_masa_non_finite_superoperator_raises(call):
     with pytest.raises(NumericalFailure):
-        search_masa(t, restarts=2)
+        call()
+
+
+def _descent_sources(rng, d):
+    t, _ = invariant_map_instance(rng, d, 2)
+    gen = random_markov_generator(rng, d, 2)
+    raw = map_superoperator(KrausMap(list(complex_gaussian(rng, (3, d, d)))))
+    return {"map": t, "generator": gen, "superoperator": raw}
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("kind", ["map", "generator", "superoperator"])
+def test_descent_objective_gradient_and_pair_form(d, kind):
+    rng = np.random.default_rng([30, d])
+    source = _descent_sources(rng, d)[kind]
+    s = source if kind == "superoperator" else source.superoperator()
+    pairs = _pair_form(s)
+    rebuilt = sum(np.kron(b.T, a) for a, b in zip(*pairs))
+    assert frobenius(rebuilt - s) <= 1e-12 * frobenius(s)
+    block = np.arange(d) < 2
+    # search_masa's off-diagonal mask on every E_kk; the projection search's
+    # off-block mask on one rank-2 projection
+    for inputs, mask in [
+        (np.eye(d), 1 - np.eye(d)),
+        (block[None, :].astype(float), block[:, None] != block),
+    ]:
+        objective = _masked_objective(pairs, inputs, mask)
+        u = haar_unitary(rng, d)
+        _, grad = objective(u)
+        for _ in range(3):
+            z = complex_gaussian(rng, (d, d))
+            a = (z - dag(z)) / 2
+            t = 1e-5
+            central = (
+                objective(u @ expm_skew(t * a))[0] - objective(u @ expm_skew(-t * a))[0]
+            ) / (2 * t)
+            analytic = np.vdot(grad, a).real
+            assert abs(central - analytic) <= 1e-6 * abs(analytic)
 
 
 def test_search_invariant_projections_trivial_pair():
