@@ -98,8 +98,8 @@ class Verdict:
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -298,13 +298,13 @@ def matrix_exp(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def expm_skew(a: np.ndarray) -> np.ndarray:
-    """Exponential of a skew-Hermitian matrix via eigendecomposition.
+    """Exponential of a skew-Hermitian matrix, or of each in a stack, via eigendecomposition.
 
     Exact for the unitary-group retractions used by the masa search, and
     cheaper than the general-purpose exponential at small dimensions.
     """
     w, v = np.linalg.eigh(1j * np.asarray(a, dtype=complex))
-    return (v * np.exp(-1j * w)) @ dag(v)
+    return (v * np.exp(-1j * w)[..., None, :]) @ dag(v)
 
 
 def matrix_rank_tol(a, tol: Tolerance = DEFAULT_TOL) -> int:

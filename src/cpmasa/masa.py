@@ -523,6 +523,8 @@ def find_masa_m2(alpha_map, tol: Tolerance = DEFAULT_TOL) -> Masa:
 
 
 _MAX_ITERS = 150
+# complex entries one lockstep chunk of starts may hold in the objective's temporaries
+_STACK_ENTRIES = 2**22
 
 
 def _pair_form(superop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -544,6 +546,17 @@ def _pair_form(superop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (u[:, keep] * s[keep]).T.reshape(-1, d, d), vh[keep].reshape(-1, d, d)
 
 
+def _stack_width(pairs) -> int:
+    """Starts per lockstep chunk within _STACK_ENTRIES.
+
+    The objective's temporaries peak below d²·(2d + 10·pairs) complex
+    entries per start: two d×d×d stacks (the masked images and K) and about
+    ten of d×d per pair.
+    """
+    count, d, _ = pairs[0].shape
+    return max(1, _STACK_ENTRIES // (d * d * (2 * d + 10 * count)))
+
+
 def _masked_objective(pairs, inputs: np.ndarray, mask: np.ndarray):
     """f(u) = Σ_m ‖mask ⊙ u* T(u X_m u*) u‖²_F over unitaries u, with its gradient.
 
@@ -554,51 +567,120 @@ def _masked_objective(pairs, inputs: np.ndarray, mask: np.ndarray):
     along u·exp(tΩ) is 2 Re⟨Z, Ω⟩ for
     Z = Σ_i [a_i*, Σ_c K_c b_i* E_cc] + [b_i*, Σ_c E_cc a_i* K_c];
     the returned gradient g = Z − Z* is skew-Hermitian and gives that
-    derivative as Re tr(g* Ω). Raises NumericalFailure when f is not finite
-    at the identity.
+    derivative as Re tr(g* Ω). The objective takes one u, returning
+    (value, gradient), or a stack of shape (R, d, d), returning (values[R],
+    gradients[R, d, d]); every sum over the pair index is the inner
+    dimension of a batched matrix product, and slice r of a stack gets the
+    bits that u = stack[r] alone gets. Raises NumericalFailure when f is not
+    finite at the identity.
     """
     left, right = pairs
+    n, d, _ = left.shape
+    mask_flat = mask.ravel()
+    # [A_1 … A_n B_1 … B_n] side by side, so u* times it rotates all of them at once
+    side = np.concatenate([left, right]).transpose(1, 0, 2).reshape(d, 2 * n * d)
 
-    def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
-        a = dag(u) @ left @ u
-        b = dag(u) @ right @ u
-        images = np.einsum("iac,icb->cab", a, b)
-        masked = mask * np.einsum("mc,cab->mab", inputs, images)
-        k = np.einsum("mc,mab->cab", inputs, masked)
-        grad_a = np.einsum("cae,ice->iac", k, b.conj())
-        grad_b = np.einsum("iac,cab->icb", a.conj(), k)
-        a_h = a.conj().swapaxes(1, 2)
-        b_h = b.conj().swapaxes(1, 2)
-        z = (a_h @ grad_a - grad_a @ a_h + b_h @ grad_b - grad_b @ b_h).sum(axis=0)
-        return float(np.vdot(masked, masked).real), z - dag(z)
+    def objective(u: np.ndarray):
+        stack = u.reshape(-1, d, d)
+        r = len(stack)
+        rows = (dag(stack) @ side).reshape(r, d, 2 * n, d).swapaxes(1, 2).reshape(r, 2 * n * d, d)
+        rotated = (rows @ stack).reshape(r, 2 * n, d, d)
+        # a_cols[r, c, x, i] = a_i[x, c] and b_rows[r, c, i, y] = b_i[c, y]
+        a_cols = rotated[:, :n].transpose(0, 3, 2, 1).copy()
+        b_rows = rotated[:, n:].swapaxes(1, 2).copy()
+        del rows, rotated  # only the two reordered copies are used from here on
+        masked = inputs @ (a_cols @ b_rows).reshape(r, d, d * d)
+        masked *= mask_flat
+        k = (inputs.T @ masked).reshape(r, d, d, d)
+        a_adj, b_adj = a_cols.conj(), b_rows.conj()
+        # column c of G_i = Σ_c K_c b_i* E_cc, and row c of H_i = Σ_c E_cc a_i* K_c
+        g_cols = k @ b_adj.swapaxes(2, 3)
+        h_rows = a_adj.swapaxes(2, 3) @ k
+        # Z = Σ_i a_i* G_i − G_i a_i* + b_i* H_i − H_i b_i*, each sum one product over (i, ·)
+        z = (
+            a_adj.reshape(r, d, d * n) @ g_cols.reshape(r, d, d * n).swapaxes(1, 2)
+            - g_cols.swapaxes(1, 2).reshape(r, d, d * n) @ a_adj.swapaxes(2, 3).reshape(r, d * n, d)
+            + b_adj.reshape(r, d * n, d).swapaxes(1, 2) @ h_rows.reshape(r, d * n, d)
+            - h_rows.reshape(r, d, n * d) @ b_adj.reshape(r, d, n * d).swapaxes(1, 2)
+        )
+        values = _squared_norms(masked)
+        grads = z - dag(z)
+        if u.ndim == 2:
+            return float(values[0]), grads[0]
+        return values, grads
 
     # a non-finite start is never improved on (comparisons with NaN fail)
-    at_identity = objective(np.eye(mask.shape[-1], dtype=complex))[0]
+    at_identity = objective(np.eye(d, dtype=complex))[0]
     if not np.isfinite(at_identity):
         raise NumericalFailure(f"search objective is not finite ({at_identity})")
     return objective
 
 
-def _descend(objective, u: np.ndarray, max_iters: int) -> tuple[np.ndarray, float]:
-    """Steepest descent on U(d) along u·exp(−t·g/‖g‖), with a halving step search."""
-    value, grad = objective(u)
-    step = 0.1
-    for _ in range(max_iters):
-        norm = frobenius(grad)
-        if norm < 1e-14 or value < 1e-24:
+def _squared_norms(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every array of a stack, summed as `frobenius` sums one."""
+    flat = stack.reshape(len(stack), 1, -1)
+    return (flat.real @ flat.real.swapaxes(1, 2) + flat.imag @ flat.imag.swapaxes(1, 2))[:, 0, 0]
+
+
+def _descend(
+    objective, starts: np.ndarray, max_iters: int, width: int, exit_residual: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steepest descent on U(d) along u·exp(−t·g/‖g‖), with a halving step search.
+
+    Every start of the (R, d, d) stack `starts` descends on its own, in
+    lockstep with the others: on each tick each live start makes one trial.
+    The step starts at 0.1; a trial is accepted when it strictly lowers the
+    value, and the step then becomes min(1.2·step, 0.5); a rejected trial
+    halves the step. A start stops when its step falls to 1e-10 or below,
+    when ‖g‖ < 1e-14 or value < 1e-24 at the start of an iteration, or after
+    `max_iters` iterations. Starts run in index-ordered chunks of `width`.
+    Once the residual √value of start r falls below `exit_residual`, every
+    start after r is dropped, since a search stops at the first restart whose
+    residual does. Returns the final unitaries and values of the starts that
+    were not dropped, a leading part of the stack.
+    """
+    finals = np.array(starts, dtype=complex)
+    values = np.empty(len(finals))
+    grads = np.empty_like(finals)
+    limit = len(finals)
+    for lo in range(0, len(finals), width):
+        if lo >= limit:
             break
-        unit_dir = grad / norm
-        while step > 1e-10:
-            candidate = u @ expm_skew(-step * unit_dir)
-            candidate_value, candidate_grad = objective(candidate)
-            if candidate_value < value:
-                u, value, grad = candidate, candidate_value, candidate_grad
-                step = min(step * 1.2, 0.5)
+        # views: the chunk descends in place
+        u, value, grad = finals[lo : lo + width], values[lo : lo + width], grads[lo : lo + width]
+        value[:], grad[:] = objective(u)
+        direction = np.empty_like(grad)
+        step = np.full(len(u), 0.1)
+        iters = np.zeros(len(u), dtype=int)
+        live = np.ones(len(u), dtype=bool)
+        fresh = live.copy()
+        while True:
+            reached = np.flatnonzero(np.sqrt(np.maximum(value, 0.0)) < exit_residual)
+            if reached.size:
+                limit = min(limit, lo + reached[0] + 1)
+                live[limit - lo :] = False
+            begin = np.flatnonzero(live & fresh)
+            if begin.size:
+                norm = np.sqrt(_squared_norms(grad[begin]))
+                stop = (iters[begin] >= max_iters) | (norm < 1e-14) | (value[begin] < 1e-24)
+                live[begin[stop]] = False
+                go = begin[~stop]
+                direction[go] = grad[go] / norm[~stop, None, None]
+                iters[go] += 1
+                fresh[begin] = False
+            active = np.flatnonzero(live)
+            if not active.size:
                 break
-            step *= 0.5
-        else:
-            break
-    return u, value
+            candidate = u[active] @ expm_skew(-step[active, None, None] * direction[active])
+            candidate_value, candidate_grad = objective(candidate)
+            better = candidate_value < value[active]
+            won, lost = active[better], active[~better]
+            u[won], value[won], grad[won] = candidate[better], candidate_value[better], candidate_grad[better]
+            step[won] = np.minimum(step[won] * 1.2, 0.5)
+            fresh[won] = True
+            step[lost] *= 0.5
+            live[lost[step[lost] <= 1e-10]] = False
+    return finals[:limit], values[:limit]
 
 
 def search_masa(
@@ -613,25 +695,34 @@ def search_masa(
     Minimizes the summed squared off-diagonal mass of the rotated projection
     images over the unitary group; returns the best masa found and the
     square root of the best objective value, which matches the invariance
-    residual scale. Deterministic given the seed. A residual bounded away
-    from zero is numerical evidence of nonexistence, not a proof. Raises
-    NumericalFailure when the superoperator or the objective at the identity
-    is not finite.
+    residual scale. Restart r starts from a Haar unitary drawn from
+    default_rng([seed, r]); the restarts descend in lockstep as one stack,
+    and each one's result depends only on (seed, r). The restarts are then
+    read in order, keeping the first strictly best, and the search stops
+    after the first restart at which the best residual is below atol/10;
+    the restarts after it are dropped from the stack as soon as that
+    restart gets there. A residual bounded away from zero is numerical
+    evidence of nonexistence, not a proof. Raises NumericalFailure when the
+    superoperator or the objective at the identity is not finite.
     """
     if restarts < 1:
         raise PreconditionFailed("restarts must be positive")
     evolution = _evolution(objective_source)
     d = evolution.dim
     eye = np.eye(d)
-    objective = _masked_objective(_pair_form(evolution.superoperator()), eye, 1 - eye)
+    pairs = _pair_form(evolution.superoperator())
+    objective = _masked_objective(pairs, eye, 1 - eye)
     best_u = np.eye(d, dtype=complex)
     best_value = objective(best_u)[0]
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        u, value = _descend(objective, haar_unitary(rng, d), max_iters)
+    exit_residual = tol.atol / 10
+    if np.sqrt(max(best_value, 0.0)) < exit_residual:
+        restarts = 1  # the exit test first runs after restart 0
+    starts = np.array([haar_unitary(np.random.default_rng([seed, r]), d) for r in range(restarts)])
+    finals, values = _descend(objective, starts, max_iters, _stack_width(pairs), exit_residual)
+    for u, value in zip(finals, values):
         if value < best_value:
             best_u, best_value = u, value
-        if np.sqrt(max(best_value, 0.0)) < tol.atol / 10:
+        if np.sqrt(max(best_value, 0.0)) < exit_residual:
             break
     return Masa(best_u), float(np.sqrt(max(best_value, 0.0)))
 
@@ -643,17 +734,19 @@ def search_invariant_projections(
 
     Minimizes ‖[q, L(q)]‖_F over projections q = u P u* of each intermediate
     rank, P the first basis projections of that rank, by search_masa's
-    descent from 20 seeded Haar unitaries u per rank: in u-coordinates the
-    commutator is L's image of P outside P's two diagonal blocks. 0 and 1
-    are always included with residual 0. Returns (projection, residual)
-    pairs whose residual falls below the tolerance threshold, best first.
-    Raises NumericalFailure when the superoperator or the objective at the
-    identity is not finite.
+    descent from 20 Haar unitaries u per rank, trial t drawn from
+    default_rng([seed, rank, t]); the 20 trials of a rank descend in
+    lockstep as one stack. In u-coordinates the commutator is L's image of P
+    outside P's two diagonal blocks. 0 and 1 are always included with
+    residual 0. Returns (projection, residual) pairs whose residual falls
+    below the tolerance threshold, best first. Raises NumericalFailure when
+    the superoperator or the objective at the identity is not finite.
     """
     evolution = _evolution(gen)
     d = evolution.dim
     superop = evolution.superoperator()
     pairs = _pair_form(superop)
+    width = _stack_width(pairs)
     cut = tol.threshold(max(1.0, frobenius(superop)))
     results = [
         (np.zeros((d, d), dtype=complex), 0.0),
@@ -664,9 +757,10 @@ def search_invariant_projections(
         block = np.arange(d) < rank
         inputs = block[None, :].astype(float)
         objective = _masked_objective(pairs, inputs, block[:, None] != block)
-        for trial in range(20):
-            rng = np.random.default_rng([seed, rank, trial])
-            u, value = _descend(objective, haar_unitary(rng, d), _MAX_ITERS)
+        starts = np.array(
+            [haar_unitary(np.random.default_rng([seed, rank, trial]), d) for trial in range(20)]
+        )
+        for u, value in zip(*_descend(objective, starts, _MAX_ITERS, width)):
             residual = float(np.sqrt(max(value, 0.0)))
             if residual > cut:
                 continue

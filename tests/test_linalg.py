@@ -301,6 +301,27 @@ def test_expm_skew_is_unitary():
         assert frobenius(u - matrix_exp(a)) < 1e-10
 
 
+@pytest.mark.parametrize("shape", [(5, 3, 4), (3, 3, 3), (2, 4, 3, 3)])
+def test_dag_acts_on_each_matrix_of_a_stack(shape):
+    a = complex_gaussian(np.random.default_rng(list(shape)), shape)
+    out = dag(a)
+    assert out.shape == shape[:-2] + (shape[-1], shape[-2])
+    for idx in np.ndindex(*shape[:-2]):
+        assert np.array_equal(out[idx], a[idx].conj().T)
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 3), (3, 3, 3), (4, 4, 4), (2, 3, 4, 4)])
+def test_expm_skew_acts_on_each_matrix_of_a_stack(shape):
+    # a stack as long as its side (R = d) broadcasts without error either way
+    z = complex_gaussian(np.random.default_rng([7, *shape]), shape)
+    a = (z - dag(z)) / 2
+    out = expm_skew(a)
+    assert out.shape == shape
+    for idx in np.ndindex(*shape[:-2]):
+        np.testing.assert_allclose(out[idx], expm_skew(a[idx]), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(out[idx], scipy.linalg.expm(a[idx]), rtol=0, atol=1e-12)
+
+
 def test_rank_and_nullspace():
     a = np.array([[1, 1], [1, 1]], dtype=complex)
     assert matrix_rank_tol(a) == 1

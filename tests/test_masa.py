@@ -39,7 +39,15 @@ from cpmasa.errors import (
     PatternExplosion,
     PreconditionFailed,
 )
-from cpmasa.masa import _kraus_coefficient_solution, _masked_objective, _pair_form
+from cpmasa import masa as masa_module
+from cpmasa.masa import (
+    _MAX_ITERS,
+    _descend,
+    _kraus_coefficient_solution,
+    _masked_objective,
+    _pair_form,
+    _stack_width,
+)
 
 from _ensembles import (
     complex_gaussian,
@@ -479,6 +487,97 @@ def test_descent_objective_gradient_and_pair_form(d, kind):
             ) / (2 * t)
             analytic = np.vdot(grad, a).real
             assert abs(central - analytic) <= 1e-6 * abs(analytic)
+
+
+def _scalar_descend(objective, u, max_iters):
+    """The one-start descent loop that the lockstep descent replaced, kept as its reference.
+
+    Also returns why the start stopped.
+    """
+    value, grad = objective(u)
+    step = 0.1
+    for _ in range(max_iters):
+        norm = frobenius(grad)
+        if norm < 1e-14 or value < 1e-24:
+            return u, value, "converged"
+        unit_dir = grad / norm
+        while step > 1e-10:
+            candidate = u @ expm_skew(-step * unit_dir)
+            candidate_value, candidate_grad = objective(candidate)
+            if candidate_value < value:
+                u, value, grad = candidate, candidate_value, candidate_grad
+                step = min(step * 1.2, 0.5)
+                break
+            step *= 0.5
+        else:
+            return u, value, "out_of_step"
+    return u, value, "max_iters"
+
+
+def _search_objective(source):
+    pairs = _pair_form(source if isinstance(source, np.ndarray) else source.superoperator())
+    eye = np.eye(pairs[0].shape[-1])
+    return _masked_objective(pairs, eye, 1 - eye), pairs
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("kind", ["map", "generator", "superoperator"])
+def test_lockstep_descent_equals_scalar_loop(d, kind):
+    rng = np.random.default_rng([31, d])
+    objective, pairs = _search_objective(_descent_sources(rng, d)[kind])
+    starts = np.array([haar_unitary(rng, d) for _ in range(6)])
+    reasons = set()
+    # the budget stops every start at 3, some at 150, and few at 400
+    for max_iters in (3, _MAX_ITERS, 400):
+        finals, values = _descend(objective, starts, max_iters, _stack_width(pairs))
+        assert len(finals) == len(starts)
+        for start, u, value in zip(starts, finals, values):
+            ref_u, ref_value, reason = _scalar_descend(objective, start, max_iters)
+            reasons.add(reason)
+            assert np.array_equal(u, ref_u)
+            assert value == ref_value
+    assert {"max_iters", "out_of_step"} <= reasons
+
+
+@pytest.mark.parametrize("kind", ["map", "generator", "superoperator"])
+def test_lockstep_restart_ignores_its_stack_mates(kind):
+    rng = np.random.default_rng(33)
+    objective, pairs = _search_objective(_descent_sources(rng, 4)[kind])
+    starts = np.array([haar_unitary(rng, 4) for _ in range(8)])
+    width = _stack_width(pairs)
+    finals, values = _descend(objective, starts, 40, width)
+    for order in ([5], [7, 0, 3], list(range(8))[::-1]):
+        alone, alone_values = _descend(objective, starts[order], 40, width)
+        assert np.array_equal(alone, finals[order])
+        assert np.array_equal(alone_values, values[order])
+
+
+def test_search_masa_early_exit_keeps_restart_order():
+    # test_search_masa_finds_invariant_masa's instance: restart 1 is the first below atol/10
+    rng = np.random.default_rng(9)
+    t, _ = invariant_map_instance(rng, 2, 2)
+    _, first = search_masa(t, restarts=1, seed=7)
+    assert first >= DEFAULT_TOL.atol / 10
+    short, short_residual = search_masa(t, restarts=2, seed=7)
+    assert short_residual < DEFAULT_TOL.atol / 10
+    long, long_residual = search_masa(t, restarts=40, seed=7)
+    assert long_residual == short_residual
+    assert np.array_equal(long.basis_unitary, short.basis_unitary)
+
+
+def test_search_masa_chunks_match_one_stack(monkeypatch):
+    rng = np.random.default_rng(34)
+    gen = random_markov_generator(rng, 3, 2)
+    whole = search_masa(gen, restarts=10, seed=5)
+    assert whole[1] >= DEFAULT_TOL.atol / 10  # no early exit: every chunk runs
+    pairs = _pair_form(gen.superoperator())
+    width = _stack_width(pairs)
+    assert width >= 10
+    monkeypatch.setattr(masa_module, "_STACK_ENTRIES", masa_module._STACK_ENTRIES * 4 // width)
+    assert _stack_width(pairs) == 4  # chunks of 4, 4 and 2 restarts
+    chunked = search_masa(gen, restarts=10, seed=5)
+    assert chunked[1] == whole[1]
+    assert np.array_equal(chunked[0].basis_unitary, whole[0].basis_unitary)
 
 
 def test_search_invariant_projections_trivial_pair():
