@@ -4,7 +4,9 @@ A map T(X) = Σ_i L_i* X L_i is stored as the tuple of its operators L_i.
 The module provides application, the Choi matrix, reduction to a minimal
 family, the partial isometry connecting two presentations of the same map,
 the superoperator form (the package-wide equality oracle), and the unital
-check.
+check. Application, the superoperator, the Choi matrix and the projection
+images are all computed by linalg's one kernel from the map's pair form,
+the stacks (L_i*, L_i) of T(X) = Σ_i A_i X B_i.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .linalg import (
     Tolerance,
     Verdict,
     _haar_isometry,
-    _kraus_images,
+    _PairForm,
     dag,
     expand_over,
     frobenius,
@@ -70,12 +72,17 @@ class KrausMap:
         """The d²×d² matrix of T, built by the module-level `superoperator`."""
         return superoperator(self)
 
+    def _pairs(self) -> _PairForm:
+        """The pair form (L_i*, L_i) of T."""
+        ops = np.stack(self.operators)
+        return _PairForm(dag(ops), ops)
+
     def projection_images(self, masa) -> np.ndarray:
         """Images T(u_k u_k*) of the masa's minimal projections, in masa coordinates.
 
-        Computed from B_i = U* L_i U in O(n·d³), without the superoperator.
+        Computed from the pair form in O(n·d³), without the superoperator.
         """
-        return _kraus_images(masa.to_coordinates(np.stack(self.operators)))
+        return self._pairs().images(masa.basis_unitary)
 
 
 @dataclass(frozen=True)
@@ -97,32 +104,20 @@ class Inequivalent:
 
 def apply_cp(t: KrausMap, x) -> np.ndarray:
     """Evaluate T(X) = Σ L_i* X L_i."""
-    xm = require_matrix(x, dim=t.dim, name="x")
-    out = np.zeros((t.dim, t.dim), dtype=complex)
-    for op in t.operators:
-        out += dag(op) @ xm @ op
-    return out
+    return t._pairs().apply(require_matrix(x, dim=t.dim, name="x"))
 
 
 def superoperator(t: KrausMap) -> np.ndarray:
-    """The d²×d² matrix S with vec(T(X)) = S vec(X), column-stacking vec."""
-    d = t.dim
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for op in t.operators:
-        # vec(L* X L) = (L^T ⊗ L*) vec(X)
-        s += np.kron(op.T, dag(op))
-    return s
+    """The d²×d² matrix S = Σ_i L_iᵀ ⊗ L_i*: vec(T(X)) = S vec(X), column-stacking vec."""
+    return t._pairs().superoperator()
 
 
 def choi_matrix(t: KrausMap) -> np.ndarray:
-    """The Choi matrix Σ_{kl} E_kl ⊗ T(E_kl); PSD with rank = minimal Kraus count."""
-    d = t.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for op in t.operators:
-        # block (k,l), entry (r,s) is conj(L_kr) L_ls, a rank-one contribution
-        w = op.conj().ravel(order="C")
-        c += np.outer(w, w.conj())
-    return c
+    """The Choi matrix Σ_{kl} E_kl ⊗ T(E_kl); PSD with rank = minimal Kraus count.
+
+    Block (k, l), entry (r, s) is Σ_i conj(L_i[k, r]) L_i[l, s].
+    """
+    return t._pairs().choi()
 
 
 def minimal_kraus(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
@@ -145,9 +140,8 @@ def minimal_kraus(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
         # the zero map still needs a carrier operator
         ops = [np.zeros((d, d), dtype=complex)]
     out = KrausMap(ops)
-    if frobenius(superoperator(out) - superoperator(t)) > 10 * tol.threshold(
-        1.0 + frobenius(superoperator(t))
-    ):
+    target = superoperator(t)
+    if frobenius(superoperator(out) - target) > 10 * tol.threshold(1.0 + frobenius(target)):
         raise NumericalFailure("minimal Kraus reduction failed to reproduce the map")
     return out
 

@@ -1,11 +1,13 @@
 """Generators of uniformly continuous CP-semigroups in Lindblad form.
 
 A generator is stored as a Kraus family plus a drift matrix,
-L(X) = Σ L_i* X L_i + X·beta + beta*·X. The module covers construction and
-Markov normalization, semigroup evaluation, deciding whether two such
-presentations describe the same generator (with an explicit transformation
-witness), and the two splitting questions: can the drift be re-gauged so the
-jump part alone, or the Hamiltonian part alone, preserves a given masa.
+L(X) = Σ L_i* X L_i + X·beta + beta*·X, whose pair form adds (1, beta) and
+(beta*, 1) to the map's, so linalg's one kernel applies it as it does a map.
+The module covers construction and Markov normalization, semigroup
+evaluation, deciding whether two such presentations describe the same
+generator (with an explicit transformation witness), and the two splitting
+questions: can the drift be re-gauged so the jump part alone, or the
+Hamiltonian part alone, preserves a given masa.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import Inequivalent, KrausMap, apply_cp, is_unital, minimal_kraus
-from .cpmaps import superoperator as map_superoperator
+from .cpmaps import Inequivalent, KrausMap, is_unital, minimal_kraus
 from .errors import (
     DimensionMismatch,
     NotInvariant,
@@ -28,7 +29,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    _kraus_images,
+    _PairForm,
     complex_from_realified,
     dag,
     expand_over,
@@ -105,30 +106,31 @@ class GkslGenerator:
         """The stacked jump operators U* L_i U and the drift U* β U."""
         return masa.to_coordinates(np.stack(self.kraus.operators)), masa.to_coordinates(self.beta)
 
+    def _pairs(self) -> _PairForm:
+        """The pair form of L: the jump part's pairs (L_i*, L_i), then (1, β) and (β*, 1)."""
+        left, right = self.kraus._pairs()
+        eye = np.eye(self.dim, dtype=complex)
+        return _PairForm(
+            np.concatenate([left, [eye, dag(self.beta)]]),
+            np.concatenate([right, [self.beta, eye]]),
+        )
+
     def projection_images(self, masa) -> np.ndarray:
         """Images L(u_k u_k*) of the masa's minimal projections, in masa coordinates.
 
-        The jump part's images, plus row k of β' = U* β U added to row k of
-        image k and its conjugate to column k.
+        Computed from the pair form in O(n·d³), without the superoperator.
         """
-        return _kraus_images(*self._in_coordinates(masa))
+        return self._pairs().images(masa.basis_unitary)
 
 
 def apply_generator(gen: GkslGenerator, x) -> np.ndarray:
     """Evaluate L(X) = Σ L_i* X L_i + X·beta + beta*·X."""
-    xm = require_matrix(x, dim=gen.dim, name="x")
-    return apply_cp(gen.kraus, xm) + xm @ gen.beta + dag(gen.beta) @ xm
+    return gen._pairs().apply(require_matrix(x, dim=gen.dim, name="x"))
 
 
 def superoperator(gen: GkslGenerator) -> np.ndarray:
     """The d²×d² matrix of the generator under column-stacking vec."""
-    d = gen.dim
-    eye = np.eye(d)
-    return (
-        map_superoperator(gen.kraus)
-        + np.kron(gen.beta.T, eye)
-        + np.kron(eye, dag(gen.beta))
-    )
+    return gen._pairs().superoperator()
 
 
 def markov_form(kraus: KrausMap, hamiltonian, tol: Tolerance = DEFAULT_TOL) -> GkslGenerator:
@@ -189,9 +191,10 @@ class TransformWitness:
         return -dag(self.m_matrix) @ self.eta_prime
 
 
-def _transform_witness(gen, other, m, eta_prime, tol: Tolerance) -> TransformWitness:
+def _transform_witness(gen, other, m, eta_prime, distance, tol: Tolerance) -> TransformWitness:
     """Witness for the mixing m and shift eta_prime, gamma read off the drift equation.
 
+    `distance` is the superoperator distance of the two presentations.
     Raises NumericalFailure when the drift equation leaves more than a scalar.
     """
     d = gen.dim
@@ -207,7 +210,7 @@ def _transform_witness(gen, other, m, eta_prime, tol: Tolerance) -> TransformWit
     mtm = dag(m) @ m
     mmt_eta = m @ (dag(m) @ eta_prime)
     checks = {
-        "superoperator_distance": frobenius(superoperator(gen) - superoperator(other)),
+        "superoperator_distance": distance,
         "drift_equation_residual": drift_residual,
         "isometry_defect": frobenius(mtm - np.eye(mtm.shape[0])),
         "partial_isometry_defect": frobenius(m @ dag(m) @ m - m),
@@ -220,11 +223,13 @@ def _transform_witness(gen, other, m, eta_prime, tol: Tolerance) -> TransformWit
     )
 
 
-def _direct_witness(gen: GkslGenerator, other: GkslGenerator, tol: Tolerance) -> TransformWitness:
+def _direct_witness(
+    gen: GkslGenerator, other: GkslGenerator, distance: float, tol: Tolerance
+) -> TransformWitness:
     """Unique expansion of the other family over {1, L_i} for independent {1, L_i}."""
     basis = (np.eye(gen.dim, dtype=complex),) + gen.kraus.operators
     coef = expand_over(basis, other.kraus.operators, tol)
-    return _transform_witness(gen, other, coef[:, 1:], coef[:, 0], tol)
+    return _transform_witness(gen, other, coef[:, 1:], coef[:, 0], distance, tol)
 
 
 def _traceless_reduction(gen: GkslGenerator, tol: Tolerance):
@@ -265,7 +270,7 @@ def gksl_equivalent(
     if strict and not independent:
         raise NotMinimal("reference family has {1, L_i} linearly dependent")
     if independent:
-        return _direct_witness(gen, other, tol)
+        return _direct_witness(gen, other, distance, tol)
 
     # factor both presentations through the minimal form of the traceless
     # jump part, which is canonical up to a unitary mixing
@@ -279,7 +284,7 @@ def gksl_equivalent(
     w = expand_over(minimal_l.operators, minimal_k.operators, tol)
     m = q @ w @ dag(p)
     eta_prime = traces_k - m @ traces_l
-    return _transform_witness(gen, other, m, eta_prime, tol)
+    return _transform_witness(gen, other, m, eta_prime, distance, tol)
 
 
 @dataclass(frozen=True)
@@ -333,11 +338,12 @@ def cp_part_diagonalizable(
     problem. When feasible the verdict carries the re-gauged presentation
     (jump operators L_i - eta_i·1, drift B + gamma·1 + Σ conj(eta_i) L_i with
     gamma = -⟨eta, eta⟩/2), whose jump part alone then preserves the masa.
-    The generator must preserve the masa to begin with.
+    The generator must preserve the masa to begin with, as `is_invariant`
+    decides; NotInvariant is raised otherwise.
     """
-    inv_residual = is_invariant(gen, masa, tol).residual
-    if inv_residual > tol.threshold(max(1.0, frobenius(superoperator(gen)))):
-        raise NotInvariant(f"generator does not preserve the masa, residual {inv_residual:.3e}")
+    verdict = is_invariant(gen, masa, tol)
+    if not verdict:
+        raise NotInvariant(f"generator does not preserve the masa, residual {verdict.residual:.3e}")
     d = gen.dim
     ops, b = gen._in_coordinates(masa)
     r, s = np.nonzero(~np.eye(d, dtype=bool))

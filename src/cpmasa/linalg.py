@@ -10,7 +10,7 @@ tolerance policy shared by every rank and feasibility threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -355,19 +355,54 @@ def commutant_intersection(
     return len(basis), basis
 
 
-def _kraus_images(ops: np.ndarray, drift: np.ndarray | None = None) -> np.ndarray:
-    """Images of E_11, ..., E_dd under X ↦ Σ_i B_i* X B_i (+ X·β + β*·X).
+def _stack_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Σ_i vec_r(x_i) vec_r(y_i)ᵀ over row-major flattenings of two stacks, as one product."""
+    m, d, _ = x.shape
+    return x.reshape(m, d * d).T @ y.reshape(m, d * d)
 
-    `ops` stacks the B_i and `drift` is β. Image k is Σ_i conj(B_i[k,:])ᵀ B_i[k,:],
-    plus β[k,:] added to its row k and conj(β[k,:]) to its column k, so all d
-    images cost O(n·d³) and never form the superoperator.
+
+class _PairForm(NamedTuple):
+    """A linear map T(X) = Σ_i A_i X B_i on M_d: the stacks `left` (A_i) and `right` (B_i).
+
+    Every linear map on M_d has this form; X ↦ Σ_i L_i* X L_i is the pairs
+    (L_i*, L_i). Application, the superoperator, the Choi matrix and the
+    projection images are each one batched product over the pair index.
     """
-    images = np.einsum("ikr,iks->krs", ops.conj(), ops)
-    if drift is not None:
-        k = np.arange(images.shape[0])
-        images[k, k, :] += drift
-        images[k, :, k] += drift.conj()
-    return images
+
+    left: np.ndarray
+    right: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """T(X)."""
+        return (self.left @ x @ self.right).sum(axis=0)
+
+    def superoperator(self) -> np.ndarray:
+        """The d²×d² matrix S = Σ_i B_iᵀ ⊗ A_i: vec(T(X)) = S vec(X), column-stacking vec.
+
+        The product Σ_i vec_r(B_iᵀ) vec_r(A_i)ᵀ holds Σ_i B_i[q, c] A_i[r, p]
+        at row (c, q), column (r, p); S holds it at row (c, r), column (q, p),
+        so only the middle two indices swap and the rows of d stay contiguous.
+        """
+        d = self.left.shape[-1]
+        product = _stack_outer(self.right.swapaxes(1, 2), self.left).reshape(d, d, d, d)
+        return product.swapaxes(1, 2).reshape(d * d, d * d)
+
+    def choi(self) -> np.ndarray:
+        """The Choi matrix Σ_kl E_kl ⊗ T(E_kl).
+
+        Entry ((k, r), (l, s)) is Σ_i A_i[r, k] B_i[l, s], so no index moves.
+        """
+        return _stack_outer(self.left.swapaxes(1, 2), self.right)
+
+    def images(self, u: np.ndarray) -> np.ndarray:
+        """Images u* T(u_k u_k*) u of the projections onto the columns u_k of a unitary u.
+
+        With a_i = u* A_i u and b_i = u* B_i u, entry (x, y) of image k is
+        Σ_i a_i[x, k] b_i[k, y]: for each k one product over the pair index,
+        O(|pairs|·d³) in all.
+        """
+        a, b = dag(u) @ self.left @ u, dag(u) @ self.right @ u
+        return a.transpose(2, 1, 0) @ b.swapaxes(0, 1)
 
 
 def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -29,7 +29,6 @@ from .linalg import (
     Tolerance,
     Verdict,
     _disjoint_least_squares,
-    _kraus_images,
     _phase_normalize_columns,
     complex_from_realified,
     dag,
@@ -151,9 +150,15 @@ class _Superoperator:
         return self.matrix
 
     def projection_images(self, masa: Masa) -> np.ndarray:
-        return np.array(
-            [masa.to_coordinates(self.apply(masa.projection(k))) for k in range(self.dim)]
-        )
+        """Images of the masa's minimal projections, in masa coordinates, by one product S·V.
+
+        Column k of V is vec(u_k u_k*), whose entry (c, r) is u_k[r]·conj(u_k[c]).
+        """
+        d = self.dim
+        u = masa.basis_unitary
+        projections = (u.conj()[:, None, :] * u[None, :, :]).reshape(d * d, d)
+        images = (self.matrix @ projections).reshape(d, d, d).transpose(2, 1, 0)
+        return masa.to_coordinates(images)
 
 
 def _evolution(source):
@@ -316,8 +321,8 @@ def solve_generator_coefficients(gen, masa: Masa, tol: Tolerance = DEFAULT_TOL):
     if gen.dim != masa.dim:
         raise DimensionMismatch(f"generator dim {gen.dim} vs masa dim {masa.dim}")
     d = gen.dim
-    ops, beta = gen._in_coordinates(masa)
-    images = _kraus_images(ops, beta)
+    ops, _ = gen._in_coordinates(masa)
+    images = gen.projection_images(masa)
     idx = np.arange(d)
     diagonals = ops[:, idx, idx]
 

@@ -17,6 +17,7 @@ from cpmasa import (
     generator_superoperator,
     gksl_equivalent,
     hamiltonian_part_diagonalizable,
+    is_invariant,
     markov_form,
     matrix_exp,
     offdiag,
@@ -206,6 +207,21 @@ def test_cp_part_feasible_after_gauge_shift():
 def test_cp_part_requires_invariance():
     rng = np.random.default_rng(8)
     gen, masa = generic_generator_instance(rng, 3, 2)
+    with pytest.raises(NotInvariant):
+        cp_part_diagonalizable(gen, masa)
+
+
+def test_cp_part_precondition_is_the_invariance_verdict():
+    # large diagonal jumps inflate ‖superoperator‖, which must not loosen the
+    # precondition past the direct verdict on a drift just off the masa
+    rng = np.random.default_rng(0)
+    jumps = [30 * np.diag(rng.standard_normal(3)) for _ in range(2)]
+    gen = markov_form(KrausMap(jumps), np.diag(rng.standard_normal(3)))
+    beta = gen.beta.copy()
+    beta[0, 1] += 1e-7
+    gen = GkslGenerator(gen.kraus, beta)
+    masa = Masa.diagonal(3)
+    assert not is_invariant(gen, masa)
     with pytest.raises(NotInvariant):
         cp_part_diagonalizable(gen, masa)
 

@@ -3,7 +3,8 @@
 gksl.py reuses masa.is_invariant; that needs masa.py to import neither
 cpmaps nor gksl, which would otherwise make the graph cyclic. Both masa
 finders share one descent on the unitary group, so no module imports
-scipy.optimize.
+scipy.optimize. Maps and generators share one pair-form kernel in linalg.py,
+so no other module builds a superoperator from Kronecker products.
 """
 
 import ast
@@ -82,3 +83,17 @@ def _imports_scipy_optimize(path: Path) -> bool:
 def test_no_module_imports_scipy_optimize():
     paths = sorted(PACKAGE.glob("*.py"))
     assert not [path.name for path in paths if _imports_scipy_optimize(path)]
+
+
+def _calls_kron(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "kron":
+            return True
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "kron" for alias in node.names):
+            return True
+    return False
+
+
+def test_only_linalg_calls_kron():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [path.name for path in paths if _calls_kron(path)] == ["linalg.py"]

@@ -24,6 +24,7 @@ from cpmasa.errors import (
     ToleranceInvalid,
 )
 from cpmasa.linalg import (
+    _PairForm,
     _disjoint_least_squares,
     complex_from_realified,
     complex_least_squares,
@@ -70,6 +71,23 @@ def test_vec_intertwines_kron():
         lhs = vec(a @ x @ b)
         rhs = np.kron(b.T, a) @ vec(x)
         assert np.linalg.norm(lhs - rhs) < 1e-12
+
+
+def test_pair_form_kernel_matches_definitions():
+    # T(X) = Σ A_i X B_i for general pairs, against the per-term formulas
+    rng = np.random.default_rng(6)
+    d, m = 3, 4
+    pairs = _PairForm(complex_gaussian(rng, (m, d, d)), complex_gaussian(rng, (m, d, d)))
+    x = complex_gaussian(rng, (d, d))
+    units = np.eye(d * d).reshape(d * d, d, d)
+    assert np.linalg.norm(pairs.apply(x) - sum(a @ x @ b for a, b in zip(*pairs))) < 1e-12
+    superop = sum(np.kron(b.T, a) for a, b in zip(*pairs))
+    assert np.linalg.norm(pairs.superoperator() - superop) < 1e-12
+    choi = sum(np.kron(e, pairs.apply(e)) for e in units)
+    assert np.linalg.norm(pairs.choi() - choi) < 1e-12
+    u = haar_unitary(rng, d)
+    images = [dag(u) @ pairs.apply(np.outer(u[:, k], u[:, k].conj())) @ u for k in range(d)]
+    assert np.linalg.norm(pairs.images(u) - np.array(images)) < 1e-12
 
 
 def test_offdiag_and_frobenius():
