@@ -409,6 +409,8 @@ def hamiltonian_part_diagonalizable(
     the verdict carries a certificate exhibiting the forced coefficient
     values and the violated equations.
     """
+    if gen.dim != masa.dim:
+        raise DimensionMismatch(f"generator dim {gen.dim} vs masa dim {masa.dim}")
     d = gen.dim
     ops, b = gen._in_coordinates(masa)
     r, s = np.nonzero(~np.eye(d, dtype=bool))

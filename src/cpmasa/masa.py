@@ -484,6 +484,8 @@ def find_masa_m2(alpha_map, tol: Tolerance = DEFAULT_TOL) -> Masa:
     eye = np.eye(2, dtype=complex)
     unit_image = evolution.apply(eye)
     pauli_images = [evolution.apply(s) for s in _PAULI]
+    if not all(np.all(np.isfinite(img)) for img in (unit_image, *pauli_images)):
+        raise NumericalFailure("images of the unit and the Pauli matrices are not finite")
     scale = max(1.0, frobenius(unit_image), *[frobenius(img) for img in pauli_images])
     unit_defect = frobenius(unit_image - (np.trace(unit_image) / 2) * eye)
     if unit_defect > tol.threshold(scale):
@@ -528,8 +530,8 @@ def find_masa_m2(alpha_map, tol: Tolerance = DEFAULT_TOL) -> Masa:
 
 
 _MAX_ITERS = 150
-# complex entries one lockstep chunk of starts may hold in the objective's temporaries
-_STACK_ENTRIES = 2**22
+# complex entries (8 MiB) one lockstep chunk of starts may hold in the objective's temporaries
+_STACK_ENTRIES = 2**19
 
 
 def _pair_form(superop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -701,14 +703,15 @@ def search_masa(
     images over the unitary group; returns the best masa found and the
     square root of the best objective value, which matches the invariance
     residual scale. Restart r starts from a Haar unitary drawn from
-    default_rng([seed, r]); the restarts descend in lockstep as one stack,
-    and each one's result depends only on (seed, r). The restarts are then
-    read in order, keeping the first strictly best, and the search stops
-    after the first restart at which the best residual is below atol/10;
-    the restarts after it are dropped from the stack as soon as that
-    restart gets there. A residual bounded away from zero is numerical
-    evidence of nonexistence, not a proof. Raises NumericalFailure when the
-    superoperator or the objective at the identity is not finite.
+    default_rng([seed, r]); the restarts descend in lockstep, one chunk of
+    at most _stack_width starts at a time, drawn when the chunk runs, and
+    each one's result depends only on (seed, r). The restarts are read in
+    order, keeping the first strictly best, and the search stops after the
+    first restart at which the best residual is below atol/10; the restarts
+    after it are dropped from its chunk as soon as that restart gets there,
+    and no later chunk is drawn. A residual bounded away from zero is
+    numerical evidence of nonexistence, not a proof. Raises NumericalFailure
+    when the superoperator or the objective at the identity is not finite.
     """
     if restarts < 1:
         raise PreconditionFailed("restarts must be positive")
@@ -722,11 +725,16 @@ def search_masa(
     exit_residual = tol.atol / 10
     if np.sqrt(max(best_value, 0.0)) < exit_residual:
         restarts = 1  # the exit test first runs after restart 0
-    starts = np.array([haar_unitary(np.random.default_rng([seed, r]), d) for r in range(restarts)])
-    finals, values = _descend(objective, starts, max_iters, _stack_width(pairs), exit_residual)
-    for u, value in zip(finals, values):
-        if value < best_value:
-            best_u, best_value = u, value
+    width = _stack_width(pairs)
+    # one chunk of starts at a time, so memory does not grow with restarts
+    for lo in range(0, restarts, width):
+        chunk = range(lo, min(lo + width, restarts))
+        starts = np.array([haar_unitary(np.random.default_rng([seed, r]), d) for r in chunk])
+        # _descend drops the starts after the first one below exit_residual,
+        # so the best falls below it only at the chunk's last returned start
+        for u, value in zip(*_descend(objective, starts, max_iters, width, exit_residual)):
+            if value < best_value:
+                best_u, best_value = u, value
         if np.sqrt(max(best_value, 0.0)) < exit_residual:
             break
     return Masa(best_u), float(np.sqrt(max(best_value, 0.0)))

@@ -319,3 +319,66 @@ def test_console_script_entry_point(map_problem):
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["invariant"]["ok"] is True
+
+
+def test_find_masa_falls_back_to_search_outside_m2_precondition(capsys, tmp_path):
+    # T(1) = diag(4, 1) is not scalar, so the Pauli construction does not
+    # apply, yet T plainly preserves the diagonal masa
+    path = write_json(tmp_path / "diag.json", {"kind": "cp_map", "kraus": [[[2, 0], [0, 1]]]})
+    code, report = run_cli(capsys, "find-masa", "--input", path)
+    assert code == 0
+    assert report["method"] == "multi_start_descent"
+    assert report["invariant"]["ok"] is True
+
+
+def run_module(*argv):
+    """`python -m cpmasa.cli` in a child process, with numpy warnings shown."""
+    package_root = str(Path(cpmasa.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "cpmasa.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize("command", ["check-invariance", "find-masa"])
+def test_non_finite_error_is_first_on_stderr(tmp_path, command):
+    path = write_json(
+        tmp_path / "huge.json", {"kind": "cp_map", "kraus": [[[1e308, 0], [0, 1e308]]]}
+    )
+    out = run_module(command, "--input", path)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:"), out.stderr
+
+
+_POSITIONALS = {"criterion": ["thm11"], "split": ["cp-part"], "corpus": ["ex2_2"]}
+_UNREAD_FLAGS = [
+    *[
+        (command, flag)
+        for command in (
+            "check-invariance", "criterion", "rebolledo", "split", "equiv", "restrict", "corpus"
+        )
+        for flag in ("--seed", "--restarts")
+    ],
+    *[(command, "--masa") for command in ("find-masa", "search-masa", "equiv", "corpus")],
+    ("corpus", "--input"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", _UNREAD_FLAGS, ids=[f"{c}{f}" for c, f in _UNREAD_FLAGS]
+)
+def test_flag_a_command_does_not_read_exits_2(capsys, map_problem, command, flag):
+    argv = [command, *_POSITIONALS.get(command, [])]
+    if command != "corpus":
+        argv += ["--input", map_problem]
+    if command == "equiv":
+        argv += ["--other", map_problem]
+    argv += [flag, "3" if flag in ("--seed", "--restarts") else map_problem]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

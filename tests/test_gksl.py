@@ -25,6 +25,7 @@ from cpmasa import (
     vec,
 )
 from cpmasa.errors import (
+    DimensionMismatch,
     NotInvariant,
     NotMinimal,
     NotSelfAdjoint,
@@ -296,3 +297,9 @@ def test_witness_checks_keys():
         "scale",
     }
     assert np.allclose(out.eta, -dag(out.m_matrix) @ out.eta_prime)
+
+
+def test_hamiltonian_split_rejects_masa_of_other_dimension():
+    gen = random_markov_generator(np.random.default_rng(3), 3, 2)
+    with pytest.raises(DimensionMismatch):
+        hamiltonian_part_diagonalizable(gen, Masa.diagonal(2))

@@ -580,6 +580,30 @@ def test_search_masa_chunks_match_one_stack(monkeypatch):
     assert np.array_equal(chunked[0].basis_unitary, whole[0].basis_unitary)
 
 
+def test_search_masa_draws_one_chunk_of_starts_at_a_time(monkeypatch):
+    # test_search_masa_early_exit_keeps_restart_order's instance: restart 1 is
+    # the first below atol/10, so no start after the first chunk is drawn
+    rng = np.random.default_rng(9)
+    t, _ = invariant_map_instance(rng, 2, 2)
+    short = search_masa(t, restarts=2, seed=7)
+    pairs = _pair_form(t.superoperator())
+    monkeypatch.setattr(
+        masa_module, "_STACK_ENTRIES", masa_module._STACK_ENTRIES * 4 // _stack_width(pairs)
+    )
+    assert _stack_width(pairs) == 4
+    draws = []
+
+    def counted(rng, d):
+        draws.append(d)
+        return haar_unitary(rng, d)
+
+    monkeypatch.setattr(masa_module, "haar_unitary", counted)
+    long = search_masa(t, restarts=40, seed=7)
+    assert len(draws) == 4
+    assert long[1] == short[1]
+    assert np.array_equal(long[0].basis_unitary, short[0].basis_unitary)
+
+
 def test_search_invariant_projections_trivial_pair():
     rng = np.random.default_rng(11)
     gen = random_markov_generator(rng, 3, 2)
