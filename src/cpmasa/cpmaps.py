@@ -22,10 +22,10 @@ from .linalg import (
     Verdict,
     _haar_isometry,
     _PairForm,
+    _phase_normalize_columns,
     dag,
     expand_over,
     frobenius,
-    hermitian_eig,
     require_matrix,
 )
 
@@ -123,27 +123,54 @@ def choi_matrix(t: KrausMap) -> np.ndarray:
 def minimal_kraus(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     """Reduce to a linearly independent Kraus family inducing the same map.
 
-    Eigendecomposes the Choi matrix and keeps eigenpairs above the rank
-    threshold; the eigenvector phase convention makes the output
-    deterministic.
+    With F the n×d² matrix whose rows are the row-major flattened L_i, the
+    Choi matrix is F*F, so one thin SVD F = U Σ Vh gives its eigenvectors
+    v_k (the rows of Vh, conjugated) and eigenvalues σ_k² without forming
+    it. The family is σ_k·conj(v_k) for σ_k above the rank cut, in O(n²d²);
+    the eigenvector phase convention makes the output deterministic.
     """
     d = t.dim
-    c = choi_matrix(t)
-    w, v = hermitian_eig(c, tol)
-    cut = tol.rank_cut(max(float(w[-1]), 0.0))
-    ops = []
-    for k in range(len(w) - 1, -1, -1):
-        if w[k] <= cut:
-            break
-        ops.append(np.sqrt(w[k]) * v[:, k].conj().reshape((d, d), order="C"))
+    stack = np.stack(t.operators).reshape(len(t), d * d)
+    _, sigma, vh = np.linalg.svd(stack, full_matrices=False)
+    keep = sigma > tol.rank_cut(sigma[0])
+    v = _phase_normalize_columns(dag(vh[keep]))
+    ops = list((sigma[keep, None] * dag(v)).reshape(-1, d, d))
     if not ops:
         # the zero map still needs a carrier operator
         ops = [np.zeros((d, d), dtype=complex)]
     out = KrausMap(ops)
     target = superoperator(t)
-    if frobenius(superoperator(out) - target) > 10 * tol.threshold(1.0 + frobenius(target)):
+    # negated so that a NaN residual fails the check too
+    if not frobenius(superoperator(out) - target) <= 10 * tol.threshold(1.0 + frobenius(target)):
         raise NumericalFailure("minimal Kraus reduction failed to reproduce the map")
     return out
+
+
+def _superoperator_distance(a, b, tol: Tolerance) -> tuple[float, bool]:
+    """Superoperator distance of two presentations, and whether it is within tolerance.
+
+    This is the package's equality oracle for maps and for generators alike;
+    a distance that is not finite raises NumericalFailure.
+    """
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dimension mismatch {a.dim} vs {b.dim}")
+    sa, sb = a.superoperator(), b.superoperator()
+    distance = frobenius(sa - sb)
+    if not np.isfinite(distance):
+        raise NumericalFailure("superoperator distance is not finite")
+    return distance, distance <= tol.threshold(max(frobenius(sa), frobenius(sb)))
+
+
+def _mixing(t: KrausMap, s: KrausMap, tol: Tolerance) -> np.ndarray:
+    """The partial isometry V with S_j = Σ_i v_ji T_i, for two families of one map.
+
+    Both families are expanded over the minimal form of T, which keeps the
+    construction well conditioned when either family is linearly dependent.
+    Both coefficient matrices P (of T) and Q (of S) are isometries onto the
+    minimal index space, so V = Q P*.
+    """
+    base = minimal_kraus(t, tol).operators
+    return expand_over(base, s.operators, tol) @ dag(expand_over(base, t.operators, tol))
 
 
 def kraus_transform(t: KrausMap, s: KrausMap, tol: Tolerance = DEFAULT_TOL):
@@ -151,23 +178,12 @@ def kraus_transform(t: KrausMap, s: KrausMap, tol: Tolerance = DEFAULT_TOL):
 
     If T and S induce the same map, returns a DecompositionTransform V with
     S_j = Σ_i v_ji T_i and T_i = Σ_j conj(v_ji) S_j. Otherwise returns
-    Inequivalent carrying the superoperator distance. Both families are
-    expanded over a common minimal family, which keeps the construction
-    well conditioned when either input family is linearly dependent.
+    Inequivalent carrying the superoperator distance.
     """
-    if t.dim != s.dim:
-        raise DimensionMismatch(f"dimension mismatch {t.dim} vs {s.dim}")
-    st = superoperator(t)
-    ss = superoperator(s)
-    distance = frobenius(st - ss)
-    if distance > tol.threshold(max(frobenius(st), frobenius(ss))):
+    distance, equal = _superoperator_distance(t, s, tol)
+    if not equal:
         return Inequivalent(distance)
-    base = minimal_kraus(t, tol)
-    p = expand_over(base.operators, t.operators, tol)
-    q = expand_over(base.operators, s.operators, tol)
-    # both coefficient matrices are isometries onto the minimal index space,
-    # so V = Q P* is the connecting partial isometry
-    return DecompositionTransform(v_matrix=q @ dag(p))
+    return DecompositionTransform(v_matrix=_mixing(t, s, tol))
 
 
 def is_unital(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> Verdict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import Inequivalent, KrausMap, is_unital, minimal_kraus
+from .cpmaps import Inequivalent, KrausMap, _mixing, _superoperator_distance, is_unital
 from .errors import (
     DimensionMismatch,
     NotInvariant,
@@ -32,7 +32,6 @@ from .linalg import (
     _PairForm,
     complex_from_realified,
     dag,
-    expand_over,
     frobenius,
     least_squares,
     matrix_exp,
@@ -223,23 +222,11 @@ def _transform_witness(gen, other, m, eta_prime, distance, tol: Tolerance) -> Tr
     )
 
 
-def _direct_witness(
-    gen: GkslGenerator, other: GkslGenerator, distance: float, tol: Tolerance
-) -> TransformWitness:
-    """Unique expansion of the other family over {1, L_i} for independent {1, L_i}."""
-    basis = (np.eye(gen.dim, dtype=complex),) + gen.kraus.operators
-    coef = expand_over(basis, other.kraus.operators, tol)
-    return _transform_witness(gen, other, coef[:, 1:], coef[:, 0], distance, tol)
-
-
-def _traceless_reduction(gen: GkslGenerator, tol: Tolerance):
-    """Trace vector, traceless family, and its minimal form with coordinates."""
-    d = gen.dim
-    traces = np.array([np.trace(op) / d for op in gen.kraus.operators])
-    traceless = [op - traces[i] * np.eye(d) for i, op in enumerate(gen.kraus.operators)]
-    minimal = minimal_kraus(KrausMap(traceless), tol)
-    coords = expand_over(minimal.operators, traceless, tol)
-    return traces, minimal, coords
+def _traceless_part(gen: GkslGenerator) -> tuple[np.ndarray, KrausMap]:
+    """The trace vector t_i = tr(L_i)/d and the traceless jumps L_i − t_i·1."""
+    ops = np.stack(gen.kraus.operators)
+    traces = np.trace(ops, axis1=1, axis2=2) / gen.dim
+    return traces, KrausMap(ops - traces[:, None, None] * np.eye(gen.dim))
 
 
 def gksl_equivalent(
@@ -252,39 +239,24 @@ def gksl_equivalent(
 
     The superoperator Frobenius distance is the equality oracle; when it
     exceeds the tolerance the result is Inequivalent with that distance.
-    Otherwise a TransformWitness is produced. With ``strict=True`` the
-    reference presentation must have {1, L_i} linearly independent
-    (NotMinimal otherwise) and the witness comes from the unique expansion
-    over that family. The default path accepts arbitrary presentations by
-    factoring both through the minimal form of their traceless jump parts;
-    the composed mixing matrix is then a partial isometry.
+    Otherwise a TransformWitness is produced. Equal generators have
+    traceless jump parts that induce the same CP map (the
+    Gorini–Kossakowski–Sudarshan normal form), so the mixing matrix m is
+    the partial isometry connecting those two families, and with trace
+    vectors t (reference) and s (other) the shift is eta' = s − m t. With
+    ``strict=True`` the reference presentation must have {1, L_i} linearly
+    independent, which makes the witness unique; NotMinimal is raised
+    otherwise.
     """
-    if gen.dim != other.dim:
-        raise DimensionMismatch(f"dimension mismatch {gen.dim} vs {other.dim}")
-    s_gen = superoperator(gen)
-    s_other = superoperator(other)
-    distance = frobenius(s_gen - s_other)
-    if distance > tol.threshold(max(frobenius(s_gen), frobenius(s_other))):
+    distance, equal = _superoperator_distance(gen, other, tol)
+    if not equal:
         return Inequivalent(distance)
-    independent = _family_minimal_with_identity(gen.kraus, tol)
-    if strict and not independent:
+    if strict and not _family_minimal_with_identity(gen.kraus, tol):
         raise NotMinimal("reference family has {1, L_i} linearly dependent")
-    if independent:
-        return _direct_witness(gen, other, distance, tol)
-
-    # factor both presentations through the minimal form of the traceless
-    # jump part, which is canonical up to a unitary mixing
-    d = gen.dim
-    traces_l, minimal_l, p = _traceless_reduction(gen, tol)
-    traces_k, minimal_k, q = _traceless_reduction(other, tol)
-    if len(minimal_l) != len(minimal_k):
-        raise NumericalFailure(
-            "equal generators produced canonical jump parts of different sizes"
-        )
-    w = expand_over(minimal_l.operators, minimal_k.operators, tol)
-    m = q @ w @ dag(p)
-    eta_prime = traces_k - m @ traces_l
-    return _transform_witness(gen, other, m, eta_prime, distance, tol)
+    traces_l, traceless_l = _traceless_part(gen)
+    traces_k, traceless_k = _traceless_part(other)
+    m = _mixing(traceless_l, traceless_k, tol)
+    return _transform_witness(gen, other, m, traces_k - m @ traces_l, distance, tol)
 
 
 @dataclass(frozen=True)
@@ -378,15 +350,12 @@ def _certificate(a_real, b_real, labels, tol: Tolerance) -> InfeasibilityCertifi
     nonzeros = (np.abs(a_real) > 1e-12 * scale).sum(axis=1)
     order = np.lexsort((np.arange(len(a_real)), nonzeros))
     accepted_rows: list[int] = []
+    x = np.zeros(a_real.shape[1])
     for idx in order:
         trial = accepted_rows + [int(idx)]
-        x, res = least_squares(a_real[trial], b_real[trial])
+        solution, res = least_squares(a_real[trial], b_real[trial])
         if res <= tol.threshold(max(1.0, float(np.linalg.norm(b_real[trial])))):
-            accepted_rows = trial
-    if accepted_rows:
-        x, _ = least_squares(a_real[accepted_rows], b_real[accepted_rows])
-    else:
-        x = np.zeros(a_real.shape[1])
+            accepted_rows, x = trial, solution
     accepted_mask = np.zeros(len(a_real), dtype=bool)
     accepted_mask[accepted_rows] = True
     return InfeasibilityCertificate(

@@ -37,7 +37,6 @@ from .linalg import (
     haar_unitary,
     hermitian_eig,
     least_squares,
-    matrix_rank_tol,
     nullspace,
     realify_conjugate_linear_system,
     require_matrix,
@@ -436,11 +435,9 @@ def rebolledo_check(
             e_rs = np.zeros((d, d), dtype=complex)
             e_rs[r, s] = 1
             pattern_basis[:, col] = vec(e_rs)
-        joint_rank = matrix_rank_tol(np.hstack([span_basis, pattern_basis]), tol)
-        dimension = span_rank + len(positions) - joint_rank
-        if dimension <= 0:
-            continue
         null = nullspace(np.hstack([span_basis, -pattern_basis]), tol)
+        if null.shape[1] == 0:
+            continue
         elements = []
         for idx in range(null.shape[1]):
             w_vec = span_basis @ null[:span_rank, idx]

@@ -218,6 +218,30 @@ def test_equiv_same_presentation(capsys, generator_problem):
     assert report["result"]["checks"]["superoperator_distance"] <= 1e-12
 
 
+def test_equiv_with_small_jump_and_padded_reference(capsys, tmp_path):
+    # a jump of norm ~1e-5 stays in the minimal form, so padding the
+    # reference with a zero jump still yields a witness
+    rng = np.random.default_rng(23)
+    a, b, beta = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3))
+    jumps = [a, 1e-5 * b]
+    problems = {}
+    for name, family in (("other", jumps), ("padded", jumps + [0 * a])):
+        problems[name] = write_json(
+            tmp_path / f"{name}.json",
+            {
+                "kind": "generator",
+                "kraus": [[[[z.real, z.imag] for z in row] for row in op] for op in family],
+                "beta": [[[z.real, z.imag] for z in row] for row in beta],
+            },
+        )
+    code, report = run_cli(
+        capsys, "equiv", "--input", problems["padded"], "--other", problems["other"]
+    )
+    assert code == 0
+    assert report["result"]["equivalent"] is True
+    assert report["result"]["checks"]["drift_equation_residual"] <= 1e-9
+
+
 def test_restrict(capsys, generator_problem):
     code, report = run_cli(capsys, "restrict", "--input", generator_problem)
     assert code == 0

@@ -136,6 +136,50 @@ def test_minimal_kraus_preserves_superoperator():
         assert frobenius(s - map_superoperator(m)) <= 10 * DEFAULT_TOL.atol * (1 + frobenius(s))
 
 
+def _with_small_operator():
+    # a direction of norm 1e-5 lies far above the singular-value rank cut
+    rng = np.random.default_rng(21)
+    return KrausMap([complex_gaussian(rng, (3, 3)), 1e-5 * complex_gaussian(rng, (3, 3))])
+
+
+def test_minimal_kraus_keeps_small_operators():
+    t = _with_small_operator()
+    m = minimal_kraus(t)
+    assert len(m) == 2
+    s = map_superoperator(t)
+    assert frobenius(s - map_superoperator(m)) <= 10 * DEFAULT_TOL.atol * (1 + frobenius(s))
+
+
+def test_kraus_transform_of_small_operators():
+    t = _with_small_operator()
+    v = kraus_transform(t, t)
+    assert frobenius(v.v_matrix - np.eye(2)) < 1e-8
+
+
+def test_minimal_kraus_never_forms_the_choi_matrix(monkeypatch):
+    def refuse(t):
+        raise AssertionError("choi_matrix called")
+
+    monkeypatch.setattr("cpmasa.cpmaps.choi_matrix", refuse)
+    rng = np.random.default_rng(22)
+    ops = [complex_gaussian(rng, (3, 3)) for _ in range(2)]
+    t = KrausMap(ops + [ops[0] - ops[1]])
+    assert len(minimal_kraus(t)) == 2
+    v = kraus_transform(t, t)
+    assert frobenius(v.v_matrix @ dag(v.v_matrix) @ v.v_matrix - v.v_matrix) < 1e-8
+
+
+def test_minimal_kraus_degenerate_pauli_channel():
+    # equal weights make the Choi spectrum fourfold degenerate
+    paulis = ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+    t = KrausMap([np.array(p, dtype=complex) / 2 for p in paulis])
+    m = minimal_kraus(t)
+    assert len(m) == 4
+    gram = np.array([[np.vdot(x, y) for y in m.operators] for x in m.operators])
+    assert frobenius(gram - np.diag(np.diag(gram))) < 1e-12
+    assert frobenius(map_superoperator(t) - map_superoperator(m)) < 1e-12
+
+
 def test_kraus_transform_identity_and_mixing():
     rng = np.random.default_rng(3)
     ops = [complex_gaussian(rng, (2, 2)) for _ in range(2)]

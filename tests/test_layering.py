@@ -4,7 +4,8 @@ gksl.py reuses masa.is_invariant; that needs masa.py to import neither
 cpmaps nor gksl, which would otherwise make the graph cyclic. Both masa
 finders share one descent on the unitary group, so no module imports
 scipy.optimize. Maps and generators share one pair-form kernel in linalg.py,
-so no other module builds a superoperator from Kronecker products.
+so no other module builds a superoperator from Kronecker products. No
+module imports a name it never uses.
 """
 
 import ast
@@ -97,3 +98,31 @@ def _calls_kron(path: Path) -> bool:
 def test_only_linalg_calls_kron():
     paths = sorted(PACKAGE.glob("*.py"))
     assert [path.name for path in paths if _calls_kron(path)] == ["linalg.py"]
+
+
+def _unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(
+        f"{path.name}:{line}: {name}"
+        for name, line in imported.items()
+        if name not in used and name not in exported
+    )
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [entry for path in paths for entry in _unused_imports(path)] == []
