@@ -2,9 +2,9 @@
 
 Six named instances exercise every decision procedure in the package:
 two CP maps and a generator on M₂, two generators on M₃, and a unital CP
-map (after halving) on M₃. Each entry records the expected outcomes; the
-verifier re-derives every claim from the payload rather than trusting the
-pin. Two of the instances depend on hypotheses about a constructed unitary
+map (after halving) on M₃. Each entry pins the values its verifier checks,
+and the verifier reads every pin and re-derives it from the payload rather
+than trusting it. Two of the instances depend on hypotheses about a constructed unitary
 or commutant; those are re-checked at build time, with deterministic seed
 retries for the seeded construction.
 """
@@ -59,7 +59,7 @@ SEED_RETRIES = 40
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """One pinned instance: payload plus the expected outcome record."""
+    """One pinned instance: payload plus the pinned values its verifier reads."""
 
     id: str
     payload: object
@@ -77,7 +77,6 @@ def _build_ex2_1() -> CorpusEntry:
             "unit_image_twice": np.array([[5.0, 2.0], [2.0, 1.0]]),
             "unit_commutator": np.array([[0.0, -2.0], [2.0, 0.0]]),
             "unit_commutator_norm": 2 * np.sqrt(2),
-            "invariant_masa_exists": False,
         },
     )
 
@@ -90,12 +89,7 @@ def _build_ex2_2() -> CorpusEntry:
     return CorpusEntry(
         id="ex2_2",
         payload=t,
-        expected={
-            "unital": True,
-            "diagonal_invariant": True,
-            "compatible_element_count": 0,
-            "invariant_masa_exists": True,
-        },
+        expected={"compatible_element_count": 0},
     )
 
 
@@ -109,13 +103,7 @@ def _build_ex2_8() -> CorpusEntry:
     return CorpusEntry(
         id="ex2_8",
         payload=gen,
-        expected={
-            "markov": True,
-            "diagonal_invariant": True,
-            "cp_part_feasible": False,
-            "cp_part_min_residual": 1.0,
-            "hamiltonian_part_feasible": False,
-        },
+        expected={"cp_part_min_residual": 1.0},
     )
 
 
@@ -128,12 +116,9 @@ def _build_ex3_2() -> CorpusEntry:
         id="ex3_2",
         payload=gen,
         expected={
-            "markov": True,
-            "diagonal_invariant": True,
             "restriction": np.array(
                 [[-6.0, 2.0, 4.0], [9.0, -10.0, 1.0], [0.0, 0.0, 0.0]]
             ),
-            "hamiltonian_part_feasible": False,
             "forced_coefficients": np.array([10.0, 2.0]),
             "inconsistency_magnitude": 14.0,
         },
@@ -150,23 +135,16 @@ def _ex3_3_data():
 
 def _build_ex3_3() -> CorpusEntry:
     e, projector, hamiltonian = _ex3_3_data()
+    expected = {"commutant_dimension": 1, "cyclic_vector": e}
     dimension, _ = commutant_intersection([hamiltonian, projector], DEFAULT_TOL)
-    if dimension != 1:
+    if dimension != expected["commutant_dimension"]:
         raise HypothesisFailed(
-            f"joint commutant of the pinned pair has dimension {dimension}, need 1"
+            f"joint commutant of the pinned pair has dimension {dimension}, "
+            f"need {expected['commutant_dimension']}"
         )
     beta = -0.5 * projector - 1j * hamiltonian
     gen = GkslGenerator(KrausMap([projector]), beta)
-    return CorpusEntry(
-        id="ex3_3",
-        payload=gen,
-        expected={
-            "markov": True,
-            "commutant_dimension": 1,
-            "cyclic_vector": e,
-            "invariant_masa_exists": False,
-        },
-    )
+    return CorpusEntry(id="ex3_3", payload=gen, expected=expected)
 
 
 def _seeded_unitary(attempt: int) -> np.ndarray:
@@ -224,7 +202,6 @@ def _build_ex3_4() -> CorpusEntry:
             "uniform_vector": f,
             "conjugating_unitary": u,
             "hypothesis_margin": HYPOTHESIS_MARGIN,
-            "invariant_masa_exists": False,
         },
     )
 
@@ -272,6 +249,21 @@ def _check(name, ok, detail, asserted=True, note=None):
     return entry
 
 
+def _markov(gen: GkslGenerator) -> dict:
+    residual = frobenius(apply_generator(gen, np.eye(gen.dim, dtype=complex)))
+    return _check("markov", residual <= 1e-10, {"residual": residual})
+
+
+def _diagonal_invariant(evolution, tol: Tolerance) -> dict:
+    residual = is_invariant(evolution, Masa.diagonal(evolution.dim), tol).residual
+    return _check("diagonal_invariant", residual <= 1e-10, {"residual": residual})
+
+
+def _no_invariant_masa_found(evolution, tol: Tolerance) -> dict:
+    _, residual = search_masa(evolution, restarts=200, seed=42, tol=tol)
+    return _check("no_invariant_masa_found", residual >= 1e-3, {"residual": residual})
+
+
 def _verify_ex2_1(entry: CorpusEntry, tol: Tolerance) -> list:
     t = entry.payload
     checks = []
@@ -292,10 +284,7 @@ def _verify_ex2_1(entry: CorpusEntry, tol: Tolerance) -> list:
             {"residual": max(comm_err, norm_err), "norm": frobenius(comm)},
         )
     )
-    _, residual = search_masa(t, restarts=200, seed=42, tol=tol)
-    checks.append(
-        _check("no_invariant_masa_found", residual >= 1e-3, {"residual": residual})
-    )
+    checks.append(_no_invariant_masa_found(t, tol))
     diag = Masa.diagonal(2)
     superop = map_superoperator(t)
     worst = np.inf
@@ -315,16 +304,8 @@ def _verify_ex2_2(entry: CorpusEntry, tol: Tolerance) -> list:
     checks.append(
         _check("unital", unital.residual <= 1e-12, {"residual": unital.residual})
     )
-    diag = Masa.diagonal(2)
-    invariant = is_invariant(t, diag, tol)
-    checks.append(
-        _check(
-            "diagonal_invariant",
-            invariant.residual <= 1e-10,
-            {"residual": invariant.residual},
-        )
-    )
-    verdict = rebolledo_check(t, diag, tol)
+    checks.append(_diagonal_invariant(t, tol))
+    verdict = rebolledo_check(t, Masa.diagonal(2), tol)
     checks.append(
         _check(
             "given_family_fails_per_operator",
@@ -335,7 +316,7 @@ def _verify_ex2_2(entry: CorpusEntry, tol: Tolerance) -> list:
     checks.append(
         _check(
             "no_nonzero_compatible_element",
-            len(verdict.compatible_elements) == 0
+            len(verdict.compatible_elements) == entry.expected["compatible_element_count"]
             and verdict.patterns_examined == 9,
             {"patterns_examined": verdict.patterns_examined},
         )
@@ -345,23 +326,14 @@ def _verify_ex2_2(entry: CorpusEntry, tol: Tolerance) -> list:
 
 def _verify_ex2_8(entry: CorpusEntry, tol: Tolerance) -> list:
     gen = entry.payload
-    checks = []
-    markov = frobenius(apply_generator(gen, np.eye(2, dtype=complex)))
-    checks.append(_check("markov", markov <= 1e-10, {"residual": markov}))
+    checks = [_markov(gen), _diagonal_invariant(gen, tol)]
     diag = Masa.diagonal(2)
-    invariant = is_invariant(gen, diag, tol)
-    checks.append(
-        _check(
-            "diagonal_invariant",
-            invariant.residual <= 1e-10,
-            {"residual": invariant.residual},
-        )
-    )
     cp_split = cp_part_diagonalizable(gen, diag, tol)
     checks.append(
         _check(
             "cp_part_not_diagonalizable",
-            (not cp_split.feasible) and cp_split.residual >= 1.0,
+            (not cp_split.feasible)
+            and cp_split.residual >= entry.expected["cp_part_min_residual"],
             {"residual": cp_split.residual},
         )
     )
@@ -385,18 +357,8 @@ def _verify_ex2_8(entry: CorpusEntry, tol: Tolerance) -> list:
 
 def _verify_ex3_2(entry: CorpusEntry, tol: Tolerance) -> list:
     gen = entry.payload
-    checks = []
-    markov = frobenius(apply_generator(gen, np.eye(3, dtype=complex)))
-    checks.append(_check("markov", markov <= 1e-10, {"residual": markov}))
+    checks = [_markov(gen), _diagonal_invariant(gen, tol)]
     diag = Masa.diagonal(3)
-    invariant = is_invariant(gen, diag, tol)
-    checks.append(
-        _check(
-            "diagonal_invariant",
-            invariant.residual <= 1e-10,
-            {"residual": invariant.residual},
-        )
-    )
     restriction = classical_restriction(gen, diag, tol)
     restriction_err = float(np.abs(restriction - entry.expected["restriction"]).max())
     row_sums = float(np.abs(restriction.sum(axis=1)).max())
@@ -443,18 +405,12 @@ def _verify_ex3_2(entry: CorpusEntry, tol: Tolerance) -> list:
 def _verify_ex3_3(entry: CorpusEntry, tol: Tolerance) -> list:
     gen = entry.payload
     e = entry.expected["cyclic_vector"]
-    checks = []
-    markov = frobenius(apply_generator(gen, np.eye(3, dtype=complex)))
-    checks.append(_check("markov", markov <= 1e-10, {"residual": markov}))
+    checks = [_markov(gen)]
     _, projector, hamiltonian = _ex3_3_data()
     dimension, _ = commutant_intersection([hamiltonian, projector], tol)
-    checks.append(
-        _check("joint_commutant_trivial", dimension == 1, {"dimension": dimension})
-    )
-    _, residual = search_masa(gen, restarts=200, seed=42, tol=tol)
-    checks.append(
-        _check("no_invariant_masa_found", residual >= 1e-3, {"residual": residual})
-    )
+    trivial = dimension == entry.expected["commutant_dimension"]
+    checks.append(_check("joint_commutant_trivial", trivial, {"dimension": dimension}))
+    checks.append(_no_invariant_masa_found(gen, tol))
     loose = Tolerance(atol=1e-6, rtol=1e-6)
     candidates = search_invariant_projections(gen, seed=42, tol=loose)
     ok = True
@@ -484,7 +440,7 @@ def _verify_ex3_4(entry: CorpusEntry, tol: Tolerance) -> list:
     checks = []
     eye = np.eye(3, dtype=complex)
     unit_image = apply_cp(t, eye)
-    unit_err = frobenius(unit_image - 2 * eye)
+    unit_err = frobenius(unit_image - entry.expected["unit_image_factor"] * eye)
     checks.append(_check("unit_image_is_twice_unit", unit_err <= 1e-10, {"residual": unit_err}))
     e = entry.expected["cyclic_vector"]
     f = entry.expected["uniform_vector"]
@@ -494,7 +450,7 @@ def _verify_ex3_4(entry: CorpusEntry, tol: Tolerance) -> list:
     checks.append(
         _check(
             "unitary_hypotheses",
-            margin >= HYPOTHESIS_MARGIN,
+            margin >= entry.expected["hypothesis_margin"],
             {
                 "real_part_minimum": re_min,
                 "overlap_gap": overlap_gap,
@@ -507,10 +463,7 @@ def _verify_ex3_4(entry: CorpusEntry, tol: Tolerance) -> list:
     checks.append(
         _check("halved_map_unital", unital.residual <= 1e-10, {"residual": unital.residual})
     )
-    _, residual = search_masa(halved, restarts=200, seed=42, tol=tol)
-    checks.append(
-        _check("no_invariant_masa_found", residual >= 1e-3, {"residual": residual})
-    )
+    checks.append(_no_invariant_masa_found(halved, tol))
     return checks
 
 

@@ -20,6 +20,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     Verdict,
+    _checked_threshold,
     _haar_isometry,
     _PairForm,
     _phase_normalize_columns,
@@ -187,9 +188,12 @@ def kraus_transform(t: KrausMap, s: KrausMap, tol: Tolerance = DEFAULT_TOL):
 
 
 def is_unital(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> Verdict:
-    """Whether Σ L_i* L_i equals the identity, with the residual ‖T(1) − 1‖_F."""
+    """Whether Σ L_i* L_i equals the identity, with the residual ‖T(1) − 1‖_F.
+
+    Raises NumericalFailure when the residual is not finite.
+    """
     residual = frobenius(apply_cp(t, np.eye(t.dim)) - np.eye(t.dim))
-    threshold = tol.threshold(np.sqrt(t.dim))
+    threshold = _checked_threshold(residual, np.sqrt(t.dim), tol, "unit image is")
     return Verdict(ok=residual <= threshold, residual=residual, threshold=threshold)
 
 

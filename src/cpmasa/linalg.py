@@ -97,6 +97,13 @@ class Verdict:
         return self.ok
 
 
+def _checked_threshold(residual: float, scale: float, tol: Tolerance, what: str) -> float:
+    """Threshold for a residual measured against max(1, scale); both must be finite."""
+    if not (np.isfinite(residual) and np.isfinite(scale)):
+        raise NumericalFailure(f"{what} not finite (residual {residual}, scale {scale})")
+    return tol.threshold(max(1.0, scale))
+
+
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
@@ -254,6 +261,22 @@ def expand_over(basis, ops, tol: Tolerance) -> np.ndarray:
     return x.T
 
 
+def _realify(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Real form of the complex equations ``a x = b`` in real unknowns x.
+
+    Complex row k becomes real rows 2k (real part) and 2k + 1 (imaginary
+    part). `b` is a vector or a matrix whose columns are separate right-hand
+    sides.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
+        raise DimensionMismatch(f"incompatible system shapes {a.shape} and {b.shape}")
+    return tuple(
+        np.stack([z.real, z.imag], axis=1).reshape((2 * len(z),) + z.shape[1:]) for z in (a, b)
+    )
+
+
 def realify_conjugate_linear_system(p, q, rhs) -> tuple[np.ndarray, np.ndarray]:
     """Realify equations ``Σ_i (z_i p_ki + conj(z_i) q_ki) = rhs_k``.
 
@@ -264,22 +287,10 @@ def realify_conjugate_linear_system(p, q, rhs) -> tuple[np.ndarray, np.ndarray]:
     """
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex)
-    if p.shape != q.shape or p.ndim != 2 or rhs.ndim not in (1, 2) or rhs.shape[0] != p.shape[0]:
-        raise DimensionMismatch(f"incompatible system shapes {p.shape}, {q.shape}, {rhs.shape}")
-    m, n = p.shape
-    a_real = np.zeros((2 * m, 2 * n))
-    b_real = np.zeros((2 * m,) + rhs.shape[1:])
+    if p.shape != q.shape or p.ndim != 2:
+        raise DimensionMismatch(f"incompatible coefficient shapes {p.shape} and {q.shape}")
     # z = x + iy: coefficient of x is p + q, coefficient of y is i(p - q)
-    cx = p + q
-    cy = 1j * (p - q)
-    a_real[0::2, 0::2] = cx.real
-    a_real[0::2, 1::2] = cy.real
-    a_real[1::2, 0::2] = cx.imag
-    a_real[1::2, 1::2] = cy.imag
-    b_real[0::2] = rhs.real
-    b_real[1::2] = rhs.imag
-    return a_real, b_real
+    return _realify(np.stack([p + q, 1j * (p - q)], axis=2).reshape(len(p), -1), rhs)
 
 
 def complex_from_realified(x: np.ndarray) -> np.ndarray:

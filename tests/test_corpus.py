@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from cpmasa import (
     search_masa,
     verify_example,
 )
+from cpmasa import corpus
 from cpmasa.errors import DimensionMismatch, ParseError
 
 
@@ -164,6 +167,32 @@ def test_verify_example_all_pass():
         for check in report["checks"]:
             if check.get("asserted", True):
                 assert check["ok"], (eid, check["name"])
+
+
+class _ReadRecorder(dict):
+    """A dict that records every key read through []."""
+
+    def __init__(self, data, seen):
+        super().__init__(data)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+
+def test_verify_example_reads_every_pin(monkeypatch):
+    build = corpus.build_example
+    for eid in CORPUS_IDS:
+        seen = set()
+        entry = build(eid)
+
+        def recorded(example_id, entry=entry, seen=seen):
+            return dataclasses.replace(entry, expected=_ReadRecorder(entry.expected, seen))
+
+        monkeypatch.setattr(corpus, "build_example", recorded)
+        verify_example(eid)
+        assert seen == set(entry.expected), (eid, sorted(set(entry.expected) - seen))
 
 
 def test_verify_example_known_open_check():

@@ -17,7 +17,7 @@ from cpmasa import (
     random_unital_kraus,
     vec,
 )
-from cpmasa.errors import DimensionMismatch
+from cpmasa.errors import DimensionMismatch, NumericalFailure
 
 from _ensembles import complex_gaussian
 
@@ -268,6 +268,15 @@ def test_is_unital_verdicts():
     assert verdict.residual == pytest.approx(
         frobenius(np.array([[1, 1], [1, 0]])), abs=1e-12
     )
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
+)
+def test_is_unital_non_finite_raises():
+    # T(1) overflows, so its distance from the unit is NaN
+    with pytest.raises(NumericalFailure):
+        is_unital(KrausMap([1e200 * np.ones((2, 2), dtype=complex)]))
 
 
 def test_random_unital_kraus_is_unital():

@@ -5,10 +5,12 @@ cpmaps nor gksl, which would otherwise make the graph cyclic. Both masa
 finders share one descent on the unitary group, so no module imports
 scipy.optimize. Maps and generators share one pair-form kernel in linalg.py,
 so no other module builds a superoperator from Kronecker products. No
-module imports a name it never uses.
+module imports a name it never uses. Every function the benchmark's tracer
+wraps exists on the module it names.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import cpmasa
@@ -126,3 +128,27 @@ def _unused_imports(path: Path) -> list:
 def test_no_module_imports_a_name_it_never_uses():
     paths = sorted(PACKAGE.glob("*.py"))
     assert [entry for path in paths for entry in _unused_imports(path)] == []
+
+
+TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+
+
+def _traced_layers() -> dict:
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "LAYERS" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no LAYERS")
+
+
+def test_traced_layers_resolve_on_the_package():
+    # Tracer.install looks each name up without a default, so a missing one crashes a traced run
+    missing = [
+        f"cpmasa.{layer}.{name}"
+        for layer, names in _traced_layers().items()
+        for name in names
+        if not hasattr(importlib.import_module(f"cpmasa.{layer}"), name)
+    ]
+    assert missing == []

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,12 +26,14 @@ from cpmasa import (
     map_superoperator,
     markov_form,
     masa_from_selfadjoint,
+    nullspace,
     offdiag,
     rebolledo_check,
     search_invariant_projections,
     search_masa,
     solve_generator_coefficients,
     solve_kraus_coefficients,
+    vec,
 )
 from cpmasa.errors import (
     DegenerateSpectrum,
@@ -373,6 +377,105 @@ def test_rebolledo_compatible_elements_of_diagonal_family():
     for pi in verdict.compatible_elements:
         assert pi.dimension >= 1
         assert len(pi.basis) == pi.dimension
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
+)
+def test_rebolledo_non_finite_raises():
+    # the squared entries overflow, so the weighted variance is NaN
+    big = KrausMap([1e200 * np.ones((2, 2), dtype=complex)])
+    with pytest.raises(NumericalFailure):
+        rebolledo_check(big, Masa.diagonal(2))
+
+
+def _rebolledo_reference(ops):
+    """Per-operator checks in loops over rows, and compatible patterns as the
+    nullspace of [span, −pattern] with a unit-matrix basis per pattern.
+
+    Returns the (residual, threshold) of each operator and the (pattern,
+    elements) pairs, elements a list of unit vec's.
+    """
+    n, d, _ = ops.shape
+    c = np.arange(1, d + 1, dtype=float)
+    checks = []
+    for op in ops:
+        weights = np.abs(op) ** 2
+        residual_sq = 0.0
+        for r in range(d):
+            w = weights[r]
+            total = float(w.sum())
+            if total <= 0.0:
+                continue
+            values = c[r] - c
+            mean = float((w * values).sum() / total)
+            residual_sq += float((w * (values - mean) ** 2).sum())
+        c_mat = np.diag(c).astype(complex)
+        scale = max(1.0, frobenius(c_mat @ op - op @ c_mat))
+        checks.append((np.sqrt(residual_sq), DEFAULT_TOL.threshold(scale)))
+    stack = np.column_stack([vec(op) for op in ops])
+    u_mat, sing, _ = np.linalg.svd(stack, full_matrices=False)
+    span_rank = int((sing > DEFAULT_TOL.rank_cut(sing[0])).sum())
+    span_basis = u_mat[:, :span_rank]
+    out = []
+    for pattern in itertools.product(range(d + 1), repeat=d):
+        positions = [(r, pattern[r]) for r in range(d) if pattern[r] < d]
+        if not positions or span_rank == 0:
+            continue
+        pattern_basis = np.zeros((d * d, len(positions)), dtype=complex)
+        for col, (r, s) in enumerate(positions):
+            e_rs = np.zeros((d, d), dtype=complex)
+            e_rs[r, s] = 1
+            pattern_basis[:, col] = vec(e_rs)
+        null = nullspace(np.hstack([span_basis, -pattern_basis]))
+        elements = []
+        for idx in range(null.shape[1]):
+            w_vec = span_basis @ null[:span_rank, idx]
+            elements.append(w_vec / np.linalg.norm(w_vec))
+        if elements:
+            out.append((tuple(col if col < d else None for col in pattern), elements))
+    return checks, out
+
+
+def _rebolledo_family(seed):
+    """Seeded (KrausMap, Masa) at d = 1..4: generic, invariant, pattern, zero or diagonal."""
+    rng = np.random.default_rng([470, seed])
+    d, n = 1 + seed % 4, int(rng.integers(1, 4))
+    kind = (seed // 4) % 5
+    if kind == 0:
+        return generic_map_instance(rng, d, n)
+    if kind == 1:
+        return invariant_map_instance(rng, d, n)
+    if kind == 2:
+        ops = pattern_ops(rng, d, n)
+    elif kind == 3:
+        ops = [np.zeros((d, d), dtype=complex)] * n
+    else:
+        ops = [np.diag(complex_gaussian(rng, d)) for _ in range(n)]
+    return KrausMap(ops), Masa.diagonal(d)
+
+
+def test_rebolledo_matches_pattern_stack_reference():
+    # the loop algorithm: per-operator checks to rounding; for each pattern the
+    # same dimension and projector, as bases of dimension >= 2 may differ by a rotation
+    largest = 0
+    for seed in range(64):
+        t, masa = _rebolledo_family(seed)
+        verdict = rebolledo_check(t, masa)
+        checks, reference = _rebolledo_reference(masa.to_coordinates(np.stack(t.operators)))
+        for v, (residual, threshold) in zip(verdict.per_operator, checks, strict=True):
+            assert abs(v.residual - residual) <= 1e-12 * max(1.0, residual), seed
+            assert abs(v.threshold - threshold) <= 1e-12 * threshold, seed
+            assert v.ok == (residual <= threshold), seed
+        got = verdict.compatible_elements
+        assert [pi.pattern for pi in got] == [pattern for pattern, _ in reference], seed
+        for pi, (_, elements) in zip(got, reference):
+            assert pi.dimension == len(pi.basis) == len(elements), seed
+            mine = np.column_stack([vec(b) for b in pi.basis])
+            theirs = np.column_stack(elements)
+            assert np.abs(mine @ dag(mine) - theirs @ dag(theirs)).max() <= 1e-12, seed
+            largest = max(largest, pi.dimension)
+    assert largest >= 2
 
 
 def test_rebolledo_explosion_guard():
