@@ -29,12 +29,12 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _hermiticity_preserving_exp,
     _PairForm,
     complex_from_realified,
     dag,
     frobenius,
     least_squares,
-    matrix_exp,
     matrix_rank_tol,
     realify_conjugate_linear_system,
     require_matrix,
@@ -107,12 +107,11 @@ class GkslGenerator:
 
     def _pairs(self) -> _PairForm:
         """The pair form of L: the jump part's pairs (L_i*, L_i), then (1, β) and (β*, 1)."""
-        left, right = self.kraus._pairs()
+        ops = self.kraus.operators
         eye = np.eye(self.dim, dtype=complex)
-        return _PairForm(
-            np.concatenate([left, [eye, dag(self.beta)]]),
-            np.concatenate([right, [self.beta, eye]]),
-        )
+        # dag of a stack is a strided view; the copy keeps both stacks C-ordered
+        left = np.ascontiguousarray(dag(np.array((*ops, eye, self.beta))))
+        return _PairForm(left, np.array((*ops, self.beta, eye)))
 
     def projection_images(self, masa) -> np.ndarray:
         """Images L(u_k u_k*) of the masa's minimal projections, in masa coordinates.
@@ -151,10 +150,17 @@ def markov_form(kraus: KrausMap, hamiltonian, tol: Tolerance = DEFAULT_TOL) -> G
 
 
 def semigroup_at(gen: GkslGenerator, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Superoperator of e^{tL} at time t ≥ 0."""
+    """Superoperator of e^{tL} at time t ≥ 0.
+
+    Every Lindblad generator preserves Hermiticity, L(X*) = L(X)*, so tL is
+    exponentiated in its real form over a Hermitian basis. Raises
+    NumericalFailure when e^{tL} is not finite.
+    """
     if not np.isfinite(t) or t < 0:
         raise PreconditionFailed(f"time must be finite and nonnegative, got {t}")
-    return matrix_exp(float(t) * superoperator(gen), tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = float(t) * superoperator(gen)
+    return _hermiticity_preserving_exp(scaled, gen.dim)
 
 
 def generator_from_map(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> GkslGenerator:

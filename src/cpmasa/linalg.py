@@ -9,6 +9,7 @@ tolerance policy shared by every rank and feasibility threshold.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -308,6 +309,32 @@ def matrix_exp(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return out
 
 
+def _hermiticity_preserving_exp(s, d: int) -> np.ndarray:
+    """e^s for the d²×d² superoperator s of a Hermiticity-preserving map, via a real exponential.
+
+    T(X*) = T(X)* means P conj(s) P = s, with P the permutation
+    vec(X) ↦ vec(Xᵀ). In the orthonormal Hermitian basis
+    ((1+i)E_rc + (1−i)E_cr)/2 the matrix of s is then the real
+    R = Re s + (Im s)·P, whose real exponential E = e^R takes about a quarter
+    of the flops of the complex one. Back in the matrix-unit basis,
+    e^s = ½(E + PEP) + (i/2)(EP − PE), so the output keeps
+    P conj(e^s) P = e^s exactly. Under column-stacking vec, index (c, r) of a
+    d×d×d×d view addresses E_rc, so P on either side is one swap of an axis
+    pair and both basis changes are O(d⁴) copies. Raises NumericalFailure
+    when s or its exponential is not finite.
+    """
+    s4 = require_matrix(s, dim=d * d).reshape(d, d, d, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = scipy.linalg.expm((s4.real + s4.imag.swapaxes(2, 3)).reshape(d * d, d * d))
+        e4 = e.reshape(d, d, d, d)
+        out = np.empty((d, d, d, d), dtype=complex)
+        out.real = (e4 + e4.transpose(1, 0, 3, 2)) / 2
+        out.imag = (e4.swapaxes(2, 3) - e4.swapaxes(0, 1)) / 2
+    if not np.all(np.isfinite(out.view(float))):
+        raise NumericalFailure("matrix exponential overflowed")
+    return out.reshape(d * d, d * d)
+
+
 def expm_skew(a: np.ndarray) -> np.ndarray:
     """Exponential of a skew-Hermitian matrix, or of each in a stack, via eigendecomposition.
 
@@ -366,6 +393,26 @@ def commutant_intersection(
     return len(basis), basis
 
 
+@functools.lru_cache
+def _upper_trapezoid(rows: int, cols: int) -> np.ndarray:
+    """Read-only boolean mask of the entries on and above the diagonal of a rows×cols matrix."""
+    mask = np.arange(rows)[:, None] <= np.arange(cols)
+    mask.flags.writeable = False
+    return mask
+
+
+def _r_factor(a: np.ndarray) -> np.ndarray:
+    """The upper-trapezoidal R of a thin QR factorization a = Q R of a complex matrix.
+
+    LAPACK's geqrf directly, R masked out of its packed output: at the sizes
+    of a pair form, np.linalg.qr and np.triu cost several times the
+    factorization itself.
+    """
+    qr, _, _, _ = scipy.linalg.lapack.zgeqrf(a)
+    rows = min(a.shape)
+    return qr[:rows] * _upper_trapezoid(rows, a.shape[1])
+
+
 def _stack_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Σ_i vec_r(x_i) vec_r(y_i)ᵀ over row-major flattenings of two stacks, as one product."""
     m, d, _ = x.shape
@@ -397,6 +444,26 @@ class _PairForm(NamedTuple):
         d = self.left.shape[-1]
         product = _stack_outer(self.right.swapaxes(1, 2), self.left).reshape(d, d, d, d)
         return product.swapaxes(1, 2).reshape(d * d, d * d)
+
+    def distance(self, other: _PairForm) -> tuple[float, float, float]:
+        """‖S − S'‖_F, ‖S‖_F and ‖S'‖_F for the superoperators S of this form and S' of `other`.
+
+        S holds the entries of a bᵀ = Σ_i vec(A_i) vec(B_i)ᵀ, rearranged (the
+        operator-Schmidt form), so ‖S‖_F = ‖a bᵀ‖_F. One thin QR of each joint
+        stack, [A, A'] = Q_a [R_a, R_a'] and [B, B'] = Q_b [R_b, R_b'], leaves
+        a bᵀ − a' b'ᵀ = Q_a (R_a R_bᵀ − R_a' R_b'ᵀ) Q_bᵀ: the distance and the
+        two norms are Frobenius norms of p×p matrices for p pairs in all, found
+        in O(p²d²) with QR's backward stability. Entries that overflow come out
+        as inf or NaN, for the caller to check.
+        """
+        n, d = len(self.left), self.left.shape[-1]
+        r_a = _r_factor(np.concatenate([self.left, other.left]).reshape(-1, d * d).T)
+        r_b = _r_factor(np.concatenate([self.right, other.right]).reshape(-1, d * d).T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            own = r_a[:, :n] @ r_b[:, :n].T
+            theirs = r_a[:, n:] @ r_b[:, n:].T
+            # the root of vdot is frobenius without np.linalg.norm's call overhead
+            return tuple(float(np.sqrt(np.vdot(m, m).real)) for m in (own - theirs, own, theirs))
 
     def choi(self) -> np.ndarray:
         """The Choi matrix Σ_kl E_kl ⊗ T(E_kl).

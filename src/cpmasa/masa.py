@@ -169,13 +169,16 @@ def _projection_images(source, masa: Masa) -> np.ndarray:
     evolution = _evolution(source)
     if evolution.dim != masa.dim:
         raise DimensionMismatch(f"evolution dim {evolution.dim} vs masa dim {masa.dim}")
-    return evolution.projection_images(masa)
+    # images that overflow are caught by _invariance_verdict's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        return evolution.projection_images(masa)
 
 
 def _invariance_verdict(images: np.ndarray, tol: Tolerance) -> Verdict:
     d = images.shape[-1]
-    residual = float(np.linalg.norm(images - images * np.eye(d), axis=(1, 2)).max())
-    scale = float(np.linalg.norm(images, axis=(1, 2)).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(images - images * np.eye(d), axis=(1, 2)).max())
+        scale = float(np.linalg.norm(images, axis=(1, 2)).max())
     threshold = _checked_threshold(residual, scale, tol, "projection images are")
     return Verdict(ok=residual <= threshold, residual=residual, threshold=threshold)
 
@@ -275,7 +278,8 @@ def solve_kraus_coefficients(t, masa: Masa, tol: Tolerance = DEFAULT_TOL):
     if t.dim != masa.dim:
         raise DimensionMismatch(f"map dim {t.dim} vs masa dim {masa.dim}")
     ops = masa.to_coordinates(np.stack(t.operators))
-    c_blocks, residual, rhs_norm = _kraus_coefficient_solution(ops)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_blocks, residual, rhs_norm = _kraus_coefficient_solution(ops)
     threshold = _checked_threshold(residual, rhs_norm, tol, "commutator expansion is")
     if residual > threshold:
         return Infeasible(residual=residual, threshold=threshold)
@@ -315,25 +319,28 @@ def solve_generator_coefficients(gen, masa: Masa, tol: Tolerance = DEFAULT_TOL):
         raise DimensionMismatch(f"generator dim {gen.dim} vs masa dim {masa.dim}")
     d = gen.dim
     ops, _ = gen._in_coordinates(masa)
-    images = gen.projection_images(masa)
     idx = np.arange(d)
     diagonals = ops[:, idx, idx]
 
     x = np.zeros((len(ops), d), dtype=complex)
     residual_sq = 0.0
-    for k in range(d):
-        other = idx != k
-        # row-k off-diagonal entries: the shifts appear linearly via conj(x_ik)
-        m = ops[:, k, other].T
-        z, res1 = least_squares(m, m @ diagonals[:, k].conj() - images[k, k, other])
-        x[:, k] = np.conj(z)
-        residual_sq += res1**2
-    # diagonal entry k of image k, real by construction, defines gamma
-    gamma = (images[idx, idx, idx] - (np.abs(diagonals - x) ** 2).sum(axis=0)).real
+    # images that overflow leave the residual or the scale not finite, which is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = gen.projection_images(masa)
+        for k in range(d):
+            other = idx != k
+            # row-k off-diagonal entries: the shifts appear linearly via conj(x_ik)
+            m = ops[:, k, other].T
+            z, res1 = least_squares(m, m @ diagonals[:, k].conj() - images[k, k, other])
+            x[:, k] = np.conj(z)
+            residual_sq += res1**2
+        # diagonal entry k of image k, real by construction, defines gamma
+        gamma = (images[idx, idx, idx] - (np.abs(diagonals - x) ** 2).sum(axis=0)).real
 
-    c_blocks, res3, _ = _kraus_coefficient_solution(ops - x[:, :, None] * np.eye(d))
-    residual = float(np.sqrt(residual_sq + res3**2))
-    threshold = _checked_threshold(residual, frobenius(images), tol, "generator criterion is")
+        c_blocks, res3, _ = _kraus_coefficient_solution(ops - x[:, :, None] * np.eye(d))
+        residual = float(np.sqrt(residual_sq + res3**2))
+        scale = frobenius(images)
+    threshold = _checked_threshold(residual, scale, tol, "generator criterion is")
     if residual > threshold:
         return Infeasible(residual=residual, threshold=threshold)
     inner = KrausCoefficientWitness(c_blocks=c_blocks, residual=res3)
@@ -396,12 +403,14 @@ def rebolledo_check(t, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> RebolledoVer
     c = np.arange(1, d + 1, dtype=float)
     # (cK - Kc)[r, s] = (c_r - c_s)·K[r, s]
     values = c[:, None] - c
-    weights = np.abs(ops) ** 2
-    totals = weights.sum(axis=2, keepdims=True)
-    # an all-zero row has zero weights, so its mean does not matter
-    means = (weights * values).sum(axis=2, keepdims=True) / np.where(totals > 0, totals, 1.0)
-    residuals = np.sqrt((weights * (values - means) ** 2).sum(axis=(1, 2)))
-    scales = np.linalg.norm(values * ops, axis=(1, 2))
+    # entries that overflow leave a residual or a scale not finite, which is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.abs(ops) ** 2
+        totals = weights.sum(axis=2, keepdims=True)
+        # an all-zero row has zero weights, so its mean does not matter
+        means = (weights * values).sum(axis=2, keepdims=True) / np.where(totals > 0, totals, 1.0)
+        residuals = np.sqrt((weights * (values - means) ** 2).sum(axis=(1, 2)))
+        scales = np.linalg.norm(values * ops, axis=(1, 2))
     per_operator = []
     for residual, scale in zip(residuals.tolist(), scales.tolist()):
         threshold = _checked_threshold(residual, scale, tol, "per-operator residual is")
@@ -419,9 +428,12 @@ def rebolledo_check(t, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> RebolledoVer
         # entry (r, s) sits at index s·d + r of vec
         outside[[col * d + r for r, col in enumerate(pattern) if col < d]] = False
         # a product of two matrices with orthonormal columns needs no normalizing
-        elements = _phase_normalize_columns(span_basis @ nullspace(span_basis[outside], tol))
+        elements = span_basis @ nullspace(span_basis[outside], tol)
         if elements.shape[1] == 0:
             continue
+        # the product leaves rounding noise outside the pattern; the elements lie inside it
+        elements[outside] = 0
+        elements = _phase_normalize_columns(elements)
         compatible.append(
             PatternIntersection(
                 pattern=tuple(col if col < d else None for col in pattern),
@@ -590,7 +602,8 @@ def _masked_objective(pairs, inputs: np.ndarray, mask: np.ndarray):
         return values, grads
 
     # a non-finite start is never improved on (comparisons with NaN fail)
-    at_identity = objective(np.eye(d, dtype=complex))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_identity = objective(np.eye(d, dtype=complex))[0]
     if not np.isfinite(at_identity):
         raise NumericalFailure(f"search objective is not finite ({at_identity})")
     return objective
@@ -691,7 +704,10 @@ def search_masa(
     evolution = _evolution(objective_source)
     d = evolution.dim
     eye = np.eye(d)
-    pairs = _pair_form(evolution.superoperator())
+    # _pair_form rejects a superoperator whose entries overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        superop = evolution.superoperator()
+    pairs = _pair_form(superop)
     objective = _masked_objective(pairs, eye, 1 - eye)
     best_u = np.eye(d, dtype=complex)
     best_value = objective(best_u)[0]
@@ -730,7 +746,9 @@ def search_invariant_projections(
     """
     evolution = _evolution(gen)
     d = evolution.dim
-    superop = evolution.superoperator()
+    # _pair_form rejects a superoperator whose entries overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        superop = evolution.superoperator()
     pairs = _pair_form(superop)
     width = _stack_width(pairs)
     cut = tol.threshold(max(1.0, frobenius(superop)))

@@ -299,7 +299,6 @@ def test_numeric_string_tolerances_are_read(capsys, tmp_path):
     assert report["tolerance"] == {"atol": 1e-4, "rtol": 1e-5}
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_arithmetic_exits_2(capsys, tmp_path):
     # the images of the identity scaled by 1e308 overflow
     path = write_json(

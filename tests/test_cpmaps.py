@@ -3,12 +3,14 @@ import pytest
 
 from cpmasa import (
     DEFAULT_TOL,
+    GkslGenerator,
     Inequivalent,
     KrausMap,
     apply_cp,
     choi_matrix,
     dag,
     frobenius,
+    gksl_equivalent,
     haar_unitary,
     is_unital,
     kraus_transform,
@@ -17,6 +19,8 @@ from cpmasa import (
     random_unital_kraus,
     vec,
 )
+from cpmasa import linalg
+from cpmasa.cpmaps import _superoperator_distance
 from cpmasa.errors import DimensionMismatch, NumericalFailure
 
 from _ensembles import complex_gaussian
@@ -270,9 +274,6 @@ def test_is_unital_verdicts():
     )
 
 
-@pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
-)
 def test_is_unital_non_finite_raises():
     # T(1) overflows, so its distance from the unit is NaN
     with pytest.raises(NumericalFailure):
@@ -285,3 +286,58 @@ def test_random_unital_kraus_is_unital():
         d = int(rng.integers(2, 5))
         t = random_unital_kraus(rng, d, int(rng.integers(1, 5)))
         assert is_unital(t).residual < 1e-12
+
+
+def _distance_pair(seed):
+    """Seeded pair of maps or generators at d 1–6.
+
+    Equal (a unitary remix), perturbed by 1e-6 to 1e-11, independent, or with
+    a zero operator appended.
+    """
+    rng = np.random.default_rng([1101, seed])
+    d, n = 1 + seed % 6, 1 + (seed // 6) % 3
+    ops = [complex_gaussian(rng, (d, d)) for _ in range(n)]
+    kind = seed % 4
+    if kind == 0:
+        mix = haar_unitary(rng, n)
+        other = list(np.tensordot(mix, np.stack(ops), axes=1))
+    elif kind == 1:
+        scale = 10.0 ** -float(rng.integers(6, 12))
+        other = [op + scale * complex_gaussian(rng, (d, d)) for op in ops]
+    elif kind == 2:
+        other = [complex_gaussian(rng, (d, d)) for _ in range(n)]
+    else:
+        other = ops + [np.zeros((d, d), dtype=complex)]
+    if (seed // 4) % 2:
+        beta = complex_gaussian(rng, (d, d))
+        return GkslGenerator(KrausMap(ops), beta), GkslGenerator(KrausMap(other), beta)
+    return KrausMap(ops), KrausMap(other)
+
+
+def test_superoperator_distance_matches_superoperators():
+    # the pair-form distance against ‖S_a − S_b‖_F of the two superoperators
+    for seed in range(144):
+        a, b = _distance_pair(seed)
+        sa, sb = a.superoperator(), b.superoperator()
+        scale = max(frobenius(sa), frobenius(sb))
+        expected = frobenius(sa - sb)
+        distance, equal = _superoperator_distance(a, b, DEFAULT_TOL)
+        assert abs(distance - expected) <= 1e-13 * max(1.0, scale), (seed, distance, expected)
+        assert equal == (expected <= DEFAULT_TOL.threshold(scale)), seed
+
+
+def test_equality_oracle_builds_no_superoperator(monkeypatch):
+    def refuse(self):
+        raise AssertionError("superoperator built")
+
+    monkeypatch.setattr(linalg._PairForm, "superoperator", refuse)
+    rng = np.random.default_rng(23)
+    ops = [complex_gaussian(rng, (3, 3)) for _ in range(2)]
+    t = KrausMap(ops + [ops[0] - ops[1]])
+    assert len(minimal_kraus(t)) == 2
+    assert kraus_transform(t, t).v_matrix.shape == (3, 3)
+    assert isinstance(kraus_transform(t, KrausMap(ops)), Inequivalent)
+    gen = GkslGenerator(KrausMap(ops), complex_gaussian(rng, (3, 3)))
+    assert gksl_equivalent(gen, gen).checks["superoperator_distance"] < 1e-12
+    shifted = GkslGenerator(KrausMap(ops), gen.beta + 1)
+    assert isinstance(gksl_equivalent(gen, shifted), Inequivalent)

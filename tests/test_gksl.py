@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from cpmasa.errors import (
     NotMinimal,
     NotSelfAdjoint,
     NotUnital,
+    NumericalFailure,
     PreconditionFailed,
 )
 
@@ -303,3 +306,49 @@ def test_hamiltonian_split_rejects_masa_of_other_dimension():
     gen = random_markov_generator(np.random.default_rng(3), 3, 2)
     with pytest.raises(DimensionMismatch):
         hamiltonian_part_diagonalizable(gen, Masa.diagonal(2))
+
+
+def _semigroup_generator(seed):
+    """Seeded generator at d 1–16 with n 1–4 jumps.
+
+    Markov form for even seeds, a general drift for odd ones.
+    """
+    rng = np.random.default_rng([1100, seed])
+    d, n = 1 + seed % 16, 1 + seed % 4
+    ops = [complex_gaussian(rng, (d, d)) / np.sqrt(2 * d) for _ in range(n)]
+    if seed % 2 == 0:
+        h = complex_gaussian(rng, (d, d)) / np.sqrt(2 * d)
+        return markov_form(KrausMap(ops), (h + dag(h)) / 2)
+    return GkslGenerator(KrausMap(ops), complex_gaussian(rng, (d, d)) / np.sqrt(2 * d))
+
+
+def test_semigroup_at_agrees_with_complex_exponential():
+    # the real-form exponential against the complex Padé exponential of tS
+    for seed in range(128):
+        gen = _semigroup_generator(seed)
+        t = (0.0, 0.1, 1.0, 3.7)[(seed // 16) % 4]
+        expected = matrix_exp(t * generator_superoperator(gen))
+        err = frobenius(semigroup_at(gen, t) - expected)
+        assert err <= 1e-11 * max(1.0, frobenius(expected)), (seed, err)
+
+
+def test_semigroup_at_preserves_hermiticity_exactly():
+    # P conj(E_t) P = E_t bit for bit, P the permutation vec(X) -> vec(X^T)
+    for seed in range(16):
+        gen = _semigroup_generator(seed)
+        d = gen.dim
+        perm = np.arange(d * d).reshape(d, d).T.ravel()
+        e_t = semigroup_at(gen, 0.7)
+        assert np.array_equal(e_t.conj()[perm][:, perm], e_t), seed
+
+
+def test_semigroup_at_overflow_raises_without_warning():
+    gen = GkslGenerator(KrausMap([np.eye(2, dtype=complex)]), 1000 * np.eye(2, dtype=complex))
+    calm = random_markov_generator(np.random.default_rng(5), 3, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure):
+            semigroup_at(gen, 1.0)
+        # the scaled generator tS itself overflows
+        with pytest.raises(NumericalFailure):
+            semigroup_at(calm, 1e308)

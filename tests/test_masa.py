@@ -59,6 +59,7 @@ from _ensembles import (
     generic_map_instance,
     invariant_generator_instance,
     invariant_map_instance,
+    mix_ops,
     pattern_ops,
     random_markov_generator,
     random_unital_map,
@@ -133,14 +134,12 @@ def test_invariance_dimension_mismatch():
         is_invariant_map(t, Masa.diagonal(3))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_invariance_non_finite_images_raise():
     t = KrausMap([1e308 * np.eye(2, dtype=complex)])
     with pytest.raises(NumericalFailure):
         is_invariant(t, Masa.diagonal(2))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_kraus_coefficients_non_finite_raise():
     # the right-hand sides overflow, so the residual and its threshold are inf
     t = KrausMap([1e200 * np.array([[1, 1], [0, 1]], dtype=complex)])
@@ -148,9 +147,6 @@ def test_kraus_coefficients_non_finite_raise():
         solve_kraus_coefficients(t, Masa.diagonal(2))
 
 
-@pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
-)
 def test_generator_coefficients_non_finite_raise():
     # the images overflow, so the rates are NaN and the image scale is inf
     gen = GkslGenerator(KrausMap([1e200 * np.eye(2, dtype=complex)]), np.eye(2, dtype=complex))
@@ -379,9 +375,6 @@ def test_rebolledo_compatible_elements_of_diagonal_family():
         assert len(pi.basis) == pi.dimension
 
 
-@pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
-)
 def test_rebolledo_non_finite_raises():
     # the squared entries overflow, so the weighted variance is NaN
     big = KrausMap([1e200 * np.ones((2, 2), dtype=complex)])
@@ -536,9 +529,6 @@ def test_search_masa_rejects_bad_restarts():
         search_masa(t, restarts=0)
 
 
-@pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
-)
 @pytest.mark.parametrize(
     "call",
     [
@@ -783,3 +773,18 @@ def test_classical_restriction_of_unital_map_is_stochastic():
     a = classical_restriction(t, Masa.diagonal(3))
     assert np.all(a >= -1e-10)
     assert np.allclose(a.sum(axis=1), 1.0, atol=1e-10)
+
+
+def test_rebolledo_elements_vanish_outside_their_pattern():
+    # every compatible element is supported in its pattern, to the last bit
+    for seed in range(24):
+        rng = np.random.default_rng([1102, seed])
+        d = 2 + seed % 3
+        t = KrausMap(mix_ops(rng, pattern_ops(rng, d, 3)))
+        for pi in rebolledo_check(t, Masa.diagonal(d)).compatible_elements:
+            outside = np.ones((d, d), dtype=bool)
+            for r, col in enumerate(pi.pattern):
+                if col is not None:
+                    outside[r, col] = False
+            for element in pi.basis:
+                assert np.all(element[outside] == 0), (seed, pi.pattern)
