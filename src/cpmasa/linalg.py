@@ -70,7 +70,7 @@ class Tolerance:
             raise ToleranceInvalid("at least one of atol, rtol must be positive")
 
     def threshold(self, scale: float = 1.0) -> float:
-        """Feasibility cutoff for a residual measured against `scale`."""
+        """Feasibility cutoff for a residual against `scale`; as `rank_cut`, the cut against σ_max."""
         return self.atol + self.rtol * float(scale)
 
     def close(self, a: np.ndarray, b: np.ndarray) -> bool:
@@ -79,8 +79,7 @@ class Tolerance:
         scale = max(frobenius(a), frobenius(b))
         return frobenius(a - b) <= self.threshold(scale)
 
-    def rank_cut(self, s_max: float) -> float:
-        return self.atol + self.rtol * float(s_max)
+    rank_cut = threshold
 
 
 DEFAULT_TOL = Tolerance()
@@ -401,16 +400,17 @@ def _upper_trapezoid(rows: int, cols: int) -> np.ndarray:
     return mask
 
 
-def _r_factor(a: np.ndarray) -> np.ndarray:
+def _r_factor(a: np.ndarray, with_q: bool = False):
     """The upper-trapezoidal R of a thin QR factorization a = Q R of a complex matrix.
 
     LAPACK's geqrf directly, R masked out of its packed output: at the sizes
     of a pair form, np.linalg.qr and np.triu cost several times the
-    factorization itself.
+    factorization itself. With `with_q`, returns (Q, R), Q formed by ungqr.
     """
-    qr, _, _, _ = scipy.linalg.lapack.zgeqrf(a)
+    qr, tau, _, _ = scipy.linalg.lapack.zgeqrf(a)
     rows = min(a.shape)
-    return qr[:rows] * _upper_trapezoid(rows, a.shape[1])
+    r = qr[:rows] * _upper_trapezoid(rows, a.shape[1])
+    return (scipy.linalg.lapack.zungqr(qr[:, :rows], tau)[0], r) if with_q else r
 
 
 def _stack_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -464,6 +464,25 @@ class _PairForm(NamedTuple):
             theirs = r_a[:, n:] @ r_b[:, n:].T
             # the root of vdot is frobenius without np.linalg.norm's call overhead
             return tuple(float(np.sqrt(np.vdot(m, m).real)) for m in (own - theirs, own, theirs))
+
+    def compressed(self) -> _PairForm:
+        """The fewest pairs of the same map: `distance`'s QRs, then an SVD of the p×p core.
+
+        With a = Q_a R_a, b = Q_b R_b and R_a R_bᵀ = U Σ Vh, a bᵀ = (Q_a U Σ)(Q_b Vhᵀ)ᵀ;
+        singular values at or below eps·d²·σ_max are dropped. The right stack is
+        orthonormal, so ‖left‖_F = ‖S‖_F. Raises NumericalFailure if the core is not finite.
+        """
+        d = self.left.shape[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            q_a, r_a = _r_factor(self.left.reshape(-1, d * d).T, with_q=True)
+            q_b, r_b = _r_factor(self.right.reshape(-1, d * d).T, with_q=True)
+            core = r_a @ r_b.T
+        if not np.all(np.isfinite(core)):
+            raise NumericalFailure("pair form is not finite")
+        u, s, vh = np.linalg.svd(core)
+        keep = s > np.finfo(float).eps * d * d * s[0]
+        left = (q_a @ (u[:, keep] * s[keep])).T.reshape(-1, d, d)
+        return _PairForm(left, (q_b @ vh[keep].T).T.reshape(-1, d, d))
 
     def choi(self) -> np.ndarray:
         """The Choi matrix Σ_kl E_kl ⊗ T(E_kl).

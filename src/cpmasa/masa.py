@@ -28,6 +28,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     Verdict,
+    _PairForm,
     _checked_threshold,
     _disjoint_least_squares,
     _phase_normalize_columns,
@@ -131,7 +132,7 @@ class _Superoperator:
     """An evolution known only through its d²×d² matrix under column-stacking vec.
 
     Offers the members that KrausMap and GkslGenerator offer: `dim`,
-    `apply`, `superoperator` and `projection_images`.
+    `apply`, `projection_images` and the pair form `_pairs`.
     """
 
     def __init__(self, matrix):
@@ -145,8 +146,11 @@ class _Superoperator:
     def apply(self, x) -> np.ndarray:
         return unvec(self.matrix @ vec(x), self.dim)
 
-    def superoperator(self) -> np.ndarray:
-        return self.matrix
+    def _pairs(self) -> _PairForm:
+        """The d² pairs (E_rp, B_rp) with B_rp[q, c] = S[(c, r), (q, p)] = T(E_pq)[r, c]."""
+        d = self.dim
+        right = self.matrix.reshape(d, d, d, d).transpose(1, 3, 2, 0).reshape(d * d, d, d)
+        return _PairForm(np.eye(d * d, dtype=complex).reshape(d * d, d, d), right)
 
     def projection_images(self, masa: Masa) -> np.ndarray:
         """Images of the masa's minimal projections, in masa coordinates, by one product S·V.
@@ -484,10 +488,7 @@ def find_masa_m2(alpha_map, tol: Tolerance = DEFAULT_TOL) -> Masa:
                 f"not a *-map, self-adjointness defect {sa_defect:.3e}"
             )
 
-    r = np.zeros((3, 3))
-    for a in range(3):
-        for b in range(3):
-            r[a, b] = float(np.trace(_PAULI[a] @ pauli_images[b]).real) / 2
+    r = np.array([[np.trace(a @ b).real / 2 for b in pauli_images] for a in _PAULI])
     eigenvalues = np.linalg.eigvals(r)
     candidates = [
         lam for lam in eigenvalues if abs(lam.imag) <= tol.threshold(max(1.0, abs(lam)))
@@ -517,25 +518,6 @@ def find_masa_m2(alpha_map, tol: Tolerance = DEFAULT_TOL) -> Masa:
 _MAX_ITERS = 150
 # complex entries (8 MiB) one lockstep chunk of starts may hold in the objective's temporaries
 _STACK_ENTRIES = 2**19
-
-
-def _pair_form(superop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks of A_i and B_i with T(X) = Σ_i A_i X B_i, read off a d²×d² superoperator.
-
-    Under column-stacking vec, S[(r, c), (p, q)] = Σ_i A_i[r, p] B_i[q, c];
-    realigned to rows (r, p) and columns (q, c), S becomes Σ_i vec(A_i)
-    vec(B_i)ᵀ, whose SVD gives the pairs. Singular values at or below
-    eps·d²·σ_max are dropped, so a map of n Kraus operators keeps at most n
-    pairs and a generator at most n + 2. Raises NumericalFailure when the
-    superoperator is not finite.
-    """
-    if not np.all(np.isfinite(superop)):
-        raise NumericalFailure("superoperator is not finite")
-    d = int(round(np.sqrt(superop.shape[0])))
-    realigned = superop.reshape(d, d, d, d).transpose(1, 3, 2, 0).reshape(d * d, d * d)
-    u, s, vh = np.linalg.svd(realigned)
-    keep = s > np.finfo(float).eps * d * d * s[0]
-    return (u[:, keep] * s[keep]).T.reshape(-1, d, d), vh[keep].reshape(-1, d, d)
 
 
 def _stack_width(pairs) -> int:
@@ -696,18 +678,17 @@ def search_masa(
     first restart at which the best residual is below atol/10; the restarts
     after it are dropped from its chunk as soon as that restart gets there,
     and no later chunk is drawn. A residual bounded away from zero is
-    numerical evidence of nonexistence, not a proof. Raises NumericalFailure
-    when the superoperator or the objective at the identity is not finite.
+    numerical evidence of nonexistence, not a proof. Raises PreconditionFailed
+    when `restarts` < 1 or `seed` < 0, and NumericalFailure when the evolution's
+    compressed pair form or the objective at the identity is not finite.
     """
     if restarts < 1:
         raise PreconditionFailed("restarts must be positive")
-    evolution = _evolution(objective_source)
-    d = evolution.dim
+    if seed < 0:  # default_rng takes no negative entropy
+        raise PreconditionFailed(f"seed must be nonnegative, got {seed}")
+    pairs = _evolution(objective_source)._pairs().compressed()
+    d = pairs.left.shape[-1]
     eye = np.eye(d)
-    # _pair_form rejects a superoperator whose entries overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        superop = evolution.superoperator()
-    pairs = _pair_form(superop)
     objective = _masked_objective(pairs, eye, 1 - eye)
     best_u = np.eye(d, dtype=complex)
     best_value = objective(best_u)[0]
@@ -741,17 +722,16 @@ def search_invariant_projections(
     lockstep as one stack. In u-coordinates the commutator is L's image of P
     outside P's two diagonal blocks. 0 and 1 are always included with
     residual 0. Returns (projection, residual) pairs whose residual falls
-    below the tolerance threshold, best first. Raises NumericalFailure when
-    the superoperator or the objective at the identity is not finite.
+    below the tolerance threshold against ‖L‖_F, best first. Raises
+    PreconditionFailed when `seed` < 0, and NumericalFailure when the pair
+    form or the objective at the identity is not finite.
     """
-    evolution = _evolution(gen)
-    d = evolution.dim
-    # _pair_form rejects a superoperator whose entries overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        superop = evolution.superoperator()
-    pairs = _pair_form(superop)
+    if seed < 0:
+        raise PreconditionFailed(f"seed must be nonnegative, got {seed}")
+    pairs = _evolution(gen)._pairs().compressed()
+    d = pairs.left.shape[-1]
     width = _stack_width(pairs)
-    cut = tol.threshold(max(1.0, frobenius(superop)))
+    cut = tol.threshold(max(1.0, frobenius(pairs.left)))
     results = [
         (np.zeros((d, d), dtype=complex), 0.0),
         (np.eye(d, dtype=complex), 0.0),

@@ -148,6 +148,20 @@ def test_search_masa(capsys, map_problem):
     assert report["invariant"]["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "command, problem",
+    [("search-masa", "map_problem"), ("find-masa", "hidden_pattern_problem")],
+)
+def test_negative_search_seed_exits_2(capsys, request, command, problem):
+    # find-masa searches on the 3-dimensional problem, where the M2 finder does not apply
+    path = request.getfixturevalue(problem)
+    argv = [command, "--input", path, "--seed", "-1", "--restarts", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_criterion_thm11(capsys, map_problem):
     code, report = run_cli(capsys, "criterion", "thm11", "--input", map_problem)
     assert code == 0

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from cpmasa import (
     DEFAULT_TOL,
+    GkslGenerator,
+    KrausMap,
     Tolerance,
     commutant_intersection,
     dag,
@@ -14,6 +18,7 @@ from cpmasa import (
     matrix_exp,
     nullspace,
     offdiag,
+    map_superoperator,
     unvec,
     vec,
 )
@@ -35,8 +40,9 @@ from cpmasa.linalg import (
     realify_conjugate_linear_system,
     require_matrix,
 )
+from cpmasa.masa import _Superoperator
 
-from _ensembles import complex_gaussian
+from _ensembles import complex_gaussian, mix_ops
 
 
 def test_tolerance_requires_positive_component():
@@ -88,6 +94,44 @@ def test_pair_form_kernel_matches_definitions():
     u = haar_unitary(rng, d)
     images = [dag(u) @ pairs.apply(np.outer(u[:, k], u[:, k].conj())) @ u for k in range(d)]
     assert np.linalg.norm(pairs.images(u) - np.array(images)) < 1e-12
+
+
+def _compression_sources(rng, d):
+    """(evolution, its superoperator, the pair count it compresses to) for each kind."""
+    ops = list(complex_gaussian(rng, (3, d, d)))
+    t = KrausMap(ops)
+    gen = GkslGenerator(t, complex_gaussian(rng, (d, d)))
+    # three operators and three Haar mixes of them span three dimensions
+    dependent = KrausMap(ops + mix_ops(rng, ops))
+    raw = _Superoperator(map_superoperator(t))
+    return {
+        "map": (t, 3),
+        "generator": (gen, 5),
+        "superoperator": (raw, 3),
+        "dependent": (dependent, 3),
+    }
+
+
+@pytest.mark.parametrize("d", [3, 6])
+@pytest.mark.parametrize("kind", ["map", "generator", "superoperator", "dependent"])
+def test_compressed_pairs_rebuild_the_superoperator(d, kind):
+    evolution, count = _compression_sources(np.random.default_rng([7, d]), d)[kind]
+    s = evolution.matrix if kind == "superoperator" else evolution.superoperator()
+    compressed = evolution._pairs().compressed()
+    assert compressed.left.shape == compressed.right.shape == (count, d, d)
+    rebuilt = sum(np.kron(b.T, a) for a, b in zip(*compressed))
+    assert frobenius(rebuilt - s) <= 1e-12 * frobenius(s)
+    assert abs(frobenius(compressed.left) - frobenius(s)) <= 1e-13 * frobenius(s)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_compressed_overflowing_pair_form_raises_without_warning(d):
+    # at d = 4 the stacks' column norms overflow inside the QR as well
+    pairs = KrausMap([1e308 * np.eye(d, dtype=complex)])._pairs()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure):
+            pairs.compressed()
 
 
 def test_offdiag_and_frobenius():

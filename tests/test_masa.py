@@ -43,13 +43,14 @@ from cpmasa.errors import (
     PatternExplosion,
     PreconditionFailed,
 )
+from cpmasa import linalg as linalg_module
 from cpmasa import masa as masa_module
 from cpmasa.masa import (
     _MAX_ITERS,
     _descend,
+    _evolution,
     _kraus_coefficient_solution,
     _masked_objective,
-    _pair_form,
     _stack_width,
 )
 
@@ -159,8 +160,9 @@ def test_search_masa_raw_superoperator_matches_kraus_map():
     t, _ = invariant_map_instance(rng, 3, 2)
     masa, residual = search_masa(t, restarts=3, seed=5)
     raw_masa, raw_residual = search_masa(map_superoperator(t), restarts=3, seed=5)
-    assert raw_residual == residual
-    assert np.array_equal(raw_masa.basis_unitary, masa.basis_unitary)
+    # each input compresses its own pairs, so the two searches agree to rounding, not bitwise
+    assert is_invariant(t, raw_masa).ok == is_invariant(t, masa).ok
+    assert abs(raw_residual - residual) <= 1e-12
 
 
 def test_find_masa_m2_on_raw_superoperator():
@@ -532,6 +534,39 @@ def test_search_masa_rejects_bad_restarts():
 @pytest.mark.parametrize(
     "call",
     [
+        lambda t: search_masa(t, restarts=2, seed=-1),
+        lambda t: search_invariant_projections(t, seed=-3),
+    ],
+    ids=["search_masa", "search_invariant_projections"],
+)
+def test_finders_reject_negative_seed(call):
+    with pytest.raises(PreconditionFailed):
+        call(KrausMap([np.eye(2, dtype=complex)]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda e: search_masa(e, restarts=2, seed=1),
+        lambda e: search_invariant_projections(e, seed=1),
+    ],
+    ids=["search_masa", "search_invariant_projections"],
+)
+@pytest.mark.parametrize("kind", ["map", "generator"])
+def test_finders_build_no_superoperator(monkeypatch, call, kind):
+    def refuse(self):
+        raise AssertionError("a finder built a d²×d² superoperator")
+
+    for cls in (linalg_module._PairForm, KrausMap, GkslGenerator):
+        monkeypatch.setattr(cls, "superoperator", refuse)
+    rng = np.random.default_rng(35)
+    make = random_unital_map if kind == "map" else random_markov_generator
+    call(make(rng, 3, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
         lambda: search_masa(KrausMap([1e308 * np.eye(2, dtype=complex)]), restarts=2),
         lambda: search_invariant_projections(
             GkslGenerator(KrausMap([1e200 * np.eye(2, dtype=complex)]), np.eye(2, dtype=complex)),
@@ -543,6 +578,15 @@ def test_search_masa_rejects_bad_restarts():
 def test_search_masa_non_finite_superoperator_raises(call):
     with pytest.raises(NumericalFailure):
         call()
+
+
+def _realigned_svd_pairs(s):
+    """The pairs of a superoperator by one SVD of its realignment: the reference compression."""
+    d = int(round(np.sqrt(s.shape[0])))
+    realigned = s.reshape(d, d, d, d).transpose(1, 3, 2, 0).reshape(d * d, d * d)
+    u, sigma, vh = np.linalg.svd(realigned)
+    keep = sigma > np.finfo(float).eps * d * d * sigma[0]
+    return (u[:, keep] * sigma[keep]).T.reshape(-1, d, d), vh[keep].reshape(-1, d, d)
 
 
 def _descent_sources(rng, d):
@@ -558,9 +602,10 @@ def test_descent_objective_gradient_and_pair_form(d, kind):
     rng = np.random.default_rng([30, d])
     source = _descent_sources(rng, d)[kind]
     s = source if kind == "superoperator" else source.superoperator()
-    pairs = _pair_form(s)
+    pairs = _evolution(source)._pairs().compressed()
     rebuilt = sum(np.kron(b.T, a) for a, b in zip(*pairs))
     assert frobenius(rebuilt - s) <= 1e-12 * frobenius(s)
+    assert len(pairs.left) == len(_realigned_svd_pairs(s)[0])
     block = np.arange(d) < 2
     # search_masa's off-diagonal mask on every E_kk; the projection search's
     # off-block mask on one rank-2 projection
@@ -608,7 +653,7 @@ def _scalar_descend(objective, u, max_iters):
 
 
 def _search_objective(source):
-    pairs = _pair_form(source if isinstance(source, np.ndarray) else source.superoperator())
+    pairs = _evolution(source)._pairs().compressed()
     eye = np.eye(pairs[0].shape[-1])
     return _masked_objective(pairs, eye, 1 - eye), pairs
 
@@ -663,7 +708,7 @@ def test_search_masa_chunks_match_one_stack(monkeypatch):
     gen = random_markov_generator(rng, 3, 2)
     whole = search_masa(gen, restarts=10, seed=5)
     assert whole[1] >= DEFAULT_TOL.atol / 10  # no early exit: every chunk runs
-    pairs = _pair_form(gen.superoperator())
+    pairs = _evolution(gen)._pairs().compressed()
     width = _stack_width(pairs)
     assert width >= 10
     monkeypatch.setattr(masa_module, "_STACK_ENTRIES", masa_module._STACK_ENTRIES * 4 // width)
@@ -679,7 +724,7 @@ def test_search_masa_draws_one_chunk_of_starts_at_a_time(monkeypatch):
     rng = np.random.default_rng(9)
     t, _ = invariant_map_instance(rng, 2, 2)
     short = search_masa(t, restarts=2, seed=7)
-    pairs = _pair_form(t.superoperator())
+    pairs = _evolution(t)._pairs().compressed()
     monkeypatch.setattr(
         masa_module, "_STACK_ENTRIES", masa_module._STACK_ENTRIES * 4 // _stack_width(pairs)
     )
