@@ -29,6 +29,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _checked_threshold,
     _hermiticity_preserving_exp,
     _PairForm,
     complex_from_realified,
@@ -274,7 +275,9 @@ class InfeasibilityCertificate:
     minimum-norm solution of that subsystem and `residual_vector` its defect
     on every row (consistent rows sit at ~0, the violated rows carry the
     contradiction). `row_labels[k]` names the matrix position and component
-    of row k as "(r,s).re" or "(r,s).im".
+    of row k as "(r,s).re" or "(r,s).im". A row costs one solve unless a
+    residual bound proves its trial fails; acceptances come only from solves,
+    so the answer is the per-row greedy's at about 4n solves, not 2d(d−1).
     """
 
     row_labels: tuple
@@ -351,22 +354,43 @@ def cp_part_diagonalizable(
 
 
 def _certificate(a_real, b_real, labels, tol: Tolerance) -> InfeasibilityCertificate:
-    """Sparsity-greedy maximal consistent subsystem with its forced solution."""
+    """Sparsity-greedy maximal consistent subsystem with its forced solution.
+
+    Row j, sparsest first, joins the accepted rows S when one least-squares
+    solve of S plus j meets its threshold. Once no trial holding S can keep a
+    singular value S lacks (lstsq cuts σ ≤ eps·max(shape)·σ_max), row j raises
+    the squared residual by e_j²/(1 + a_j G⁺ a_jᵀ), e_j the defect of S's
+    solution on row j, G = A_SᵀA_S (Björck 1996, §3.2). Rows where this bound,
+    taken once, clears every trial's threshold beyond rounding are skipped, as
+    S only grows; acceptances still come from solves: about 4n, not 2d(d−1).
+    """
+    eps, (m, n) = np.finfo(float).eps, a_real.shape
     scale = max(1.0, float(np.abs(a_real).max(initial=0.0)))
     nonzeros = (np.abs(a_real) > 1e-12 * scale).sum(axis=1)
-    order = np.lexsort((np.arange(len(a_real)), nonzeros))
+    whole = np.linalg.svd(a_real, compute_uv=False)
+    b_norm = float(np.linalg.norm(b_real))
+    skip = np.zeros(m, dtype=bool)
     accepted_rows: list[int] = []
-    x = np.zeros(a_real.shape[1])
-    for idx in order:
-        trial = accepted_rows + [int(idx)]
+    x = np.zeros(n)
+    for idx in np.lexsort((np.arange(m), nonzeros)).tolist():
+        if skip[idx]:
+            continue
+        trial = accepted_rows + [idx]
         solution, res = least_squares(a_real[trial], b_real[trial])
         if res <= tol.threshold(max(1.0, float(np.linalg.norm(b_real[trial])))):
             accepted_rows, x = trial, solution
-    accepted_mask = np.zeros(len(a_real), dtype=bool)
-    accepted_mask[accepted_rows] = True
+        if accepted_rows is not trial or skip.any():  # screen once, after an acceptance
+            continue
+        _, sv, vt = np.linalg.svd(a_real[trial], full_matrices=False)
+        rank = int(np.count_nonzero(sv > eps * max(len(trial), n) * sv[0]))
+        if rank and np.all(whole[rank : rank + 1] <= eps * max(len(trial) + 1, n) * sv[0]):
+            gain = ((a_real @ vt[:rank].T / sv[:rank]) ** 2).sum(axis=1)
+            bound = np.sqrt(res**2 + (a_real @ x - b_real) ** 2 / (1 + gain))
+            rounding = eps * m * whole[0] / sv[rank - 1] * (bound + 2 * b_norm)
+            skip = bound - rounding > tol.threshold(max(1.0, b_norm))
     return InfeasibilityCertificate(
         row_labels=tuple(labels),
-        accepted=tuple(bool(v) for v in accepted_mask),
+        accepted=tuple(np.isin(np.arange(m), accepted_rows).tolist()),
         forced_coefficients=complex_from_realified(x),
         residual_vector=a_real @ x - b_real,
     )
@@ -387,15 +411,15 @@ def hamiltonian_part_diagonalizable(
     if gen.dim != masa.dim:
         raise DimensionMismatch(f"generator dim {gen.dim} vs masa dim {masa.dim}")
     d = gen.dim
-    ops, b = gen._in_coordinates(masa)
     r, s = np.nonzero(~np.eye(d, dtype=bool))
-    # (M - M*)_{rs} = Σ_i c_i L_i[r,s] - conj(c_i) conj(L_i[s,r]) + 2B_rs - 2 conj(B_sr)
-    a_real, b_real = realify_conjugate_linear_system(
-        ops[:, r, s].T, -ops[:, s, r].conj().T, -(2 * b[r, s] - 2 * np.conj(b[s, r]))
-    )
-    labels = [f"({i},{j}).{part}" for i, j in zip(r, s) for part in ("re", "im")]
-    x, residual = least_squares(a_real, b_real)
-    threshold = tol.threshold(max(1.0, float(np.linalg.norm(b_real))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ops, b = gen._in_coordinates(masa)
+        # (M - M*)_{rs} = Σ_i c_i L_i[r,s] - conj(c_i) conj(L_i[s,r]) + 2B_rs - 2 conj(B_sr)
+        a_real, b_real = realify_conjugate_linear_system(
+            ops[:, r, s].T, -ops[:, s, r].conj().T, -(2 * b[r, s] - 2 * np.conj(b[s, r]))
+        )
+        x, residual = least_squares(a_real, b_real)
+        threshold = _checked_threshold(residual, np.linalg.norm(b_real), tol, "split system is")
     if residual <= threshold:
         return SplitVerdict(
             feasible=True,
@@ -403,6 +427,7 @@ def hamiltonian_part_diagonalizable(
             residual=residual,
             threshold=threshold,
         )
+    labels = [f"({i},{j}).{part}" for i, j in zip(r.tolist(), s.tolist()) for part in ("re", "im")]
     return SplitVerdict(
         feasible=False,
         eta=None,

@@ -290,7 +290,7 @@ def realify_conjugate_linear_system(p, q, rhs) -> tuple[np.ndarray, np.ndarray]:
     if p.shape != q.shape or p.ndim != 2:
         raise DimensionMismatch(f"incompatible coefficient shapes {p.shape} and {q.shape}")
     # z = x + iy: coefficient of x is p + q, coefficient of y is i(p - q)
-    return _realify(np.stack([p + q, 1j * (p - q)], axis=2).reshape(len(p), -1), rhs)
+    return _realify(np.stack([p + q, 1j * (p - q)], axis=2).reshape(len(p), 2 * p.shape[1]), rhs)
 
 
 def complex_from_realified(x: np.ndarray) -> np.ndarray:

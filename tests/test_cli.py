@@ -223,6 +223,16 @@ def test_split_infeasible_certificate(capsys, tmp_path):
     assert len(cert["violations"]) == 2
 
 
+def test_split_hamiltonian_at_dimension_one(capsys, tmp_path):
+    gen_file = write_json(
+        tmp_path / "one.json", {"kind": "generator", "kraus": [[[[2, 0]]]], "beta": [[[-2, 0]]]}
+    )
+    code, report = run_cli(capsys, "split", "hamiltonian", "--input", gen_file)
+    assert code == 0
+    assert report["result"]["feasible"] is True
+    assert report["result"]["eta"] == [[0.0, 0.0]]
+
+
 def test_equiv_same_presentation(capsys, generator_problem):
     code, report = run_cli(
         capsys, "equiv", "--input", generator_problem, "--other", generator_problem

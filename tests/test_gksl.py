@@ -9,9 +9,11 @@ from cpmasa import (
     Inequivalent,
     KrausMap,
     Masa,
+    Tolerance,
     TransformWitness,
     apply_cp,
     apply_generator,
+    build_example,
     cp_part_diagonalizable,
     dag,
     frobenius,
@@ -19,13 +21,16 @@ from cpmasa import (
     generator_superoperator,
     gksl_equivalent,
     hamiltonian_part_diagonalizable,
+    haar_unitary,
     is_invariant,
+    least_squares,
     markov_form,
     matrix_exp,
     offdiag,
     semigroup_at,
     vec,
 )
+from cpmasa import gksl
 from cpmasa.errors import (
     DimensionMismatch,
     NotInvariant,
@@ -35,12 +40,14 @@ from cpmasa.errors import (
     NumericalFailure,
     PreconditionFailed,
 )
+from cpmasa.linalg import realify_conjugate_linear_system
 
 from _ensembles import (
     complex_gaussian,
     generic_generator_instance,
     invariant_generator_instance,
     minimal_presentation,
+    pattern_ops,
     random_markov_generator,
     transformed_presentation,
 )
@@ -306,6 +313,167 @@ def test_hamiltonian_split_rejects_masa_of_other_dimension():
     gen = random_markov_generator(np.random.default_rng(3), 3, 2)
     with pytest.raises(DimensionMismatch):
         hamiltonian_part_diagonalizable(gen, Masa.diagonal(2))
+
+
+def test_hamiltonian_split_at_dimension_one():
+    # a 1x1 generator has no off-diagonal equation, so any coefficients do
+    gen = GkslGenerator(KrausMap([2 * np.eye(1, dtype=complex)]), -2 * np.eye(1, dtype=complex))
+    verdict = hamiltonian_part_diagonalizable(gen, Masa.diagonal(1))
+    assert verdict.feasible
+    assert np.array_equal(verdict.eta, np.zeros(1))
+    assert verdict.residual == 0.0
+    assert verdict.threshold == DEFAULT_TOL.threshold(1.0)
+
+
+def test_hamiltonian_split_non_finite_raises():
+    big = 1e200 * np.array([[1, 2], [3, 4]], dtype=complex)
+    gen = GkslGenerator(KrausMap([big]), 1e200 * np.array([[1, 2], [5, 1]], dtype=complex))
+    for masa in (Masa.diagonal(2), Masa(haar_unitary(np.random.default_rng(8), 2))):
+        with pytest.raises(NumericalFailure):
+            hamiltonian_part_diagonalizable(gen, masa)
+
+
+def _split_system(gen, masa):
+    """The realified Hamiltonian-split system, assembled as the library does."""
+    ops, b = gen._in_coordinates(masa)
+    r, s = np.nonzero(~np.eye(gen.dim, dtype=bool))
+    return realify_conjugate_linear_system(
+        ops[:, r, s].T, -ops[:, s, r].conj().T, -(2 * b[r, s] - 2 * np.conj(b[s, r]))
+    )
+
+
+def _per_row_certificate(a_real, b_real, tol):
+    """The sparsity greedy with one least-squares solve per row: (accepted, solution)."""
+    scale = max(1.0, float(np.abs(a_real).max(initial=0.0)))
+    nonzeros = (np.abs(a_real) > 1e-12 * scale).sum(axis=1)
+    order = np.lexsort((np.arange(len(a_real)), nonzeros))
+    accepted_rows = []
+    x = np.zeros(a_real.shape[1])
+    for idx in order:
+        trial = accepted_rows + [int(idx)]
+        solution, res = least_squares(a_real[trial], b_real[trial])
+        if res <= tol.threshold(max(1.0, float(np.linalg.norm(b_real[trial])))):
+            accepted_rows, x = trial, solution
+    accepted = np.zeros(len(a_real), dtype=bool)
+    accepted[accepted_rows] = True
+    return tuple(bool(v) for v in accepted), x
+
+
+def _split_cases():
+    """Seeded (family, generator, masa) at d 2–9 with n 1–4 jumps in four families.
+
+    "generic": Gaussian jumps and drift under a Haar masa; "sparse": sparse
+    patterns on the diagonal masa; "dependent": generic jumps with the first
+    one repeated twice over, so that the system's columns are dependent;
+    "near": a drift 1e-7 away from splittable on the diagonal masa, so that
+    rows sit near the threshold.
+    """
+    for seed in range(64):
+        rng = np.random.default_rng([1300, seed])
+        d, n = 2 + (seed // 4) % 8, 1 + seed % 4
+        family = ("generic", "sparse", "dependent", "near")[seed % 4]
+        if family == "sparse":
+            beta = pattern_ops(rng, d, 1)[0] + np.diag(complex_gaussian(rng, d))
+            yield family, GkslGenerator(KrausMap(pattern_ops(rng, d, n)), beta), Masa.diagonal(d)
+            continue
+        ops = [complex_gaussian(rng, (d, d)) for _ in range(n)]
+        if family == "near":
+            drift = -sum(c * op for c, op in zip(complex_gaussian(rng, n), ops)) / 2
+            drift += np.diag(complex_gaussian(rng, d)) + 1e-7 * complex_gaussian(rng, (d, d))
+            yield family, GkslGenerator(KrausMap(ops), drift), Masa.diagonal(d)
+            continue
+        if family == "dependent":
+            ops.append(2 * ops[0])
+        beta = complex_gaussian(rng, (d, d))
+        yield family, GkslGenerator(KrausMap(ops), beta), Masa(haar_unitary(rng, d))
+
+
+def test_certificate_matches_per_row_reference():
+    infeasible = 0
+    for k, (_, gen, masa) in enumerate(_split_cases()):
+        a_real, b_real = _split_system(gen, masa)
+        for tol in (DEFAULT_TOL, Tolerance(1e-7, 1e-7)):
+            accepted, x = _per_row_certificate(a_real, b_real, tol)
+            verdict = hamiltonian_part_diagonalizable(gen, masa, tol)
+            if verdict:
+                cert = gksl._certificate(a_real, b_real, [""] * len(a_real), tol)
+            else:
+                infeasible += 1
+                cert = verdict.infeasibility_certificate
+            assert cert.accepted == accepted, k
+            assert cert.forced_coefficients.tobytes() == (x[0::2] + 1j * x[1::2]).tobytes(), k
+            assert cert.residual_vector.tobytes() == (a_real @ x - b_real).tobytes(), k
+    assert infeasible >= 80
+
+
+def test_certificate_is_maximal():
+    # no rejected row can join the accepted ones, whatever order found them;
+    # "near" is left out: each trial's threshold grows with its rows, so a
+    # row rejected early can pass against the final rows there
+    for k, (family, gen, masa) in enumerate(_split_cases()):
+        verdict = hamiltonian_part_diagonalizable(gen, masa)
+        if verdict or family == "near":
+            continue
+        a_real, b_real = _split_system(gen, masa)
+        taken = np.array(verdict.infeasibility_certificate.accepted)
+        rows = list(np.flatnonzero(taken))
+        for j in [None, *np.flatnonzero(~taken)]:
+            trial = rows if j is None else rows + [j]
+            _, res = least_squares(a_real[trial], b_real[trial])
+            threshold = DEFAULT_TOL.threshold(max(1.0, float(np.linalg.norm(b_real[trial]))))
+            assert (res <= threshold) == (j is None), (k, j)
+
+
+def test_certificate_solve_count(monkeypatch):
+    # the residual screen leaves about two solves per real unknown
+    gen, masa = generic_generator_instance(np.random.default_rng(1316), 16, 3)
+    calls = []
+
+    def counting(a, b, *args, **kwargs):
+        calls.append(len(a))
+        return least_squares(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(gksl, "least_squares", counting)
+    assert not hamiltonian_part_diagonalizable(gen, masa)
+    assert len(calls) <= 4 * (2 * 3) + 2
+
+
+def test_ex3_2_certificate_exact_replay():
+    # ex3_2's jumps and 2B are integers on the diagonal masa: replay the
+    # greedy over the rationals, a row joining when it keeps the rank of the
+    # augmented system
+    sympy = pytest.importorskip("sympy")
+    gen = build_example("ex3_2").payload
+    d = gen.dim
+
+    def exact(z):
+        return sympy.Rational(z.real) + sympy.I * sympy.Rational(z.imag)
+
+    ops = [[[exact(v) for v in row] for row in op] for op in gen.kraus.operators]
+    two_b = [[exact(2 * v) for v in row] for row in gen.beta]
+    rows, rhs = [], []
+    for r, s in zip(*np.nonzero(~np.eye(d, dtype=bool))):
+        # c = x + iy: the coefficient of x is p + q, that of y is i(p - q)
+        coeffs = []
+        for op in ops:
+            p, q = op[r][s], -sympy.conjugate(op[s][r])
+            coeffs += [p + q, sympy.I * (p - q)]
+        target = -(two_b[r][s] - sympy.conjugate(two_b[s][r]))
+        for part in (sympy.re, sympy.im):
+            rows.append([part(c) for c in coeffs])
+            rhs.append(part(target))
+    a, b = sympy.Matrix(rows), sympy.Matrix(rhs)
+    columns = list(range(a.cols))
+    accepted = []
+    for k in sorted(range(len(rows)), key=lambda k: (sum(v != 0 for v in rows[k]), k)):
+        sub = a.extract(accepted + [k], columns)
+        if sub.rank() == sub.row_join(b.extract(accepted + [k], [0])).rank():
+            accepted.append(k)
+    x = a.extract(accepted, columns).pinv() * b.extract(accepted, [0])
+    assert [x[2 * i] + sympy.I * x[2 * i + 1] for i in range(len(ops))] == [10, 2]
+    assert max(abs(v) for v in a * x - b) == 14
+    cert = hamiltonian_part_diagonalizable(gen, Masa.diagonal(d)).infeasibility_certificate
+    assert cert.accepted == tuple(k in accepted for k in range(len(rows)))
 
 
 def _semigroup_generator(seed):
