@@ -271,13 +271,14 @@ class InfeasibilityCertificate:
     """Explanation of an infeasible linear split.
 
     The realified system rows are ranked by sparsity and greedily assembled
-    into a maximal consistent subsystem; `forced_coefficients` is the
-    minimum-norm solution of that subsystem and `residual_vector` its defect
-    on every row (consistent rows sit at ~0, the violated rows carry the
-    contradiction). `row_labels[k]` names the matrix position and component
-    of row k as "(r,s).re" or "(r,s).im". A row costs one solve unless a
-    residual bound proves its trial fails; acceptances come only from solves,
-    so the answer is the per-row greedy's at about 4n solves, not 2d(d−1).
+    into a maximal consistent subsystem at the whole system's threshold;
+    `forced_coefficients` is the minimum-norm solution of that subsystem and
+    `residual_vector` its defect on every row (consistent rows sit at ~0, the
+    violated rows carry the contradiction). `row_labels[k]` names the matrix
+    position and component of row k as "(r,s).re" or "(r,s).im". A row costs
+    one solve unless a residual bound proves its trial fails; acceptances come
+    only from solves, so the answer is the per-row greedy's at about 4n
+    solves, not 2d(d−1).
     """
 
     row_labels: tuple
@@ -357,18 +358,20 @@ def _certificate(a_real, b_real, labels, tol: Tolerance) -> InfeasibilityCertifi
     """Sparsity-greedy maximal consistent subsystem with its forced solution.
 
     Row j, sparsest first, joins the accepted rows S when one least-squares
-    solve of S plus j meets its threshold. Once no trial holding S can keep a
-    singular value S lacks (lstsq cuts σ ≤ eps·max(shape)·σ_max), row j raises
-    the squared residual by e_j²/(1 + a_j G⁺ a_jᵀ), e_j the defect of S's
+    solve of S plus j meets the verdict's threshold; residuals never fall as
+    rows join, so S is maximal. Once no trial holding S can keep a singular
+    value S lacks (lstsq cuts σ ≤ eps·max(shape)·σ_max), row j raises the
+    squared residual by e_j²/(1 + a_j G⁺ a_jᵀ), e_j the defect of S's
     solution on row j, G = A_SᵀA_S (Björck 1996, §3.2). Rows where this bound,
-    taken once, clears every trial's threshold beyond rounding are skipped, as
-    S only grows; acceptances still come from solves: about 4n, not 2d(d−1).
+    taken once, clears the threshold beyond rounding are skipped, as S only
+    grows; acceptances still come from solves: about 4n, not 2d(d−1).
     """
     eps, (m, n) = np.finfo(float).eps, a_real.shape
     scale = max(1.0, float(np.abs(a_real).max(initial=0.0)))
     nonzeros = (np.abs(a_real) > 1e-12 * scale).sum(axis=1)
     whole = np.linalg.svd(a_real, compute_uv=False)
     b_norm = float(np.linalg.norm(b_real))
+    threshold = tol.threshold(max(1.0, b_norm))
     skip = np.zeros(m, dtype=bool)
     accepted_rows: list[int] = []
     x = np.zeros(n)
@@ -377,7 +380,7 @@ def _certificate(a_real, b_real, labels, tol: Tolerance) -> InfeasibilityCertifi
             continue
         trial = accepted_rows + [idx]
         solution, res = least_squares(a_real[trial], b_real[trial])
-        if res <= tol.threshold(max(1.0, float(np.linalg.norm(b_real[trial])))):
+        if res <= threshold:
             accepted_rows, x = trial, solution
         if accepted_rows is not trial or skip.any():  # screen once, after an acceptance
             continue
@@ -387,7 +390,7 @@ def _certificate(a_real, b_real, labels, tol: Tolerance) -> InfeasibilityCertifi
             gain = ((a_real @ vt[:rank].T / sv[:rank]) ** 2).sum(axis=1)
             bound = np.sqrt(res**2 + (a_real @ x - b_real) ** 2 / (1 + gain))
             rounding = eps * m * whole[0] / sv[rank - 1] * (bound + 2 * b_norm)
-            skip = bound - rounding > tol.threshold(max(1.0, b_norm))
+            skip = bound - rounding > threshold
     return InfeasibilityCertificate(
         row_labels=tuple(labels),
         accepted=tuple(np.isin(np.arange(m), accepted_rows).tolist()),

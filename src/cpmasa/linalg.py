@@ -184,16 +184,16 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     return w, _phase_normalize_columns(v)
 
 
-def least_squares(a, b, rcond: float | None = None) -> tuple[np.ndarray, float | np.ndarray]:
+def least_squares(a, b) -> tuple[np.ndarray, float | np.ndarray]:
     """Minimum-norm least-squares solution of ``a x = b``, real or complex.
 
     `b` is a vector or a matrix whose columns are separate right-hand sides.
     Returns the minimizer x of ``‖a x − b‖₂`` of smallest Euclidean norm, in
     the common dtype of `a` and `b` (real systems stay real), with the
     achieved residual: a float for a vector `b`, one per column for a matrix.
-    Singular values below ``rcond·σ_max(a)`` count as zero; the default is
-    numpy's ``eps·max(a.shape)``. Raises NumericalFailure when the solver
-    fails on non-finite entries.
+    Singular values below numpy's default cut, ``eps·max(a.shape)·σ_max(a)``,
+    count as zero; there is no other cut to choose. Raises NumericalFailure
+    when the solver fails on non-finite entries.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -206,7 +206,7 @@ def least_squares(a, b, rcond: float | None = None) -> tuple[np.ndarray, float |
         x = np.zeros((0,) + b.shape[1:], dtype=dtype)
     else:
         try:
-            x, _, _, _ = np.linalg.lstsq(a, b, rcond=rcond)
+            x, _, _, _ = np.linalg.lstsq(a, b)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"least squares failed: {exc}") from exc
     # residues from lstsq are unreliable for rank-deficient systems
@@ -218,28 +218,31 @@ real_linear_least_squares = least_squares
 complex_least_squares = least_squares
 
 
-def _disjoint_least_squares(systems) -> list:
-    """Solve same-shaped blocks (a, b) that share no unknowns and no equations.
+def _disjoint_least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm solutions of the real blocks ``a[i] x[i] = b[i]``, which share nothing.
 
-    Each block gets its own `least_squares` call, but singular values are cut
-    as one solve of the block-diagonal whole would cut them: below numpy's
-    ``eps·max(shape)·σ_max`` of the whole, not of the block. A block that
+    `a` is a (k, m, n) stack and `b` a (k, m, c) stack of right-hand sides.
+    One batched SVD solves every block, and singular values are cut as one
+    solve of the block-diagonal whole would cut them: at or below
+    ``eps·k·max(m, n)·σ_max`` of the whole, not of the block. A block that
     vanishes up to rounding then gets zero unknowns instead of ones fitted to
-    its rounding noise. Returns one (x, residual) pair per block.
+    its rounding noise. Returns x (k, n, c) and the residuals ‖a x − b‖ of
+    each block's columns (k, c). Raises NumericalFailure if `a` is not finite.
     """
-    if not all(np.all(np.isfinite(a)) for a, _ in systems):
+    if not np.all(np.isfinite(a)):
         raise NumericalFailure("system matrix is not finite")
-    norms = [np.linalg.norm(a, 2) for a, _ in systems]
-    rows, cols = systems[0][0].shape
-    cut = np.finfo(float).eps * len(systems) * max(rows, cols) * max(norms)
-    solutions = []
-    for (a, b), norm in zip(systems, norms):
-        if norm > cut:
-            solutions.append(least_squares(a, b, rcond=cut / norm))
-        else:  # the whole block is cut; LAPACK would read rcond >= 1 as eps
-            x = np.zeros((cols,) + b.shape[1:], dtype=np.result_type(a, b))
-            solutions.append((x, np.linalg.norm(b, axis=0)))
-    return solutions
+    k, m, n = a.shape
+    try:
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+        raise NumericalFailure(f"least squares failed: {exc}") from exc
+    keep = s > np.finfo(float).eps * k * max(m, n) * s.max(initial=0.0)
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    x = vh.swapaxes(1, 2) @ (inverse[..., None] * (u.swapaxes(1, 2) @ b))
+    fit = a @ x
+    fit -= b
+    # the column norms without a squared copy of the fit
+    return x, np.sqrt(np.einsum("kmc,kmc->kc", fit, fit))
 
 
 def expand_over(basis, ops, tol: Tolerance) -> np.ndarray:
@@ -261,20 +264,16 @@ def expand_over(basis, ops, tol: Tolerance) -> np.ndarray:
     return x.T
 
 
-def _realify(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Real form of the complex equations ``a x = b`` in real unknowns x.
+def _realify(z) -> np.ndarray:
+    """Real form of complex equations: row k becomes rows 2k (real part) and 2k + 1 (imaginary).
 
-    Complex row k becomes real rows 2k (real part) and 2k + 1 (imaginary
-    part). `b` is a vector or a matrix whose columns are separate right-hand
-    sides.
+    `z` is a vector, a matrix or a stack of matrices, its rows along the
+    second-to-last axis (a vector's only axis).
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"incompatible system shapes {a.shape} and {b.shape}")
-    return tuple(
-        np.stack([z.real, z.imag], axis=1).reshape((2 * len(z),) + z.shape[1:]) for z in (a, b)
-    )
+    z = np.asarray(z, dtype=complex)
+    axis = max(z.ndim - 2, 0)
+    parts = np.stack([z.real, z.imag], axis=axis + 1)
+    return parts.reshape(z.shape[:axis] + (-1,) + z.shape[axis + 1 :])
 
 
 def realify_conjugate_linear_system(p, q, rhs) -> tuple[np.ndarray, np.ndarray]:
@@ -287,10 +286,11 @@ def realify_conjugate_linear_system(p, q, rhs) -> tuple[np.ndarray, np.ndarray]:
     """
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
-    if p.shape != q.shape or p.ndim != 2:
-        raise DimensionMismatch(f"incompatible coefficient shapes {p.shape} and {q.shape}")
+    if p.shape != q.shape or p.ndim != 2 or np.ndim(rhs) not in (1, 2) or len(rhs) != len(p):
+        raise DimensionMismatch(f"incompatible shapes {p.shape}, {q.shape} and {np.shape(rhs)}")
     # z = x + iy: coefficient of x is p + q, coefficient of y is i(p - q)
-    return _realify(np.stack([p + q, 1j * (p - q)], axis=2).reshape(len(p), 2 * p.shape[1]), rhs)
+    a = np.stack([p + q, 1j * (p - q)], axis=2).reshape(len(p), 2 * p.shape[1])
+    return _realify(a), _realify(rhs)
 
 
 def complex_from_realified(x: np.ndarray) -> np.ndarray:

@@ -242,33 +242,29 @@ def _kraus_coefficient_solution(ops: np.ndarray):
     (so w_ii real), satisfying entrywise
     Σ_j w_ij[r]·L_j[r,s] = (E_kk L_i - L_i E_kk)[r,s]. The unknowns of row r
     enter only the equations of row r: there they form a Hermitian n×n
-    matrix W with W R = C_k, where R[j, s] = L_j[r, s] and
+    matrix W with W R_r = C_k, where R_r[j, s] = L_j[r, s] and
     C_k[i, s] = δ_rk L_i[k, s] - δ_sk L_i[r, k]. Over a real basis H_m of the
-    Hermitian matrices, W = Σ_m x_m H_m and the system matrix is H R, so the
-    symmetry is built into the unknowns rather than checked afterwards. R does
-    not depend on k, so one least-squares solve per row takes all d
-    right-hand sides at once, and the minimum-norm solutions of these
-    disjoint blocks together are that of the whole system, with singular
-    values cut as for the whole.
+    Hermitian matrices, W = Σ_m x_m H_m and the system matrix is H R_r, so the
+    symmetry is built into the unknowns rather than checked afterwards. R_r
+    does not depend on k, so row r is one system with the d right-hand sides
+    C_k as columns; the d row systems share nothing and are solved as one
+    stack, with singular values cut as for the whole system.
     Returns (c_blocks, total_residual, rhs_norm).
     """
     n, d, _ = ops.shape
     basis = _hermitian_basis(n)
-    systems = []
-    for r in range(d):
-        rows = ops[:, r, :]
-        # column k holds C_k
-        rhs = -rows[:, :, None] * np.eye(d)
-        rhs[:, :, r] += rows
-        systems.append(_realify((basis @ rows).reshape(n * n, n * d).T, rhs.reshape(n * d, d)))
-    c_blocks = np.zeros((d, n, n, d), dtype=complex)
-    residual_sq = 0.0
-    rhs_sq = 0.0
-    for r, ((_, b), (x, res)) in enumerate(zip(systems, _disjoint_least_squares(systems))):
-        residual_sq += float((res**2).sum())
-        rhs_sq += float(np.linalg.norm(b)) ** 2
-        c_blocks[..., r] = np.tensordot(x, basis, axes=(0, 0))
-    return c_blocks, float(np.sqrt(residual_sq)), float(np.sqrt(rhs_sq))
+    # products[m, i, r, s] = (H_m R_r)[i, s]
+    products = (basis.reshape(-1, n) @ ops.reshape(n, d * d)).reshape(n * n, n, d, d)
+    a = _realify(products.transpose(2, 1, 3, 0).reshape(d, n * d, n * n))
+    # the C_k in real form: rhs[r, i, s, part, k], part 0 the real and 1 the imaginary part
+    parts = np.stack([ops.real, ops.imag], axis=-1).swapaxes(0, 1)
+    rhs = np.zeros((d, n, d, 2, d))
+    idx = np.arange(d)
+    rhs[:, :, idx, :, idx] = -parts.transpose(2, 0, 1, 3)
+    rhs[idx, :, :, :, idx] += parts
+    x, residuals = _disjoint_least_squares(a, rhs.reshape(d, 2 * n * d, d))
+    c_blocks = np.tensordot(x, basis, axes=(1, 0)).transpose(1, 2, 3, 0)
+    return c_blocks, float(np.linalg.norm(residuals)), float(np.linalg.norm(rhs))
 
 
 def solve_kraus_coefficients(t, masa: Masa, tol: Tolerance = DEFAULT_TOL):

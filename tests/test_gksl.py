@@ -343,7 +343,11 @@ def _split_system(gen, masa):
 
 
 def _per_row_certificate(a_real, b_real, tol):
-    """The sparsity greedy with one least-squares solve per row: (accepted, solution)."""
+    """The sparsity greedy with one least-squares solve per row: (accepted, solution).
+
+    Every trial is judged against the whole system's threshold.
+    """
+    threshold = tol.threshold(max(1.0, float(np.linalg.norm(b_real))))
     scale = max(1.0, float(np.abs(a_real).max(initial=0.0)))
     nonzeros = (np.abs(a_real) > 1e-12 * scale).sum(axis=1)
     order = np.lexsort((np.arange(len(a_real)), nonzeros))
@@ -352,7 +356,7 @@ def _per_row_certificate(a_real, b_real, tol):
     for idx in order:
         trial = accepted_rows + [int(idx)]
         solution, res = least_squares(a_real[trial], b_real[trial])
-        if res <= tol.threshold(max(1.0, float(np.linalg.norm(b_real[trial])))):
+        if res <= threshold:
             accepted_rows, x = trial, solution
     accepted = np.zeros(len(a_real), dtype=bool)
     accepted[accepted_rows] = True
@@ -407,21 +411,23 @@ def test_certificate_matches_per_row_reference():
 
 
 def test_certificate_is_maximal():
-    # no rejected row can join the accepted ones, whatever order found them;
-    # "near" is left out: each trial's threshold grows with its rows, so a
-    # row rejected early can pass against the final rows there
+    # no rejected row can join the accepted ones, whatever order found them,
+    # against the one threshold of the whole system, in all four families
+    families = set()
     for k, (family, gen, masa) in enumerate(_split_cases()):
         verdict = hamiltonian_part_diagonalizable(gen, masa)
-        if verdict or family == "near":
+        if verdict:
             continue
+        families.add(family)
         a_real, b_real = _split_system(gen, masa)
+        threshold = DEFAULT_TOL.threshold(max(1.0, float(np.linalg.norm(b_real))))
         taken = np.array(verdict.infeasibility_certificate.accepted)
         rows = list(np.flatnonzero(taken))
         for j in [None, *np.flatnonzero(~taken)]:
             trial = rows if j is None else rows + [j]
             _, res = least_squares(a_real[trial], b_real[trial])
-            threshold = DEFAULT_TOL.threshold(max(1.0, float(np.linalg.norm(b_real[trial]))))
             assert (res <= threshold) == (j is None), (k, j)
+    assert families == {"generic", "sparse", "dependent", "near"}
 
 
 def test_certificate_solve_count(monkeypatch):

@@ -4,9 +4,10 @@ gksl.py reuses masa.is_invariant; that needs masa.py to import neither
 cpmaps nor gksl, which would otherwise make the graph cyclic. Both masa
 finders share one descent on the unitary group, so no module imports
 scipy.optimize. Maps and generators share one pair-form kernel in linalg.py,
-so no other module builds a superoperator from Kronecker products. No
-module imports a name it never uses. Every function the benchmark's tracer
-wraps exists on the module it names.
+so no other module builds a superoperator from Kronecker products, and
+least squares has its one entry point there, so no other module calls
+numpy's solver. No module imports a name it never uses. Every function the
+benchmark's tracer wraps exists on the module it names.
 """
 
 import ast
@@ -88,18 +89,25 @@ def test_no_module_imports_scipy_optimize():
     assert not [path.name for path in paths if _imports_scipy_optimize(path)]
 
 
-def _calls_kron(path: Path) -> bool:
+def _calls(path: Path, name: str) -> bool:
+    """Whether the module reads attribute `name` of anything, or imports it."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Attribute) and node.attr == "kron":
+        if isinstance(node, ast.Attribute) and node.attr == name:
             return True
-        if isinstance(node, ast.ImportFrom) and any(alias.name == "kron" for alias in node.names):
+        if isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names):
             return True
     return False
 
 
 def test_only_linalg_calls_kron():
     paths = sorted(PACKAGE.glob("*.py"))
-    assert [path.name for path in paths if _calls_kron(path)] == ["linalg.py"]
+    assert [path.name for path in paths if _calls(path, "kron")] == ["linalg.py"]
+
+
+def test_only_linalg_calls_lstsq():
+    # every least-squares solve goes through linalg's one entry point
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [path.name for path in paths if _calls(path, "lstsq")] == ["linalg.py"]
 
 
 def _unused_imports(path: Path) -> list:

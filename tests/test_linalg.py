@@ -267,13 +267,6 @@ def test_least_squares_matrix_rhs_matches_column_solves():
     assert x_real.dtype == np.float64
 
 
-def test_least_squares_rcond_cuts_small_singular_values():
-    a = np.diag([1.0, 1e-6])
-    x, res = least_squares(a, np.array([1.0, 1.0]), rcond=1e-3)
-    assert np.allclose(x, [1.0, 0.0])
-    assert res == pytest.approx(1.0)
-
-
 def test_least_squares_non_finite_system_raises():
     with pytest.raises(NumericalFailure):
         least_squares(np.array([[np.inf, 1.0], [0.0, 1.0]]), np.array([1.0, 2.0]))
@@ -287,15 +280,22 @@ def test_disjoint_least_squares_cuts_against_the_whole():
     mixed = np.vstack([np.diag([1e-3, 1e-17, 1e-17]), np.zeros((1, 3))])
     tiny = 1e-17 * rng.standard_normal((4, 3))
     b = rng.standard_normal((4, 2))
-    blocks = [(big, b), (mixed, b), (tiny, b)]
-    solutions = _disjoint_least_squares(blocks)
+    x, residuals = _disjoint_least_squares(np.stack([big, mixed, tiny]), np.stack([b] * 3))
+    assert x.shape == (3, 3, 2) and residuals.shape == (3, 2)
     x_whole, r_whole = least_squares(scipy.linalg.block_diag(big, mixed, tiny), np.vstack([b] * 3))
-    assert np.allclose(np.vstack([x for x, _ in solutions]), x_whole, atol=1e-12)
-    assert np.array_equal(solutions[2][0], np.zeros((3, 2)))
-    assert np.allclose(solutions[2][1], np.linalg.norm(b, axis=0))
+    assert np.allclose(x.reshape(9, 2), x_whole, atol=1e-12)
+    assert np.allclose(np.linalg.norm(residuals, axis=0), r_whole, atol=1e-12)
+    assert np.array_equal(x[2], np.zeros((3, 2)))
+    assert np.allclose(residuals[2], np.linalg.norm(b, axis=0))
     # on their own the rounding-level directions are solved, not cut
     assert np.abs(least_squares(mixed, b)[0]).max() > 1e10
     assert np.abs(least_squares(tiny, b)[0]).max() > 1.0
+
+
+def test_disjoint_least_squares_non_finite_system_raises():
+    a = np.stack([np.eye(2), np.array([[np.inf, 1.0], [0.0, 1.0]])])
+    with pytest.raises(NumericalFailure):
+        _disjoint_least_squares(a, np.ones((2, 2, 1)))
 
 
 def test_expand_over_coordinates_and_span_check():

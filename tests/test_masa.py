@@ -279,7 +279,7 @@ def _dense_kraus_reference(ops):
 
 
 def test_kraus_coefficients_match_dense_reference():
-    # the per-row solves against one dense system per k: generic, invariant
+    # the stacked row solves against one dense system per k: generic, invariant
     # (rows that vanish up to rounding) and linearly dependent families
     for seed in range(12):
         rng = np.random.default_rng([450, seed])
@@ -298,6 +298,27 @@ def test_kraus_coefficients_match_dense_reference():
         assert abs(residual - residual_ref) <= bound
         assert abs(rhs_norm - rhs_ref) <= bound
         assert np.abs(c - c_ref).max() <= bound
+
+
+def test_kraus_criterion_is_one_batched_solve(monkeypatch):
+    # the d row systems go to one stacked SVD, not to one least-squares call per row
+    t, masa = invariant_map_instance(np.random.default_rng(451), 6, 3)
+    calls = {"least_squares": 0, "svd": 0}
+    least_squares, svd = linalg_module.least_squares, np.linalg.svd
+
+    def counting_least_squares(*args, **kwargs):
+        calls["least_squares"] += 1
+        return least_squares(*args, **kwargs)
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_module, "least_squares", counting_least_squares)
+    monkeypatch.setattr(masa_module, "least_squares", counting_least_squares)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert not isinstance(solve_kraus_coefficients(t, masa), Infeasible)
+    assert calls == {"least_squares": 0, "svd": 1}
 
 
 def test_kraus_coefficients_infeasible_reports_residual():
