@@ -519,16 +519,20 @@ _STACK_ENTRIES = 2**19
 def _stack_width(pairs) -> int:
     """Starts per lockstep chunk within _STACK_ENTRIES.
 
-    The objective's temporaries peak below d²·(2d + 10·pairs) complex
-    entries per start: two d×d×d stacks (the masked images and K) and about
-    ten of d×d per pair.
+    Each start is charged d²·(2d + 10·pairs) complex entries. A descent tick
+    peaks at about d²·(d + 8·pairs + 7) per start: one d×d×d stack (the
+    masked images, which are K itself for search_masa's inputs, or K alone
+    for a one-row input), eight d×d per pair (the rotated pairs, their
+    conjugates, G, H and two reordered copies) and about seven d×d of the
+    descent's own. The charge covers that when d + 2·pairs ≥ 7; below it (one
+    pair at d ≤ 4, two at d = 3) the peak runs up to a tenth over.
     """
     count, d, _ = pairs[0].shape
     return max(1, _STACK_ENTRIES // (d * d * (2 * d + 10 * count)))
 
 
-def _masked_objective(pairs, inputs: np.ndarray, mask: np.ndarray):
-    """f(u) = Σ_m ‖mask ⊙ u* T(u X_m u*) u‖²_F over unitaries u, with its gradient.
+class _MaskedObjective:
+    """f(u) = Σ_m ‖mask ⊙ u* T(u X_m u*) u‖²_F over unitaries u, and its gradient, in two steps.
 
     `pairs` is T's pair form, row m of `inputs` the diagonal of X_m. In
     u-coordinates the image of E_cc is P_c = Σ_i a_i E_cc b_i with
@@ -536,32 +540,57 @@ def _masked_objective(pairs, inputs: np.ndarray, mask: np.ndarray):
     With K_c = Σ_m X_m[c] (mask ⊙ Σ_c' X_m[c'] P_c'), the derivative of f
     along u·exp(tΩ) is 2 Re⟨Z, Ω⟩ for
     Z = Σ_i [a_i*, Σ_c K_c b_i* E_cc] + [b_i*, Σ_c E_cc a_i* K_c];
-    the returned gradient g = Z − Z* is skew-Hermitian and gives that
-    derivative as Re tr(g* Ω). The objective takes one u, returning
-    (value, gradient), or a stack of shape (R, d, d), returning (values[R],
-    gradients[R, d, d]); every sum over the pair index is the inner
-    dimension of a batched matrix product, and slice r of a stack gets the
-    bits that u = stack[r] alone gets. Raises NumericalFailure when f is not
-    finite at the identity.
-    """
-    left, right = pairs
-    n, d, _ = left.shape
-    mask_flat = mask.ravel()
-    # [A_1 … A_n B_1 … B_n] side by side, so u* times it rotates all of them at once
-    side = np.concatenate([left, right]).transpose(1, 0, 2).reshape(d, 2 * n * d)
+    the gradient g = Z − Z* is skew-Hermitian and gives that derivative as
+    Re tr(g* Ω).
 
-    def objective(u: np.ndarray):
-        stack = u.reshape(-1, d, d)
-        r = len(stack)
-        rows = (dag(stack) @ side).reshape(r, d, 2 * n, d).swapaxes(1, 2).reshape(r, 2 * n * d, d)
-        rotated = (rows @ stack).reshape(r, 2 * n, d, d)
+    `trial` takes a stack of shape (R, d, d) and returns the values[R] with
+    what it kept: the rotated pairs and the masked images. `gradients` forms
+    the gradients of kept rows from that, with no second rotation, so a
+    descent judges its trials by value alone and pays for a gradient only
+    where a trial wins. Called on one u the objective returns (value,
+    gradient), on a stack (values[R], gradients[R, d, d]). For search_masa's
+    inputs X_m = E_mm both products with the inputs are the identity, and
+    they are skipped. Every sum over the pair index is the inner dimension
+    of a batched matrix product, and slice r of a stack gets the bits that
+    u = stack[r] alone gets; the two steps give the bits of one pass that
+    forms value and gradient together and multiplies by the inputs.
+    """
+
+    def __init__(self, pairs, inputs: np.ndarray, mask: np.ndarray):
+        left, right = pairs
+        self.count, self.dim, _ = left.shape
+        # [A_1 … A_n B_1 … B_n] side by side, so u* times it rotates all of them at once
+        self.side = np.concatenate([left, right]).transpose(1, 0, 2).reshape(self.dim, -1)
+        self.inputs = None if np.array_equal(inputs, np.eye(self.dim)) else inputs
+        self.mask = mask.ravel()
+
+    def __call__(self, u: np.ndarray):
+        values, kept = self.trial(u.reshape(-1, self.dim, self.dim))
+        grads = self.gradients(*kept)
+        if u.ndim == 2:
+            return float(values[0]), grads[0]
+        return values, grads
+
+    def trial(self, stack: np.ndarray):
+        """Values of a (R, d, d) stack, and the (a_cols, b_rows, masked) its gradients start from."""
+        r, n, d = len(stack), self.count, self.dim
+        # one (R·d, d) × (d, 2nd) product rotates every pair of every start
+        rows = (dag(stack).reshape(r * d, d) @ self.side).reshape(r, d, 2 * n, d)
+        rotated = (rows.swapaxes(1, 2).reshape(r, 2 * n * d, d) @ stack).reshape(r, 2 * n, d, d)
         # a_cols[r, c, x, i] = a_i[x, c] and b_rows[r, c, i, y] = b_i[c, y]
         a_cols = rotated[:, :n].transpose(0, 3, 2, 1).copy()
         b_rows = rotated[:, n:].swapaxes(1, 2).copy()
         del rows, rotated  # only the two reordered copies are used from here on
-        masked = inputs @ (a_cols @ b_rows).reshape(r, d, d * d)
-        masked *= mask_flat
-        k = (inputs.T @ masked).reshape(r, d, d, d)
+        masked = (a_cols @ b_rows).reshape(r, d, d * d)
+        if self.inputs is not None:
+            masked = self.inputs @ masked
+        masked *= self.mask
+        return _squared_norms(masked), (a_cols, b_rows, masked)
+
+    def gradients(self, a_cols: np.ndarray, b_rows: np.ndarray, masked: np.ndarray) -> np.ndarray:
+        """Gradients of the rows that `trial` kept, of shape (R, d, d)."""
+        r, n, d = len(masked), self.count, self.dim
+        k = (masked if self.inputs is None else self.inputs.T @ masked).reshape(r, d, d, d)
         a_adj, b_adj = a_cols.conj(), b_rows.conj()
         # column c of G_i = Σ_c K_c b_i* E_cc, and row c of H_i = Σ_c E_cc a_i* K_c
         g_cols = k @ b_adj.swapaxes(2, 3)
@@ -573,15 +602,15 @@ def _masked_objective(pairs, inputs: np.ndarray, mask: np.ndarray):
             + b_adj.reshape(r, d * n, d).swapaxes(1, 2) @ h_rows.reshape(r, d * n, d)
             - h_rows.reshape(r, d, n * d) @ b_adj.reshape(r, d, n * d).swapaxes(1, 2)
         )
-        values = _squared_norms(masked)
-        grads = z - dag(z)
-        if u.ndim == 2:
-            return float(values[0]), grads[0]
-        return values, grads
+        return z - dag(z)
 
+
+def _masked_objective(pairs, inputs: np.ndarray, mask: np.ndarray) -> _MaskedObjective:
+    """The _MaskedObjective of T's pairs; raises NumericalFailure when it is not finite at the identity."""
+    objective = _MaskedObjective(pairs, inputs, mask)
     # a non-finite start is never improved on (comparisons with NaN fail)
     with np.errstate(over="ignore", invalid="ignore"):
-        at_identity = objective(np.eye(d, dtype=complex))[0]
+        at_identity = objective.trial(np.eye(objective.dim, dtype=complex)[None])[0][0]
     if not np.isfinite(at_identity):
         raise NumericalFailure(f"search objective is not finite ({at_identity})")
     return objective
@@ -604,7 +633,12 @@ def _descend(
     value, and the step then becomes min(1.2·step, 0.5); a rejected trial
     halves the step. A start stops when its step falls to 1e-10 or below,
     when ‖g‖ < 1e-14 or value < 1e-24 at the start of an iteration, or after
-    `max_iters` iterations. Starts run in index-ordered chunks of `width`.
+    `max_iters` iterations. A tick judges its trials by value alone
+    (`objective.trial`) and forms gradients (`objective.gradients`) only for
+    the trials it accepts, from what the trial kept; the rejected rows are
+    released first, and no rows are copied when every trial won. The results
+    are bit-identical to forming value and gradient for every trial. Starts
+    run in index-ordered chunks of `width`.
     Once the residual √value of start r falls below `exit_residual`, every
     start after r is dropped, since a search stops at the first restart whose
     residual does. Returns the final unitaries and values of the starts that
@@ -643,10 +677,15 @@ def _descend(
             if not active.size:
                 break
             candidate = u[active] @ expm_skew(-step[active, None, None] * direction[active])
-            candidate_value, candidate_grad = objective(candidate)
+            candidate_value, kept = objective.trial(candidate)
             better = candidate_value < value[active]
             won, lost = active[better], active[~better]
-            u[won], value[won], grad[won] = candidate[better], candidate_value[better], candidate_grad[better]
+            if won.size:
+                if lost.size:
+                    kept = [part[better] for part in kept]  # the lost rows go before gradients
+                grad[won] = objective.gradients(*kept)
+            del kept
+            u[won], value[won] = candidate[better], candidate_value[better]
             step[won] = np.minimum(step[won] * 1.2, 0.5)
             fresh[won] = True
             step[lost] *= 0.5

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -761,6 +762,198 @@ def test_search_masa_draws_one_chunk_of_starts_at_a_time(monkeypatch):
     assert len(draws) == 4
     assert long[1] == short[1]
     assert np.array_equal(long[0].basis_unitary, short[0].basis_unitary)
+
+
+def _one_pass_objective(pairs, inputs, mask):
+    """The one-pass objective that the two-step one replaced, kept as its reference.
+
+    Every call forms the value and the gradient of every row, and multiplies
+    by the inputs even when they are the identity.
+    """
+    left, right = pairs
+    n, d, _ = left.shape
+    mask_flat = mask.ravel()
+    side = np.concatenate([left, right]).transpose(1, 0, 2).reshape(d, 2 * n * d)
+
+    def objective(u):
+        stack = u.reshape(-1, d, d)
+        r = len(stack)
+        rows = (dag(stack) @ side).reshape(r, d, 2 * n, d).swapaxes(1, 2).reshape(r, 2 * n * d, d)
+        rotated = (rows @ stack).reshape(r, 2 * n, d, d)
+        a_cols = rotated[:, :n].transpose(0, 3, 2, 1).copy()
+        b_rows = rotated[:, n:].swapaxes(1, 2).copy()
+        masked = inputs @ (a_cols @ b_rows).reshape(r, d, d * d)
+        masked *= mask_flat
+        k = (inputs.T @ masked).reshape(r, d, d, d)
+        a_adj, b_adj = a_cols.conj(), b_rows.conj()
+        g_cols = k @ b_adj.swapaxes(2, 3)
+        h_rows = a_adj.swapaxes(2, 3) @ k
+        z = (
+            a_adj.reshape(r, d, d * n) @ g_cols.reshape(r, d, d * n).swapaxes(1, 2)
+            - g_cols.swapaxes(1, 2).reshape(r, d, d * n) @ a_adj.swapaxes(2, 3).reshape(r, d * n, d)
+            + b_adj.reshape(r, d * n, d).swapaxes(1, 2) @ h_rows.reshape(r, d * n, d)
+            - h_rows.reshape(r, d, n * d) @ b_adj.reshape(r, d, n * d).swapaxes(1, 2)
+        )
+        flat = masked.reshape(r, 1, -1)
+        values = (flat.real @ flat.real.swapaxes(1, 2) + flat.imag @ flat.imag.swapaxes(1, 2))[:, 0, 0]
+        grads = z - dag(z)
+        if u.ndim == 2:
+            return float(values[0]), grads[0]
+        return values, grads
+
+    return objective
+
+
+def _descent_inputs(d):
+    """search_masa's (inputs, mask) on every E_kk, and the projection search's on one rank-2 row."""
+    block = np.arange(d) < 2
+    return {
+        "diagonal": (np.eye(d), 1 - np.eye(d)),
+        "projection": (block[None, :].astype(float), block[:, None] != block),
+    }
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+@pytest.mark.parametrize("kind", ["map", "generator", "superoperator"])
+def test_two_step_descent_equals_one_pass_reference(d, kind):
+    rng = np.random.default_rng([36, d])
+    pairs = _evolution(_descent_sources(rng, d)[kind])._pairs().compressed()
+    starts = np.array([haar_unitary(rng, d) for _ in range(3)])
+    for inputs, mask in _descent_inputs(d).values():
+        objective = _masked_objective(pairs, inputs, mask)
+        reference = _one_pass_objective(pairs, inputs, mask)
+        for got, want in zip(objective(starts), reference(starts)):
+            assert np.array_equal(got, want)
+        finals, values = _descend(objective, starts, _MAX_ITERS, _stack_width(pairs))
+        for start, u, value in zip(starts, finals, values):
+            ref_u, ref_value, _ = _scalar_descend(reference, start, _MAX_ITERS)
+            assert np.array_equal(u, ref_u)
+            assert value == ref_value
+
+
+class _OnePassSteps:
+    """The one-pass reference behind the two-step interface: every trial forms its gradient."""
+
+    def __init__(self, pairs, inputs, mask):
+        self.objective = _one_pass_objective(pairs, inputs, mask)
+
+    def __call__(self, u):
+        return self.objective(u)
+
+    def trial(self, stack):
+        values, grads = self.objective(stack)
+        return values, (grads,)
+
+    def gradients(self, grads):
+        return grads
+
+
+@pytest.mark.parametrize("source_seed", [37, 38])
+def test_finders_equal_one_pass_reference(monkeypatch, source_seed):
+    rng = np.random.default_rng(source_seed)
+    gen = random_markov_generator(rng, 3, 2)
+    t = random_unital_map(rng, 3, 2)
+    found = [search_masa(gen, restarts=10, seed=3), search_masa(t, restarts=10, seed=3)]
+    projections = search_invariant_projections(gen, seed=3)
+    monkeypatch.setattr(masa_module, "_masked_objective", _OnePassSteps)
+    reference = [search_masa(gen, restarts=10, seed=3), search_masa(t, restarts=10, seed=3)]
+    for (masa, residual), (ref_masa, ref_residual) in zip(found, reference):
+        assert np.array_equal(masa.basis_unitary, ref_masa.basis_unitary)
+        assert residual == ref_residual
+    ref_projections = search_invariant_projections(gen, seed=3)
+    assert len(projections) == len(ref_projections)
+    for (q, residual), (ref_q, ref_residual) in zip(projections, ref_projections):
+        assert np.array_equal(q, ref_q)
+        assert residual == ref_residual
+
+
+def _accepted_trials(objective, start, max_iters):
+    """Accepted and all trials of _scalar_descend from `start`, replayed from the values it saw."""
+    seen = []
+
+    def recorded(u):
+        value, grad = objective(u)
+        seen.append(value)
+        return value, grad
+
+    _scalar_descend(recorded, start, max_iters)
+    best, accepted = seen[0], 0
+    for value in seen[1:]:
+        if value < best:
+            best, accepted = value, accepted + 1
+    return accepted, len(seen) - 1
+
+
+@pytest.mark.parametrize("kind", ["map", "generator"])
+@pytest.mark.parametrize("inputs_kind", ["diagonal", "projection"])
+def test_descent_forms_gradients_for_starts_and_accepted_trials_only(kind, inputs_kind):
+    rng = np.random.default_rng(39)
+    pairs = _evolution(_descent_sources(rng, 4)[kind])._pairs().compressed()
+    inputs, mask = _descent_inputs(4)[inputs_kind]
+    objective = _masked_objective(pairs, inputs, mask)
+    starts = np.array([haar_unitary(rng, 4) for _ in range(5)])
+    counts = [_accepted_trials(objective, start, 40) for start in starts]
+    accepted = sum(a for a, _ in counts)
+    assert accepted < sum(trials for _, trials in counts)  # some trials were rejected
+    formed = []
+    gradients = objective.gradients
+
+    def counted(*kept):
+        grads = gradients(*kept)
+        formed.append(len(grads))
+        return grads
+
+    objective.gradients = counted
+    _descend(objective, starts, 40, _stack_width(pairs))
+    assert sum(formed) == len(starts) + accepted
+
+
+def test_search_masa_makes_no_product_with_its_inputs(monkeypatch):
+    products = []
+
+    class Counted(np.ndarray):
+        """Inputs that count the matrix products they take part in."""
+
+        def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+            if ufunc is np.matmul:
+                products.append(method)
+            plain = [a.view(np.ndarray) if isinstance(a, Counted) else a for a in args]
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    build = masa_module._masked_objective
+    monkeypatch.setattr(
+        masa_module,
+        "_masked_objective",
+        lambda pairs, inputs, mask: build(pairs, inputs.view(Counted), mask),
+    )
+    gen = random_markov_generator(np.random.default_rng(40), 3, 2)
+    search_masa(gen, restarts=4, seed=1)
+    assert not products
+    search_invariant_projections(gen, seed=1)
+    assert products  # the projection search's one-row inputs are counted
+
+
+@pytest.mark.parametrize("inputs_kind", ["diagonal", "projection"])
+def test_descent_chunk_stays_within_stack_budget(inputs_kind):
+    # one pair: the widest chunk, where the per-start terms weigh most
+    rng = np.random.default_rng(41)
+    d = 8
+    pairs = _evolution(KrausMap([complex_gaussian(rng, (d, d))]))._pairs().compressed()
+    assert len(pairs.left) == 1
+    objective = _masked_objective(pairs, *_descent_inputs(d)[inputs_kind])
+    width = _stack_width(pairs)
+    starts = np.array([haar_unitary(rng, d) for _ in range(width)])
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        _descend(objective, starts, 5, width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    # the budget in bytes: _STACK_ENTRIES complex entries
+    assert peak <= 16 * masa_module._STACK_ENTRIES
 
 
 def test_search_invariant_projections_trivial_pair():
