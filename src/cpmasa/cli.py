@@ -104,8 +104,9 @@ def _encode(value):
     raise ParseError(f"cannot encode report value of type {type(value).__name__}")
 
 
-def _verdict_record(verdict: Verdict) -> dict:
-    return {"ok": verdict.ok, "residual": verdict.residual, "threshold": verdict.threshold}
+def _verdict_record(answer: Verdict, key: str) -> dict:
+    """An answer's decision under `key` ("ok" or "feasible"), with its residual and threshold."""
+    return {key: answer.ok, "residual": answer.residual, "threshold": answer.threshold}
 
 
 def _masa_record(masa: Masa) -> dict:
@@ -218,26 +219,6 @@ def _witness_record(witness: TransformWitness) -> dict:
     }
 
 
-def _split_record(verdict) -> dict:
-    record = {
-        "feasible": verdict.feasible,
-        "residual": verdict.residual,
-        "threshold": verdict.threshold,
-        "eta": verdict.eta,
-        "gamma": verdict.gamma,
-    }
-    cert = verdict.infeasibility_certificate
-    if cert is not None:
-        record["certificate"] = {
-            "row_labels": cert.row_labels,
-            "accepted": cert.accepted,
-            "forced_coefficients": cert.forced_coefficients,
-            "residual_vector": cert.residual_vector,
-            "violations": cert.violations(),
-        }
-    return record
-
-
 # Each command body takes the parsed arguments with --input, --masa and
 # --other replaced by what they load (`problem`, `masa`, `other`) and the
 # resolved `tol`, and returns its result record and the decided property.
@@ -245,7 +226,7 @@ def _split_record(verdict) -> dict:
 
 def _check_invariance(run) -> tuple[dict, bool]:
     verdict = is_invariant(run.problem.payload, run.masa, run.tol)
-    return {"invariant": _verdict_record(verdict)}, verdict.ok
+    return {"invariant": _verdict_record(verdict, "ok")}, verdict.ok
 
 
 def _find_masa(run) -> tuple[dict, bool]:
@@ -269,7 +250,7 @@ def _find_masa(run) -> tuple[dict, bool]:
         else:
             record = {"search_residual": residual, "restarts": run.restarts, "seed": run.seed}
     verdict = is_invariant(run.problem.payload, masa, run.tol)
-    record.update(masa=_masa_record(masa), invariant=_verdict_record(verdict))
+    record.update(masa=_masa_record(masa), invariant=_verdict_record(verdict, "ok"))
     return record, verdict.ok
 
 
@@ -279,25 +260,21 @@ def _criterion(run) -> tuple[dict, bool]:
         outcome = solve_kraus_coefficients(run.problem.payload, run.masa, run.tol)
     else:
         outcome = solve_generator_coefficients(run.problem.payload, run.masa, run.tol)
-    result = {"feasible": bool(outcome), "residual": outcome.residual}
-    if not outcome:
-        result["threshold"] = outcome.threshold
-    elif run.variant == "thm11":
+    result = _verdict_record(outcome, "feasible")
+    if outcome and run.variant == "thm11":
         result["c_blocks"] = outcome.c_blocks
-    else:
+    elif outcome:
         result.update(
-            c_ops=outcome.c_ops,
-            gamma=outcome.gamma,
-            inner_residual=outcome.inner_witness.residual,
+            c_ops=outcome.c_ops, gamma=outcome.gamma, inner_residual=outcome.inner_witness.residual
         )
-    return {"criterion": run.variant, "result": result}, bool(outcome)
+    return {"criterion": run.variant, "result": result}, outcome.ok
 
 
 def _rebolledo(run) -> tuple[dict, bool]:
     verdict = rebolledo_check(run.problem.payload, run.masa, run.tol)
     all_pass = all(v.ok for v in verdict.per_operator)
     report = {
-        "per_operator": [_verdict_record(v) for v in verdict.per_operator],
+        "per_operator": [_verdict_record(v, "ok") for v in verdict.per_operator],
         "patterns_examined": verdict.patterns_examined,
         "compatible_elements": [
             {"pattern": item.pattern, "dimension": item.dimension, "basis": item.basis}
@@ -314,7 +291,18 @@ def _split(run) -> tuple[dict, bool]:
         verdict = cp_part_diagonalizable(run.problem.payload, run.masa, run.tol)
     else:
         verdict = hamiltonian_part_diagonalizable(run.problem.payload, run.masa, run.tol)
-    return {"split": run.variant, "result": _split_record(verdict)}, verdict.feasible
+    result = _verdict_record(verdict, "feasible")
+    result.update(eta=verdict.eta, gamma=verdict.gamma)
+    cert = verdict.infeasibility_certificate
+    if cert is not None:
+        result["certificate"] = {
+            "row_labels": cert.row_labels,
+            "accepted": cert.accepted,
+            "forced_coefficients": cert.forced_coefficients,
+            "residual_vector": cert.residual_vector,
+            "violations": cert.violations(),
+        }
+    return {"split": run.variant, "result": result}, verdict.ok
 
 
 def _equiv(run) -> tuple[dict, bool]:

@@ -49,8 +49,6 @@ __all__ = [
     "embed_corner",
 ]
 
-CORPUS_IDS = ("ex2_1", "ex2_2", "ex2_8", "ex3_2", "ex3_3", "ex3_4")
-
 # margin required of the seeded-unitary hypotheses (eigenvector overlaps
 # and the real-part spectrum), and retry budget for the seeded search
 HYPOTHESIS_MARGIN = 1e-3
@@ -206,23 +204,13 @@ def _build_ex3_4() -> CorpusEntry:
     )
 
 
-_BUILDERS = {
-    "ex2_1": _build_ex2_1,
-    "ex2_2": _build_ex2_2,
-    "ex2_8": _build_ex2_8,
-    "ex3_2": _build_ex3_2,
-    "ex3_3": _build_ex3_3,
-    "ex3_4": _build_ex3_4,
-}
-
-
 def build_example(example_id: str) -> CorpusEntry:
     """Construct a pinned instance, re-verifying its hypotheses."""
-    if example_id not in _BUILDERS:
+    if example_id not in _EXAMPLES:
         raise ParseError(
             f"unknown corpus id {example_id!r}, expected one of {', '.join(CORPUS_IDS)}"
         )
-    return _BUILDERS[example_id]()
+    return _EXAMPLES[example_id][0]()
 
 
 def embed_corner(t: KrausMap, new_dim: int) -> KrausMap:
@@ -289,7 +277,7 @@ def _verify_ex2_1(entry: CorpusEntry, tol: Tolerance) -> list:
     superop = map_superoperator(t)
     worst = np.inf
     for time in (0.1, 1.0, 3.7):
-        verdict = is_invariant(matrix_exp(time * superop, tol), diag, tol)
+        verdict = is_invariant(matrix_exp(time * superop), diag, tol)
         worst = min(worst, verdict.residual)
     checks.append(
         _check("semigroup_stays_noninvariant", worst >= 1e-4, {"residual": worst})
@@ -467,14 +455,16 @@ def _verify_ex3_4(entry: CorpusEntry, tol: Tolerance) -> list:
     return checks
 
 
-_VERIFIERS = {
-    "ex2_1": _verify_ex2_1,
-    "ex2_2": _verify_ex2_2,
-    "ex2_8": _verify_ex2_8,
-    "ex3_2": _verify_ex3_2,
-    "ex3_3": _verify_ex3_3,
-    "ex3_4": _verify_ex3_4,
+# id: (builder, verifier), in the order CORPUS_IDS lists them
+_EXAMPLES = {
+    "ex2_1": (_build_ex2_1, _verify_ex2_1),
+    "ex2_2": (_build_ex2_2, _verify_ex2_2),
+    "ex2_8": (_build_ex2_8, _verify_ex2_8),
+    "ex3_2": (_build_ex3_2, _verify_ex3_2),
+    "ex3_3": (_build_ex3_3, _verify_ex3_3),
+    "ex3_4": (_build_ex3_4, _verify_ex3_4),
 }
+CORPUS_IDS = tuple(_EXAMPLES)
 
 
 def verify_example(example_id: str, tol: Tolerance = DEFAULT_TOL) -> dict:
@@ -485,7 +475,7 @@ def verify_example(example_id: str, tol: Tolerance = DEFAULT_TOL) -> dict:
     unasserted record known deviations and never raise.
     """
     entry = build_example(example_id)
-    checks = _VERIFIERS[example_id](entry, tol)
+    checks = _EXAMPLES[example_id][1](entry, tol)
     failures = [c for c in checks if c["asserted"] and not c["ok"]]
     report = {
         "id": example_id,

@@ -21,7 +21,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     Verdict,
-    _checked_threshold,
+    _decide,
     _haar_isometry,
     _PairForm,
     _phase_normalize_columns,
@@ -196,8 +196,7 @@ def is_unital(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         residual = frobenius(apply_cp(t, np.eye(t.dim)) - np.eye(t.dim))
-    threshold = _checked_threshold(residual, np.sqrt(t.dim), tol, "unit image is")
-    return Verdict(ok=residual <= threshold, residual=residual, threshold=threshold)
+    return _decide(residual, np.sqrt(t.dim), tol, "unit image is")
 
 
 def random_unital_kraus(rng: np.random.Generator, d: int, count: int) -> KrausMap:

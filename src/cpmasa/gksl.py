@@ -29,7 +29,8 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    _checked_threshold,
+    Verdict,
+    _decide,
     _hermiticity_preserving_exp,
     _PairForm,
     complex_from_realified,
@@ -150,7 +151,7 @@ def markov_form(kraus: KrausMap, hamiltonian, tol: Tolerance = DEFAULT_TOL) -> G
     return GkslGenerator(kraus, -total / 2 + 1j * h, tol)
 
 
-def semigroup_at(gen: GkslGenerator, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def semigroup_at(gen: GkslGenerator, t: float) -> np.ndarray:
     """Superoperator of e^{tL} at time t ≥ 0.
 
     Every Lindblad generator preserves Hermiticity, L(X*) = L(X)*, so tL is
@@ -295,19 +296,22 @@ class InfeasibilityCertificate:
 
 
 @dataclass(frozen=True)
-class SplitVerdict:
-    """Outcome of a drift-splitting feasibility question."""
+class SplitVerdict(Verdict):
+    """Answer of a drift-splitting question: its Verdict and what carries it.
 
-    feasible: bool
-    eta: np.ndarray | None
-    residual: float
-    threshold: float
+    A feasible split holds the coefficients `eta`, and a feasible CP-part
+    split also `gamma` and the re-gauged presentation; an infeasible
+    Hamiltonian split holds its certificate. `feasible` is `ok`.
+    """
+
+    eta: np.ndarray | None = None
     infeasibility_certificate: InfeasibilityCertificate | None = None
     gamma: complex | None = None
     regauged: GkslGenerator | None = None
 
-    def __bool__(self) -> bool:
-        return self.feasible
+    @property
+    def feasible(self) -> bool:
+        return self.ok
 
 
 def cp_part_diagonalizable(
@@ -321,7 +325,8 @@ def cp_part_diagonalizable(
     (jump operators L_i - eta_i·1, drift B + gamma·1 + Σ conj(eta_i) L_i with
     gamma = -⟨eta, eta⟩/2), whose jump part alone then preserves the masa.
     The generator must preserve the masa to begin with, as `is_invariant`
-    decides; NotInvariant is raised otherwise.
+    decides; NotInvariant is raised otherwise, and NumericalFailure when the
+    drift system's residual or right-hand side is not finite.
     """
     verdict = is_invariant(gen, masa, tol)
     if not verdict:
@@ -333,11 +338,9 @@ def cp_part_diagonalizable(
     b_vec = -b[r, s]
     # unknowns are conj(eta); the system is complex-linear in them
     z, residual = least_squares(a, b_vec)
-    threshold = tol.threshold(max(1.0, float(np.linalg.norm(b_vec))))
-    if residual > threshold:
-        return SplitVerdict(
-            feasible=False, eta=None, residual=residual, threshold=threshold
-        )
+    verdict = _decide(residual, float(np.linalg.norm(b_vec)), tol, "drift system is")
+    if not verdict:
+        return SplitVerdict(**vars(verdict))
     eta = np.conj(z)
     gamma = complex(-np.vdot(eta, eta) / 2)
     new_ops = [op - eta[i] * np.eye(d) for i, op in enumerate(gen.kraus.operators)]
@@ -345,12 +348,10 @@ def cp_part_diagonalizable(
     for i, op in enumerate(gen.kraus.operators):
         new_beta = new_beta + np.conj(eta[i]) * op
     return SplitVerdict(
-        feasible=True,
         eta=eta,
-        residual=residual,
-        threshold=threshold,
         gamma=gamma,
         regauged=GkslGenerator(KrausMap(new_ops), new_beta, tol),
+        **vars(verdict),
     )
 
 
@@ -358,10 +359,11 @@ def _certificate(a_real, b_real, labels, tol: Tolerance) -> InfeasibilityCertifi
     """Sparsity-greedy maximal consistent subsystem with its forced solution.
 
     Row j, sparsest first, joins the accepted rows S when one least-squares
-    solve of S plus j meets the verdict's threshold; residuals never fall as
-    rows join, so S is maximal. Once no trial holding S can keep a singular
-    value S lacks (lstsq cuts σ ≤ eps·max(shape)·σ_max), row j raises the
-    squared residual by e_j²/(1 + a_j G⁺ a_jᵀ), e_j the defect of S's
+    solve of S plus j passes `_decide` against the whole system's |b|, as the
+    verdict does; residuals never fall as rows join, so S is maximal. Once no
+    trial holding S can keep a singular value S lacks (lstsq cuts
+    σ ≤ eps·max(shape)·σ_max), row j raises the squared residual by
+    e_j²/(1 + a_j G⁺ a_jᵀ), e_j the defect of S's
     solution on row j, G = A_SᵀA_S (Björck 1996, §3.2). Rows where this bound,
     taken once, clears the threshold beyond rounding are skipped, as S only
     grows; acceptances still come from solves: about 4n, not 2d(d−1).
@@ -371,7 +373,6 @@ def _certificate(a_real, b_real, labels, tol: Tolerance) -> InfeasibilityCertifi
     nonzeros = (np.abs(a_real) > 1e-12 * scale).sum(axis=1)
     whole = np.linalg.svd(a_real, compute_uv=False)
     b_norm = float(np.linalg.norm(b_real))
-    threshold = tol.threshold(max(1.0, b_norm))
     skip = np.zeros(m, dtype=bool)
     accepted_rows: list[int] = []
     x = np.zeros(n)
@@ -380,7 +381,8 @@ def _certificate(a_real, b_real, labels, tol: Tolerance) -> InfeasibilityCertifi
             continue
         trial = accepted_rows + [idx]
         solution, res = least_squares(a_real[trial], b_real[trial])
-        if res <= threshold:
+        verdict = _decide(res, b_norm, tol, "certificate trial is")
+        if verdict:
             accepted_rows, x = trial, solution
         if accepted_rows is not trial or skip.any():  # screen once, after an acceptance
             continue
@@ -390,7 +392,7 @@ def _certificate(a_real, b_real, labels, tol: Tolerance) -> InfeasibilityCertifi
             gain = ((a_real @ vt[:rank].T / sv[:rank]) ** 2).sum(axis=1)
             bound = np.sqrt(res**2 + (a_real @ x - b_real) ** 2 / (1 + gain))
             rounding = eps * m * whole[0] / sv[rank - 1] * (bound + 2 * b_norm)
-            skip = bound - rounding > threshold
+            skip = bound - rounding > verdict.threshold
     return InfeasibilityCertificate(
         row_labels=tuple(labels),
         accepted=tuple(np.isin(np.arange(m), accepted_rows).tolist()),
@@ -422,19 +424,9 @@ def hamiltonian_part_diagonalizable(
             ops[:, r, s].T, -ops[:, s, r].conj().T, -(2 * b[r, s] - 2 * np.conj(b[s, r]))
         )
         x, residual = least_squares(a_real, b_real)
-        threshold = _checked_threshold(residual, np.linalg.norm(b_real), tol, "split system is")
-    if residual <= threshold:
-        return SplitVerdict(
-            feasible=True,
-            eta=complex_from_realified(x),
-            residual=residual,
-            threshold=threshold,
-        )
+        verdict = _decide(residual, np.linalg.norm(b_real), tol, "split system is")
+    if verdict:
+        return SplitVerdict(eta=complex_from_realified(x), **vars(verdict))
     labels = [f"({i},{j}).{part}" for i, j in zip(r.tolist(), s.tolist()) for part in ("re", "im")]
-    return SplitVerdict(
-        feasible=False,
-        eta=None,
-        residual=residual,
-        threshold=threshold,
-        infeasibility_certificate=_certificate(a_real, b_real, labels, tol),
-    )
+    certificate = _certificate(a_real, b_real, labels, tol)
+    return SplitVerdict(infeasibility_certificate=certificate, **vars(verdict))

@@ -87,7 +87,12 @@ DEFAULT_TOL = Tolerance()
 
 @dataclass(frozen=True)
 class Verdict:
-    """Boolean decision together with the residual and cutoff that produced it."""
+    """Boolean decision together with the residual and cutoff that produced it.
+
+    Every decider answers with a Verdict made by `_decide`, or with a subclass
+    that adds its payload (a witness, a certificate) and takes ok, residual and
+    threshold from that Verdict, so ``ok == (residual <= threshold)`` always.
+    """
 
     ok: bool
     residual: float
@@ -97,11 +102,17 @@ class Verdict:
         return self.ok
 
 
-def _checked_threshold(residual: float, scale: float, tol: Tolerance, what: str) -> float:
-    """Threshold for a residual measured against max(1, scale); both must be finite."""
+def _decide(residual: float, scale: float, tol: Tolerance, what: str) -> Verdict:
+    """The one rule for an answer: residual ≤ atol + rtol·max(1, scale).
+
+    Raises NumericalFailure, naming `what`, when the residual or the scale is
+    not finite. A subclass answer is built from the result as
+    ``Cls(payload…, **vars(verdict))``.
+    """
     if not (np.isfinite(residual) and np.isfinite(scale)):
         raise NumericalFailure(f"{what} not finite (residual {residual}, scale {scale})")
-    return tol.threshold(max(1.0, scale))
+    threshold = tol.threshold(max(1.0, scale))
+    return Verdict(ok=residual <= threshold, residual=residual, threshold=threshold)
 
 
 def dag(a: np.ndarray) -> np.ndarray:
@@ -299,7 +310,7 @@ def complex_from_realified(x: np.ndarray) -> np.ndarray:
     return x[0::2] + 1j * x[1::2]
 
 
-def matrix_exp(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def matrix_exp(a) -> np.ndarray:
     """Matrix exponential e^a (scaling-and-squaring Pade)."""
     m = require_matrix(a)
     out = scipy.linalg.expm(m)

@@ -29,7 +29,7 @@ from .linalg import (
     Tolerance,
     Verdict,
     _PairForm,
-    _checked_threshold,
+    _decide,
     _disjoint_least_squares,
     _phase_normalize_columns,
     _realify,
@@ -118,14 +118,8 @@ def masa_from_selfadjoint(c, tol: Tolerance = DEFAULT_TOL) -> Masa:
 
 
 @dataclass(frozen=True)
-class Infeasible:
-    """Negative answer of a coefficient criterion, with its residual."""
-
-    residual: float
-    threshold: float
-
-    def __bool__(self) -> bool:
-        return False
+class Infeasible(Verdict):
+    """Negative answer of a coefficient criterion: its Verdict, with no payload."""
 
 
 class _Superoperator:
@@ -183,8 +177,7 @@ def _invariance_verdict(images: np.ndarray, tol: Tolerance) -> Verdict:
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.linalg.norm(images - images * np.eye(d), axis=(1, 2)).max())
         scale = float(np.linalg.norm(images, axis=(1, 2)).max())
-    threshold = _checked_threshold(residual, scale, tol, "projection images are")
-    return Verdict(ok=residual <= threshold, residual=residual, threshold=threshold)
+    return _decide(residual, scale, tol, "projection images are")
 
 
 def is_invariant(evolution, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> Verdict:
@@ -205,8 +198,8 @@ is_invariant_superoperator = is_invariant
 
 
 @dataclass(frozen=True)
-class KrausCoefficientWitness:
-    """Diagonal coefficients c_ij(E_kk) certifying invariance of a CP map.
+class KrausCoefficientWitness(Verdict):
+    """Positive answer of the CP-map criterion: its Verdict and the coefficients c_ij(E_kk).
 
     `c_blocks[k, i, j]` holds the length-d diagonal of the coefficient that
     multiplies operator j from the left in the expansion of [E_kk, L_i];
@@ -215,7 +208,6 @@ class KrausCoefficientWitness:
     """
 
     c_blocks: np.ndarray
-    residual: float
 
 
 def _hermitian_basis(n: int) -> np.ndarray:
@@ -280,26 +272,26 @@ def solve_kraus_coefficients(t, masa: Masa, tol: Tolerance = DEFAULT_TOL):
     ops = masa.to_coordinates(np.stack(t.operators))
     with np.errstate(over="ignore", invalid="ignore"):
         c_blocks, residual, rhs_norm = _kraus_coefficient_solution(ops)
-    threshold = _checked_threshold(residual, rhs_norm, tol, "commutator expansion is")
-    if residual > threshold:
-        return Infeasible(residual=residual, threshold=threshold)
-    return KrausCoefficientWitness(c_blocks=c_blocks, residual=residual)
+    verdict = _decide(residual, rhs_norm, tol, "commutator expansion is")
+    if not verdict:
+        return Infeasible(**vars(verdict))
+    return KrausCoefficientWitness(c_blocks=c_blocks, **vars(verdict))
 
 
 @dataclass(frozen=True)
-class GeneratorCoefficientWitness:
-    """Masa-valued shifts and rate vector certifying generator invariance.
+class GeneratorCoefficientWitness(Verdict):
+    """Positive answer of the generator criterion: its Verdict, the shifts and the rates.
 
     `c_ops[i]` is the diagonal of the masa element subtracted from operator i,
     `gamma` the real diagonal with L(E_kk) = Σ K_i* E_kk K_i + gamma[k]·E_kk
     for the shifted family K_i, and `inner_witness` the commutator-expansion
-    witness of that shifted family.
+    witness of that shifted family. Its residual, a part of the whole one, is
+    judged against this witness's threshold, so it passes too.
     """
 
     c_ops: np.ndarray
     gamma: np.ndarray
     inner_witness: KrausCoefficientWitness
-    residual: float
 
 
 def solve_generator_coefficients(gen, masa: Masa, tol: Tolerance = DEFAULT_TOL):
@@ -340,13 +332,13 @@ def solve_generator_coefficients(gen, masa: Masa, tol: Tolerance = DEFAULT_TOL):
         c_blocks, res3, _ = _kraus_coefficient_solution(ops - x[:, :, None] * np.eye(d))
         residual = float(np.sqrt(residual_sq + res3**2))
         scale = frobenius(images)
-    threshold = _checked_threshold(residual, scale, tol, "generator criterion is")
-    if residual > threshold:
-        return Infeasible(residual=residual, threshold=threshold)
-    inner = KrausCoefficientWitness(c_blocks=c_blocks, residual=res3)
-    return GeneratorCoefficientWitness(
-        c_ops=x, gamma=gamma, inner_witness=inner, residual=residual
+    verdict = _decide(residual, scale, tol, "generator criterion is")
+    if not verdict:
+        return Infeasible(**vars(verdict))
+    inner = KrausCoefficientWitness(
+        ok=res3 <= verdict.threshold, residual=res3, threshold=verdict.threshold, c_blocks=c_blocks
     )
+    return GeneratorCoefficientWitness(c_ops=x, gamma=gamma, inner_witness=inner, **vars(verdict))
 
 
 @dataclass(frozen=True)
@@ -411,12 +403,10 @@ def rebolledo_check(t, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> RebolledoVer
         means = (weights * values).sum(axis=2, keepdims=True) / np.where(totals > 0, totals, 1.0)
         residuals = np.sqrt((weights * (values - means) ** 2).sum(axis=(1, 2)))
         scales = np.linalg.norm(values * ops, axis=(1, 2))
-    per_operator = []
-    for residual, scale in zip(residuals.tolist(), scales.tolist()):
-        threshold = _checked_threshold(residual, scale, tol, "per-operator residual is")
-        per_operator.append(
-            Verdict(ok=residual <= threshold, residual=residual, threshold=threshold)
-        )
+    per_operator = [
+        _decide(residual, scale, tol, "per-operator residual is")
+        for residual, scale in zip(residuals.tolist(), scales.tolist())
+    ]
 
     # column i is vec(L_i)
     stack = ops.transpose(0, 2, 1).reshape(len(ops), d * d).T
@@ -519,16 +509,17 @@ _STACK_ENTRIES = 2**19
 def _stack_width(pairs) -> int:
     """Starts per lockstep chunk within _STACK_ENTRIES.
 
-    Each start is charged d²·(2d + 10·pairs) complex entries. A descent tick
-    peaks at about d²·(d + 8·pairs + 7) per start: one d×d×d stack (the
+    Each start is charged d²·(d + 8·pairs + 10) complex entries. A descent
+    tick peaks at about d²·(d + 8·pairs + 7.5) per start: one d×d×d stack (the
     masked images, which are K itself for search_masa's inputs, or K alone
     for a one-row input), eight d×d per pair (the rotated pairs, their
-    conjugates, G, H and two reordered copies) and about seven d×d of the
-    descent's own. The charge covers that when d + 2·pairs ≥ 7; below it (one
-    pair at d ≤ 4, two at d = 3) the peak runs up to a tenth over.
+    conjugates, G, H and two reordered copies) and about seven and a half
+    d×d of the descent's own, plus a few scalars per start that weigh most
+    at d = 2. Measured by tracemalloc over 5 ticks at full width, d 2–16 and
+    1–9 pairs, the peak stays between 0.7 and 0.97 of the budget.
     """
     count, d, _ = pairs[0].shape
-    return max(1, _STACK_ENTRIES // (d * d * (2 * d + 10 * count)))
+    return max(1, _STACK_ENTRIES // (d * d * (d + 8 * count + 10)))
 
 
 class _MaskedObjective:
@@ -694,11 +685,7 @@ def _descend(
 
 
 def search_masa(
-    objective_source,
-    restarts: int = 200,
-    seed: int = 42,
-    tol: Tolerance = DEFAULT_TOL,
-    max_iters: int = _MAX_ITERS,
+    objective_source, restarts: int = 200, seed: int = 42, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[Masa, float]:
     """Multi-start descent for an invariant masa of a map or generator.
 
@@ -737,7 +724,7 @@ def search_masa(
         starts = np.array([haar_unitary(np.random.default_rng([seed, r]), d) for r in chunk])
         # _descend drops the starts after the first one below exit_residual,
         # so the best falls below it only at the chunk's last returned start
-        for u, value in zip(*_descend(objective, starts, max_iters, width, exit_residual)):
+        for u, value in zip(*_descend(objective, starts, _MAX_ITERS, width, exit_residual)):
             if value < best_value:
                 best_u, best_value = u, value
         if np.sqrt(max(best_value, 0.0)) < exit_residual:
@@ -757,7 +744,7 @@ def search_invariant_projections(
     lockstep as one stack. In u-coordinates the commutator is L's image of P
     outside P's two diagonal blocks. 0 and 1 are always included with
     residual 0. Returns (projection, residual) pairs whose residual falls
-    below the tolerance threshold against ‖L‖_F, best first. Raises
+    below the tolerance threshold against ‖L‖_F (`_decide`), best first. Raises
     PreconditionFailed when `seed` < 0, and NumericalFailure when the pair
     form or the objective at the identity is not finite.
     """
@@ -766,7 +753,7 @@ def search_invariant_projections(
     pairs = _evolution(gen)._pairs().compressed()
     d = pairs.left.shape[-1]
     width = _stack_width(pairs)
-    cut = tol.threshold(max(1.0, frobenius(pairs.left)))
+    scale = frobenius(pairs.left)
     results = [
         (np.zeros((d, d), dtype=complex), 0.0),
         (np.eye(d, dtype=complex), 0.0),
@@ -781,7 +768,7 @@ def search_invariant_projections(
         )
         for u, value in zip(*_descend(objective, starts, _MAX_ITERS, width)):
             residual = float(np.sqrt(max(value, 0.0)))
-            if residual > cut:
+            if not _decide(residual, scale, tol, "projection residual is"):
                 continue
             frame = u[:, :rank]
             q = frame @ dag(frame)

@@ -168,6 +168,9 @@ def test_criterion_thm11(capsys, map_problem):
     assert report["criterion"] == "thm11"
     assert report["result"]["feasible"] is True
     assert report["result"]["residual"] <= 1e-8
+    payload = cli._Problem(json.loads(Path(map_problem).read_text()), "map").payload
+    witness = cpmasa.solve_kraus_coefficients(payload, cpmasa.Masa.diagonal(2))
+    assert report["result"]["threshold"] == witness.threshold
 
 
 def test_criterion_thm12(capsys, generator_problem):
@@ -175,6 +178,9 @@ def test_criterion_thm12(capsys, generator_problem):
     assert code == 0
     assert report["criterion"] == "thm12"
     assert report["result"]["feasible"] is True
+    payload = cli._Problem(json.loads(Path(generator_problem).read_text()), "gen").payload
+    witness = cpmasa.solve_generator_coefficients(payload, cpmasa.Masa.diagonal(2))
+    assert report["result"]["threshold"] == witness.threshold
 
 
 def test_criterion_kind_mismatch(capsys, map_problem):

@@ -933,11 +933,11 @@ def test_search_masa_makes_no_product_with_its_inputs(monkeypatch):
     assert products  # the projection search's one-row inputs are counted
 
 
+@pytest.mark.parametrize("d", [3, 4, 8])
 @pytest.mark.parametrize("inputs_kind", ["diagonal", "projection"])
-def test_descent_chunk_stays_within_stack_budget(inputs_kind):
+def test_descent_chunk_stays_within_stack_budget(inputs_kind, d):
     # one pair: the widest chunk, where the per-start terms weigh most
     rng = np.random.default_rng(41)
-    d = 8
     pairs = _evolution(KrausMap([complex_gaussian(rng, (d, d))]))._pairs().compressed()
     assert len(pairs.left) == 1
     objective = _masked_objective(pairs, *_descent_inputs(d)[inputs_kind])
