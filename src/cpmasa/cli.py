@@ -84,23 +84,17 @@ def _parse_matrix(rows, name: str) -> np.ndarray:
 
 
 def _encode(value):
-    """Make a report value JSON-safe; complex scalars become [re, im]."""
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
+    """json.dumps' hook for report values JSON has no type for.
+
+    Arrays become nested lists, complex scalars [re, im] and numpy scalars
+    Python ones; anything else raises ParseError.
+    """
     if isinstance(value, np.ndarray):
-        return [_encode(v) for v in value.tolist()]
-    if isinstance(value, (complex, np.complexfloating)):
-        return [float(np.real(value)), float(np.imag(value))]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if value is None or isinstance(value, str):
-        return value
+        return value.tolist()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, np.generic):
+        return value.item()
     raise ParseError(f"cannot encode report value of type {type(value).__name__}")
 
 
@@ -414,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _render(report: dict) -> str:
     try:
-        return json.dumps(_encode(report), indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(report, default=_encode, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as err:
         raise NumericalFailure(f"report holds a non-finite number ({err})") from err
 

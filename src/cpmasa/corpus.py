@@ -221,12 +221,9 @@ def embed_corner(t: KrausMap, new_dim: int) -> KrausMap:
     """
     if new_dim <= t.dim:
         raise DimensionMismatch(f"new dim {new_dim} must exceed {t.dim}")
-    ops = []
-    for op in t.operators:
-        padded = np.zeros((new_dim, new_dim), dtype=complex)
-        padded[: t.dim, : t.dim] = op
-        ops.append(padded)
-    return KrausMap(ops)
+    padded = np.zeros((len(t), new_dim, new_dim), dtype=complex)
+    padded[:, : t.dim, : t.dim] = t.operators
+    return KrausMap(padded)
 
 
 def _check(name, ok, detail, asserted=True, note=None):
@@ -446,7 +443,7 @@ def _verify_ex3_4(entry: CorpusEntry, tol: Tolerance) -> list:
             },
         )
     )
-    halved = KrausMap([op / np.sqrt(2) for op in t.operators])
+    halved = KrausMap(t.operators / np.sqrt(2))
     unital = is_unital(halved, tol)
     checks.append(
         _check("halved_map_unital", unital.residual <= 1e-10, {"residual": unital.residual})

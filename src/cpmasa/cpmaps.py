@@ -1,18 +1,19 @@
 """Completely positive maps presented by Kraus families.
 
-A map T(X) = Σ_i L_i* X L_i is stored as the tuple of its operators L_i.
-The module provides application, the Choi matrix, reduction to a minimal
-family, the partial isometry connecting two presentations of the same map,
-the superoperator form, the package-wide equality oracle (the superoperator
-distance, taken from the pair forms), and the unital check. Application,
-the superoperator, the Choi matrix, the projection images and the distance
-are all computed by linalg's one kernel from the map's pair form, the stacks
-(L_i*, L_i) of T(X) = Σ_i A_i X B_i.
+A map T(X) = Σ_i L_i* X L_i is stored as the read-only (n, d, d) stack of
+its operators L_i. The module provides application, the Choi matrix,
+reduction to a minimal family, the partial isometry connecting two
+presentations of the same map, the superoperator form, the package-wide
+equality oracle (the superoperator distance, taken from the pair forms), and
+the unital check. A KrausMap is a `linalg._Evolution`: it supplies only its
+pair form, the stacks (L_i*, L_i) of T(X) = Σ_i A_i X B_i, and application,
+the superoperator, the projection images, the Choi matrix and the distance
+are all computed by linalg's one kernel from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .linalg import (
     Tolerance,
     Verdict,
     _decide,
+    _Evolution,
     _haar_isometry,
     _PairForm,
     _phase_normalize_columns,
@@ -46,45 +48,34 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class KrausMap:
-    """A finite Kraus family (L_i) on d×d matrices, acting as X ↦ Σ L_i* X L_i."""
+class KrausMap(_Evolution):
+    """A finite Kraus family (L_i) on d×d matrices, acting as X ↦ Σ L_i* X L_i.
+
+    `operators` is the family as one read-only (n, d, d) stack.
+    """
 
     dim: int
-    operators: tuple = field(default=())
+    operators: np.ndarray
 
     def __init__(self, operators):
-        ops = tuple(require_matrix(op, name=f"operators[{k}]") for k, op in enumerate(operators))
+        ops = [require_matrix(op, name=f"operators[{k}]") for k, op in enumerate(operators)]
         if not ops:
             raise DimensionMismatch("a Kraus family needs at least one operator")
         d = ops[0].shape[0]
         for k, op in enumerate(ops):
             if op.shape[0] != d:
                 raise DimensionMismatch(f"operators[{k}] has dimension {op.shape[0]}, expected {d}")
+        stack = np.array(ops)
+        stack.flags.writeable = False
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", stack)
 
     def __len__(self) -> int:
         return len(self.operators)
 
-    def apply(self, x) -> np.ndarray:
-        """T(X), evaluated by `apply_cp`."""
-        return apply_cp(self, x)
-
-    def superoperator(self) -> np.ndarray:
-        """The d²×d² matrix of T, built by the module-level `superoperator`."""
-        return superoperator(self)
-
     def _pairs(self) -> _PairForm:
         """The pair form (L_i*, L_i) of T."""
-        ops = np.array(self.operators)
-        return _PairForm(dag(ops), ops)
-
-    def projection_images(self, masa) -> np.ndarray:
-        """Images T(u_k u_k*) of the masa's minimal projections, in masa coordinates.
-
-        Computed from the pair form in O(n·d³), without the superoperator.
-        """
-        return self._pairs().images(masa.basis_unitary)
+        return _PairForm(dag(self.operators), self.operators)
 
 
 @dataclass(frozen=True)
@@ -106,12 +97,12 @@ class Inequivalent:
 
 def apply_cp(t: KrausMap, x) -> np.ndarray:
     """Evaluate T(X) = Σ L_i* X L_i."""
-    return t._pairs().apply(require_matrix(x, dim=t.dim, name="x"))
+    return t.apply(x)
 
 
 def superoperator(t: KrausMap) -> np.ndarray:
     """The d²×d² matrix S = Σ_i L_iᵀ ⊗ L_i*: vec(T(X)) = S vec(X), column-stacking vec."""
-    return t._pairs().superoperator()
+    return t.superoperator()
 
 
 def choi_matrix(t: KrausMap) -> np.ndarray:
@@ -132,15 +123,12 @@ def minimal_kraus(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     the eigenvector phase convention makes the output deterministic.
     """
     d = t.dim
-    stack = np.stack(t.operators).reshape(len(t), d * d)
-    _, sigma, vh = np.linalg.svd(stack, full_matrices=False)
+    _, sigma, vh = np.linalg.svd(t.operators.reshape(len(t), d * d), full_matrices=False)
     keep = sigma > tol.rank_cut(sigma[0])
     v = _phase_normalize_columns(dag(vh[keep]))
-    ops = list((sigma[keep, None] * dag(v)).reshape(-1, d, d))
-    if not ops:
-        # the zero map still needs a carrier operator
-        ops = [np.zeros((d, d), dtype=complex)]
-    out = KrausMap(ops)
+    ops = (sigma[keep, None] * dag(v)).reshape(-1, d, d)
+    # the zero map still needs a carrier operator
+    out = KrausMap(ops if len(ops) else np.zeros((1, d, d), dtype=complex))
     distance, norm, _ = t._pairs().distance(out._pairs())
     # negated so that a NaN residual fails the check too
     if not distance <= 10 * tol.threshold(1.0 + norm):
@@ -205,5 +193,4 @@ def random_unital_kraus(rng: np.random.Generator, d: int, count: int) -> KrausMa
     Built from a Haar isometry ℂ^d → ℂ^d ⊗ ℂ^count sliced into blocks, so
     Σ L_i* L_i = 1 holds exactly by construction.
     """
-    q = _haar_isometry(rng, d * count, d)
-    return KrausMap([q[i * d : (i + 1) * d, :] for i in range(count)])
+    return KrausMap(_haar_isometry(rng, d * count, d).reshape(count, d, d))

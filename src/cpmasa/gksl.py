@@ -12,7 +12,7 @@ Hamiltonian part alone, preserves a given masa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .linalg import (
     Tolerance,
     Verdict,
     _decide,
+    _Evolution,
     _hermiticity_preserving_exp,
     _PairForm,
     complex_from_realified,
@@ -40,7 +41,6 @@ from .linalg import (
     matrix_rank_tol,
     realify_conjugate_linear_system,
     require_matrix,
-    vec,
 )
 from .masa import is_invariant
 
@@ -63,74 +63,62 @@ __all__ = [
 def _family_minimal_with_identity(kraus: KrausMap, tol: Tolerance) -> bool:
     """Whether {1, L_1, ..., L_n} is linearly independent at the rank threshold."""
     d = kraus.dim
-    stack = np.column_stack([vec(np.eye(d, dtype=complex))] + [vec(op) for op in kraus.operators])
-    return matrix_rank_tol(stack, tol) == len(kraus) + 1
+    family = np.concatenate([np.eye(d, dtype=complex)[None], kraus.operators])
+    return matrix_rank_tol(family.reshape(len(family), d * d), tol) == len(family)
 
 
 @dataclass(frozen=True)
-class GkslGenerator:
+class GkslGenerator(_Evolution):
     """Lindblad-form generator: Kraus family plus drift.
 
-    `is_minimal` records whether {1, L_1, ..., L_n} is linearly independent
-    (at the default tolerance); that is exactly the condition under which the
-    transformation witness between two presentations is unique.
+    A `linalg._Evolution` through its pair form. `is_minimal` tells whether
+    {1, L_1, ..., L_n} is linearly independent at the default tolerance; that
+    is exactly the condition under which the transformation witness between
+    two presentations is unique.
     """
 
     dim: int
     kraus: KrausMap
     beta: np.ndarray
-    is_minimal: bool = field(default=False)
 
-    def __init__(self, kraus: KrausMap, beta, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, kraus: KrausMap, beta):
         if not isinstance(kraus, KrausMap):
             kraus = KrausMap(kraus)
         b = require_matrix(beta, dim=kraus.dim, name="beta")
         object.__setattr__(self, "dim", kraus.dim)
         object.__setattr__(self, "kraus", kraus)
         object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "is_minimal", _family_minimal_with_identity(kraus, tol))
+
+    @property
+    def is_minimal(self) -> bool:
+        """Whether {1, L_1, ..., L_n} is linearly independent at the default tolerance."""
+        return _family_minimal_with_identity(self.kraus, DEFAULT_TOL)
 
     @property
     def hamiltonian(self) -> np.ndarray:
         """Imaginary part of the drift, the effective Hamiltonian."""
         return (self.beta - dag(self.beta)) / 2j
 
-    def apply(self, x) -> np.ndarray:
-        """L(X), evaluated by `apply_generator`."""
-        return apply_generator(self, x)
-
-    def superoperator(self) -> np.ndarray:
-        """The d²×d² matrix of L, built by the module-level `superoperator`."""
-        return superoperator(self)
-
     def _in_coordinates(self, masa) -> tuple[np.ndarray, np.ndarray]:
         """The stacked jump operators U* L_i U and the drift U* β U."""
-        return masa.to_coordinates(np.stack(self.kraus.operators)), masa.to_coordinates(self.beta)
+        return masa.to_coordinates(self.kraus.operators), masa.to_coordinates(self.beta)
 
     def _pairs(self) -> _PairForm:
         """The pair form of L: the jump part's pairs (L_i*, L_i), then (1, β) and (β*, 1)."""
-        ops = self.kraus.operators
-        eye = np.eye(self.dim, dtype=complex)
+        ops, eye = self.kraus.operators, np.eye(self.dim, dtype=complex)[None]
         # dag of a stack is a strided view; the copy keeps both stacks C-ordered
-        left = np.ascontiguousarray(dag(np.array((*ops, eye, self.beta))))
-        return _PairForm(left, np.array((*ops, self.beta, eye)))
-
-    def projection_images(self, masa) -> np.ndarray:
-        """Images L(u_k u_k*) of the masa's minimal projections, in masa coordinates.
-
-        Computed from the pair form in O(n·d³), without the superoperator.
-        """
-        return self._pairs().images(masa.basis_unitary)
+        left = np.ascontiguousarray(dag(np.concatenate((ops, eye, self.beta[None]))))
+        return _PairForm(left, np.concatenate((ops, self.beta[None], eye)))
 
 
 def apply_generator(gen: GkslGenerator, x) -> np.ndarray:
     """Evaluate L(X) = Σ L_i* X L_i + X·beta + beta*·X."""
-    return gen._pairs().apply(require_matrix(x, dim=gen.dim, name="x"))
+    return gen.apply(x)
 
 
 def superoperator(gen: GkslGenerator) -> np.ndarray:
     """The d²×d² matrix of the generator under column-stacking vec."""
-    return gen._pairs().superoperator()
+    return gen.superoperator()
 
 
 def markov_form(kraus: KrausMap, hamiltonian, tol: Tolerance = DEFAULT_TOL) -> GkslGenerator:
@@ -147,8 +135,8 @@ def markov_form(kraus: KrausMap, hamiltonian, tol: Tolerance = DEFAULT_TOL) -> G
     if defect > tol.threshold(frobenius(h)):
         raise NotSelfAdjoint(f"hamiltonian symmetry defect {defect:.3e} exceeds tolerance")
     h = (h + dag(h)) / 2
-    total = sum(dag(op) @ op for op in kraus.operators)
-    return GkslGenerator(kraus, -total / 2 + 1j * h, tol)
+    total = (dag(kraus.operators) @ kraus.operators).sum(axis=0)
+    return GkslGenerator(kraus, -total / 2 + 1j * h)
 
 
 def semigroup_at(gen: GkslGenerator, t: float) -> np.ndarray:
@@ -171,7 +159,7 @@ def generator_from_map(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> GkslGenerat
     if not verdict.ok:
         raise NotUnital(f"map is not unital, residual {verdict.residual:.3e}")
     # kraus part reproduces T; drift -1/2 contributes X·beta + beta*·X = -X
-    return GkslGenerator(t, -np.eye(t.dim, dtype=complex) / 2, tol)
+    return GkslGenerator(t, -np.eye(t.dim, dtype=complex) / 2)
 
 
 @dataclass(frozen=True)
@@ -232,7 +220,7 @@ def _transform_witness(gen, other, m, eta_prime, distance, tol: Tolerance) -> Tr
 
 def _traceless_part(gen: GkslGenerator) -> tuple[np.ndarray, KrausMap]:
     """The trace vector t_i = tr(L_i)/d and the traceless jumps L_i − t_i·1."""
-    ops = np.stack(gen.kraus.operators)
+    ops = gen.kraus.operators
     traces = np.trace(ops, axis1=1, axis2=2) / gen.dim
     return traces, KrausMap(ops - traces[:, None, None] * np.eye(gen.dim))
 
@@ -343,14 +331,14 @@ def cp_part_diagonalizable(
         return SplitVerdict(**vars(verdict))
     eta = np.conj(z)
     gamma = complex(-np.vdot(eta, eta) / 2)
-    new_ops = [op - eta[i] * np.eye(d) for i, op in enumerate(gen.kraus.operators)]
+    new_ops = gen.kraus.operators - eta[:, None, None] * np.eye(d)
     new_beta = gen.beta + gamma * np.eye(d)
     for i, op in enumerate(gen.kraus.operators):
         new_beta = new_beta + np.conj(eta[i]) * op
     return SplitVerdict(
         eta=eta,
         gamma=gamma,
-        regauged=GkslGenerator(KrausMap(new_ops), new_beta, tol),
+        regauged=GkslGenerator(KrausMap(new_ops), new_beta),
         **vars(verdict),
     )
 

@@ -513,6 +513,35 @@ class _PairForm(NamedTuple):
         return a.transpose(2, 1, 0) @ b.swapaxes(0, 1)
 
 
+class _Evolution:
+    """The evolution protocol: a linear map on M_d, known through its pair form.
+
+    A CP map, a generator and a raw superoperator each supply `dim` and
+    `_pairs()`; application, the superoperator and the projection images are
+    each one `_PairForm` call on those pairs.
+    """
+
+    dim: int
+
+    def _pairs(self) -> _PairForm:
+        raise NotImplementedError
+
+    def apply(self, x) -> np.ndarray:
+        """The image of the d×d matrix X."""
+        return self._pairs().apply(require_matrix(x, dim=self.dim, name="x"))
+
+    def superoperator(self) -> np.ndarray:
+        """The d²×d² matrix S with vec(image of X) = S vec(X), column-stacking vec."""
+        return self._pairs().superoperator()
+
+    def projection_images(self, masa) -> np.ndarray:
+        """Images of the masa's minimal projections u_k u_k*, in masa coordinates.
+
+        Computed from the pair form in O(n·d³), without the superoperator.
+        """
+        return self._pairs().images(masa.basis_unitary)
+
+
 def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Haar-distributed rows×cols isometry: QR of a complex Ginibre matrix, R's diagonal made positive."""
     z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))

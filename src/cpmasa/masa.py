@@ -31,6 +31,7 @@ from .linalg import (
     _PairForm,
     _decide,
     _disjoint_least_squares,
+    _Evolution,
     _phase_normalize_columns,
     _realify,
     dag,
@@ -122,11 +123,11 @@ class Infeasible(Verdict):
     """Negative answer of a coefficient criterion: its Verdict, with no payload."""
 
 
-class _Superoperator:
+class _Superoperator(_Evolution):
     """An evolution known only through its d²×d² matrix under column-stacking vec.
 
-    Offers the members that KrausMap and GkslGenerator offer: `dim`,
-    `apply`, `projection_images` and the pair form `_pairs`.
+    Its pair form serves the finders; application, the projection images and
+    the superoperator itself come straight from the matrix.
     """
 
     def __init__(self, matrix):
@@ -139,6 +140,9 @@ class _Superoperator:
 
     def apply(self, x) -> np.ndarray:
         return unvec(self.matrix @ vec(x), self.dim)
+
+    def superoperator(self) -> np.ndarray:
+        return self.matrix
 
     def _pairs(self) -> _PairForm:
         """The d² pairs (E_rp, B_rp) with B_rp[q, c] = S[(c, r), (q, p)] = T(E_pq)[r, c]."""
@@ -159,8 +163,8 @@ class _Superoperator:
 
 
 def _evolution(source):
-    """A KrausMap or GkslGenerator as it is; anything else read as a superoperator."""
-    return source if hasattr(source, "projection_images") else _Superoperator(source)
+    """An evolution as it is; anything else read as a superoperator."""
+    return source if isinstance(source, _Evolution) else _Superoperator(source)
 
 
 def _projection_images(source, masa: Masa) -> np.ndarray:
@@ -269,7 +273,7 @@ def solve_kraus_coefficients(t, masa: Masa, tol: Tolerance = DEFAULT_TOL):
     """
     if t.dim != masa.dim:
         raise DimensionMismatch(f"map dim {t.dim} vs masa dim {masa.dim}")
-    ops = masa.to_coordinates(np.stack(t.operators))
+    ops = masa.to_coordinates(t.operators)
     with np.errstate(over="ignore", invalid="ignore"):
         c_blocks, residual, rhs_norm = _kraus_coefficient_solution(ops)
     verdict = _decide(residual, rhs_norm, tol, "commutator expansion is")
@@ -391,7 +395,7 @@ def rebolledo_check(t, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> RebolledoVer
         raise PatternExplosion(
             f"{(d + 1) ** d} support patterns at dim {d} exceed the enumeration cap"
         )
-    ops = masa.to_coordinates(np.stack(t.operators))
+    ops = masa.to_coordinates(t.operators)
     c = np.arange(1, d + 1, dtype=float)
     # (cK - Kc)[r, s] = (c_r - c_s)·K[r, s]
     values = c[:, None] - c
@@ -539,7 +543,8 @@ class _MaskedObjective:
     the gradients of kept rows from that, with no second rotation, so a
     descent judges its trials by value alone and pays for a gradient only
     where a trial wins. Called on one u the objective returns (value,
-    gradient), on a stack (values[R], gradients[R, d, d]). For search_masa's
+    gradient), on a stack (values[R], gradients[R, d, d]). `at_identity` is
+    f at the identity, found once on construction. For search_masa's
     inputs X_m = E_mm both products with the inputs are the identity, and
     they are skipped. Every sum over the pair index is the inner dimension
     of a batched matrix product, and slice r of a stack gets the bits that
@@ -554,6 +559,8 @@ class _MaskedObjective:
         self.side = np.concatenate([left, right]).transpose(1, 0, 2).reshape(self.dim, -1)
         self.inputs = None if np.array_equal(inputs, np.eye(self.dim)) else inputs
         self.mask = mask.ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.at_identity = float(self.trial(np.eye(self.dim, dtype=complex)[None])[0][0])
 
     def __call__(self, u: np.ndarray):
         values, kept = self.trial(u.reshape(-1, self.dim, self.dim))
@@ -600,10 +607,8 @@ def _masked_objective(pairs, inputs: np.ndarray, mask: np.ndarray) -> _MaskedObj
     """The _MaskedObjective of T's pairs; raises NumericalFailure when it is not finite at the identity."""
     objective = _MaskedObjective(pairs, inputs, mask)
     # a non-finite start is never improved on (comparisons with NaN fail)
-    with np.errstate(over="ignore", invalid="ignore"):
-        at_identity = objective.trial(np.eye(objective.dim, dtype=complex)[None])[0][0]
-    if not np.isfinite(at_identity):
-        raise NumericalFailure(f"search objective is not finite ({at_identity})")
+    if not np.isfinite(objective.at_identity):
+        raise NumericalFailure(f"search objective is not finite ({objective.at_identity})")
     return objective
 
 
@@ -712,8 +717,7 @@ def search_masa(
     d = pairs.left.shape[-1]
     eye = np.eye(d)
     objective = _masked_objective(pairs, eye, 1 - eye)
-    best_u = np.eye(d, dtype=complex)
-    best_value = objective(best_u)[0]
+    best_u, best_value = np.eye(d, dtype=complex), objective.at_identity
     exit_residual = tol.atol / 10
     if np.sqrt(max(best_value, 0.0)) < exit_residual:
         restarts = 1  # the exit test first runs after restart 0

@@ -435,3 +435,26 @@ def test_flag_a_command_does_not_read_exits_2(capsys, map_problem, command, flag
         main(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_report_values_without_a_json_type_are_encoded():
+    report = {
+        "a": np.int64(3),
+        "b": np.bool_(True),
+        "c": np.complex64(1 + 2j),
+        "d": np.arange(2.0),
+        "e": (1j, None),
+    }
+    assert json.loads(cli._render(report)) == {
+        "a": 3, "b": True, "c": [1.0, 2.0], "d": [0.0, 1.0], "e": [[0.0, 1.0], None]
+    }
+
+
+def test_unencodable_report_value_exits_2(capsys, monkeypatch, map_problem):
+    verdict = cpmasa.linalg.Verdict(ok=True, residual={0.0}, threshold=1.0)
+    monkeypatch.setattr(cli, "is_invariant", lambda *args: verdict)
+    code = main(["check-invariance", "--input", map_problem])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cannot encode report value of type set" in captured.err

@@ -341,3 +341,16 @@ def test_equality_oracle_builds_no_superoperator(monkeypatch):
     assert gksl_equivalent(gen, gen).checks["superoperator_distance"] < 1e-12
     shifted = GkslGenerator(KrausMap(ops), gen.beta + 1)
     assert isinstance(gksl_equivalent(gen, shifted), Inequivalent)
+
+
+def test_operators_are_one_read_only_stack():
+    rng = np.random.default_rng(43)
+    ops = [complex_gaussian(rng, (3, 3)) for _ in range(2)]
+    t = KrausMap(ops)
+    assert t.operators.shape == (2, 3, 3)
+    with pytest.raises(ValueError):
+        t.operators[0, 0, 0] = 1.0
+    assert np.array_equal(KrausMap(t.operators).operators, t.operators)
+    # the stack is a copy: the caller's operators stay writable and apart from it
+    ops[0][0, 0] = 5.0
+    assert t.operators[0, 0, 0] != 5.0

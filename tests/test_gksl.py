@@ -108,6 +108,15 @@ def test_is_minimal_flag():
     assert not dependent.is_minimal
 
 
+def test_is_minimal_is_read_at_the_default_tolerance():
+    # {1, L} is independent at the default tolerance, dependent at 1e-6
+    op = np.eye(2, dtype=complex) + 1e-7 * np.array([[0, 1], [0, 0]])
+    loose = Tolerance(atol=1e-6, rtol=1e-6)
+    gen = markov_form(KrausMap([op]), np.zeros((2, 2)), tol=loose)
+    assert gen.is_minimal
+    assert not gksl._family_minimal_with_identity(gen.kraus, loose)
+
+
 def test_semigroup_at_is_exponential():
     rng = np.random.default_rng(3)
     gen = random_markov_generator(rng, 3, 2)

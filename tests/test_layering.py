@@ -6,8 +6,11 @@ finders share one descent on the unitary group, so no module imports
 scipy.optimize. Maps and generators share one pair-form kernel in linalg.py,
 so no other module builds a superoperator from Kronecker products, and
 least squares has its one entry point there, so no other module calls
-numpy's solver. No module imports a name it never uses. Every function the
-benchmark's tracer wraps exists on the module it names.
+numpy's solver. Maps, generators and raw superoperators share one evolution
+base in linalg.py, which defines application, the superoperator and the
+projection images once; no module tells the kinds apart by their attributes.
+No module imports a name it never uses. Every function the benchmark's
+tracer wraps exists on the module it names.
 """
 
 import ast
@@ -108,6 +111,54 @@ def test_only_linalg_calls_lstsq():
     # every least-squares solve goes through linalg's one entry point
     paths = sorted(PACKAGE.glob("*.py"))
     assert [path.name for path in paths if _calls(path, "lstsq")] == ["linalg.py"]
+
+
+_PROTOCOL = {"apply", "superoperator", "projection_images"}
+
+
+def _protocol_methods() -> list:
+    """(module, class, method) for every method of a package class named in the protocol."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (path.stem, node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name in _PROTOCOL
+                ]
+    return sorted(found)
+
+
+def test_only_the_evolution_base_defines_the_protocol():
+    # the raw wrapper keeps its matrix path; _PairForm is the kernel the base calls
+    assert _protocol_methods() == sorted(
+        [
+            ("linalg", "_Evolution", "apply"),
+            ("linalg", "_Evolution", "projection_images"),
+            ("linalg", "_Evolution", "superoperator"),
+            ("linalg", "_PairForm", "apply"),
+            ("linalg", "_PairForm", "superoperator"),
+            ("masa", "_Superoperator", "apply"),
+            ("masa", "_Superoperator", "projection_images"),
+            ("masa", "_Superoperator", "superoperator"),
+        ]
+    )
+
+
+def _asks_for_protocol(path: Path) -> bool:
+    """Whether the module calls hasattr on a member of the evolution protocol."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hasattr":
+            name = node.args[1] if len(node.args) > 1 else None
+            if not isinstance(name, ast.Constant) or name.value in _PROTOCOL | {"_pairs"}:
+                return True
+    return False
+
+
+def test_no_module_tells_evolutions_apart_by_hasattr():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [path.name for path in paths if _asks_for_protocol(path)] == []
 
 
 def _unused_imports(path: Path) -> list:

@@ -48,6 +48,7 @@ from cpmasa import linalg as linalg_module
 from cpmasa import masa as masa_module
 from cpmasa.masa import (
     _MAX_ITERS,
+    _Superoperator,
     _descend,
     _evolution,
     _kraus_coefficient_solution,
@@ -66,6 +67,27 @@ from _ensembles import (
     random_markov_generator,
     random_unital_map,
 )
+
+
+def test_every_evolution_kind_answers_one_protocol():
+    rng = np.random.default_rng(44)
+    d = 3
+    t = KrausMap(complex_gaussian(rng, (2, d, d)))
+    s = t.superoperator()
+    # a zero drift adds no term, so the generator form acts as T does
+    gen = GkslGenerator(t, np.zeros((d, d)))
+    raw = _Superoperator(s)
+    for evolution in (t, gen, raw):
+        assert _evolution(evolution) is evolution
+    assert isinstance(_evolution(s), _Superoperator)
+    assert np.array_equal(raw.superoperator(), s)
+    assert frobenius(gen.superoperator() - s) <= 1e-14 * frobenius(s)
+    x = complex_gaussian(rng, (d, d))
+    masa = Masa(haar_unitary(rng, d))
+    for evolution in (gen, raw):
+        assert frobenius(evolution.apply(x) - t.apply(x)) <= 1e-13 * frobenius(s)
+        images = evolution.projection_images(masa)
+        assert frobenius(images - t.projection_images(masa)) <= 1e-13 * frobenius(s)
 
 
 def test_masa_basics():
@@ -836,6 +858,7 @@ class _OnePassSteps:
 
     def __init__(self, pairs, inputs, mask):
         self.objective = _one_pass_objective(pairs, inputs, mask)
+        self.at_identity = self.objective(np.eye(pairs[0].shape[-1], dtype=complex))[0]
 
     def __call__(self, u):
         return self.objective(u)
@@ -906,6 +929,23 @@ def test_descent_forms_gradients_for_starts_and_accepted_trials_only(kind, input
     objective.gradients = counted
     _descend(objective, starts, 40, _stack_width(pairs))
     assert sum(formed) == len(starts) + accepted
+
+
+def test_search_masa_forms_no_gradient_at_the_identity(monkeypatch):
+    # the identity's value is the one the finiteness check already found
+    called = []
+    call = masa_module._MaskedObjective.__call__
+
+    def recorded(self, u):
+        called.append(np.array(u))
+        return call(self, u)
+
+    monkeypatch.setattr(masa_module._MaskedObjective, "__call__", recorded)
+    gen = random_markov_generator(np.random.default_rng(40), 3, 2)
+    search_masa(gen, restarts=4, seed=1)
+    assert called  # the restarts' starts
+    eye = np.eye(3)
+    assert not any(np.array_equal(row, eye) for u in called for row in u.reshape(-1, 3, 3))
 
 
 def test_search_masa_makes_no_product_with_its_inputs(monkeypatch):
