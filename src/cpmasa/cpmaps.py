@@ -3,12 +3,11 @@
 A map T(X) = Σ_i L_i* X L_i is stored as the read-only (n, d, d) stack of
 its operators L_i. The module provides application, the Choi matrix,
 reduction to a minimal family, the partial isometry connecting two
-presentations of the same map, the superoperator form, the package-wide
-equality oracle (the superoperator distance, taken from the pair forms), and
-the unital check. A KrausMap is a `linalg._Evolution`: it supplies only its
-pair form, the stacks (L_i*, L_i) of T(X) = Σ_i A_i X B_i, and application,
-the superoperator, the projection images, the Choi matrix and the distance
-are all computed by linalg's one kernel from it.
+presentations of one map (read off the reference family's thin SVD), the
+superoperator form, the package-wide equality oracle (the superoperator
+distance), and the unital check. A KrausMap is a `linalg._Evolution`: it
+supplies only its pair form, the stacks (L_i*, L_i) of T(X) = Σ_i A_i X B_i,
+and linalg's one kernel computes all of the above from it.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from .linalg import (
     _haar_isometry,
     _PairForm,
     _phase_normalize_columns,
+    _span,
     dag,
-    expand_over,
     frobenius,
     require_matrix,
 )
@@ -47,11 +46,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausMap(_Evolution):
     """A finite Kraus family (L_i) on d×d matrices, acting as X ↦ Σ L_i* X L_i.
 
-    `operators` is the family as one read-only (n, d, d) stack.
+    `operators` is the family as one read-only (n, d, d) stack. ``==`` is
+    identity; whether two presentations are one map is `kraus_transform`'s call.
     """
 
     dim: int
@@ -116,17 +116,15 @@ def choi_matrix(t: KrausMap) -> np.ndarray:
 def minimal_kraus(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     """Reduce to a linearly independent Kraus family inducing the same map.
 
-    With F the n×d² matrix whose rows are the row-major flattened L_i, the
-    Choi matrix is F*F, so one thin SVD F = U Σ Vh gives its eigenvectors
-    v_k (the rows of Vh, conjugated) and eigenvalues σ_k² without forming
-    it. The family is σ_k·conj(v_k) for σ_k above the rank cut, in O(n²d²);
-    the eigenvector phase convention makes the output deterministic.
+    With F = U Σ Vh the family's span (`linalg._span`), the Choi matrix F*F
+    has eigenvalues σ_k² and eigenvectors v_k, the rows of Vh conjugated. The
+    family is σ_k·conj(v_k), in O(n²d²) without forming F*F; the eigenvector
+    phase convention makes the output deterministic.
     """
     d = t.dim
-    _, sigma, vh = np.linalg.svd(t.operators.reshape(len(t), d * d), full_matrices=False)
-    keep = sigma > tol.rank_cut(sigma[0])
-    v = _phase_normalize_columns(dag(vh[keep]))
-    ops = (sigma[keep, None] * dag(v)).reshape(-1, d, d)
+    _, sigma, vh = _span(t.operators, tol)
+    v = _phase_normalize_columns(dag(vh))
+    ops = (sigma[:, None] * dag(v)).reshape(-1, d, d)
     # the zero map still needs a carrier operator
     out = KrausMap(ops if len(ops) else np.zeros((1, d, d), dtype=complex))
     distance, norm, _ = t._pairs().distance(out._pairs())
@@ -152,29 +150,35 @@ def _superoperator_distance(a, b, tol: Tolerance) -> tuple[float, bool]:
     return distance, distance <= tol.threshold(max(norm_a, norm_b))
 
 
-def _mixing(t: KrausMap, s: KrausMap, tol: Tolerance) -> np.ndarray:
-    """The partial isometry V with S_j = Σ_i v_ji T_i, for two families of one map.
+def _mixing(t_ops: np.ndarray, s_ops: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The partial isometry V with S_j = Σ_i v_ji T_i, for two (n, d, d) families of one map.
 
-    Both families are expanded over the minimal form of T, which keeps the
-    construction well conditioned when either family is linearly dependent.
-    Both coefficient matrices P (of T) and Q (of S) are isometries onto the
-    minimal index space, so V = Q P*.
+    With F_t = U Σ W the span of T (`linalg._span`), coordinates over the
+    orthonormal rows of W are F W*: U Σ for T and Q Σ for S, so V = Q U* with
+    Q = F_s W* Σ⁻¹. Raises NumericalFailure when a member of either family
+    leaves the span by more than ``10·tol.threshold(max(1, ‖member‖_F))``.
     """
-    base = minimal_kraus(t, tol).operators
-    return expand_over(base, s.operators, tol) @ dag(expand_over(base, t.operators, tol))
+    u, sigma, w = _span(t_ops, tol)
+    flat = np.concatenate((t_ops, s_ops)).reshape(len(t_ops) + len(s_ops), -1)
+    coords = flat @ dag(w)
+    residuals = np.linalg.norm(flat - coords @ w, axis=1)
+    for j, (res, norm) in enumerate(zip(residuals, np.linalg.norm(flat, axis=1))):
+        if res > 10 * tol.threshold(max(1.0, norm)):
+            raise NumericalFailure(f"operator {j} of (T, S) leaves T's span (residual {res:.3e})")
+    return (coords[len(t_ops):] / sigma) @ dag(u)
 
 
 def kraus_transform(t: KrausMap, s: KrausMap, tol: Tolerance = DEFAULT_TOL):
     """Partial isometry relating two Kraus presentations of one map.
 
     If T and S induce the same map, returns a DecompositionTransform V with
-    S_j = Σ_i v_ji T_i and T_i = Σ_j conj(v_ji) S_j. Otherwise returns
-    Inequivalent carrying the superoperator distance.
+    S_j = Σ_i v_ji T_i and T_i = Σ_j conj(v_ji) S_j, read off T's thin SVD by
+    `_mixing`. Otherwise returns Inequivalent carrying the superoperator distance.
     """
     distance, equal = _superoperator_distance(t, s, tol)
     if not equal:
         return Inequivalent(distance)
-    return DecompositionTransform(v_matrix=_mixing(t, s, tol))
+    return DecompositionTransform(v_matrix=_mixing(t.operators, s.operators, tol))
 
 
 def is_unital(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> Verdict:

@@ -67,14 +67,15 @@ def _family_minimal_with_identity(kraus: KrausMap, tol: Tolerance) -> bool:
     return matrix_rank_tol(family.reshape(len(family), d * d), tol) == len(family)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GkslGenerator(_Evolution):
     """Lindblad-form generator: Kraus family plus drift.
 
     A `linalg._Evolution` through its pair form. `is_minimal` tells whether
     {1, L_1, ..., L_n} is linearly independent at the default tolerance; that
     is exactly the condition under which the transformation witness between
-    two presentations is unique.
+    two presentations is unique. ``==`` is identity; whether two presentations
+    are one generator is `gksl_equivalent`'s call.
     """
 
     dim: int
@@ -218,11 +219,11 @@ def _transform_witness(gen, other, m, eta_prime, distance, tol: Tolerance) -> Tr
     )
 
 
-def _traceless_part(gen: GkslGenerator) -> tuple[np.ndarray, KrausMap]:
-    """The trace vector t_i = tr(L_i)/d and the traceless jumps L_i − t_i·1."""
+def _traceless_part(gen: GkslGenerator) -> tuple[np.ndarray, np.ndarray]:
+    """The trace vector t_i = tr(L_i)/d and the stack of traceless jumps L_i − t_i·1."""
     ops = gen.kraus.operators
     traces = np.trace(ops, axis1=1, axis2=2) / gen.dim
-    return traces, KrausMap(ops - traces[:, None, None] * np.eye(gen.dim))
+    return traces, ops - traces[:, None, None] * np.eye(gen.dim)
 
 
 def gksl_equivalent(

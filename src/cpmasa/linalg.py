@@ -256,23 +256,16 @@ def _disjoint_least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
     return x, np.sqrt(np.einsum("kmc,kmc->kc", fit, fit))
 
 
-def expand_over(basis, ops, tol: Tolerance) -> np.ndarray:
-    """Coordinates of each operator over a family of basis operators.
+def _span(ops: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD F = U Σ Vh of an (n, d, d) family, cut at ``tol.rank_cut(σ_max)``.
 
-    Row j holds the least-squares coordinates of ``ops[j]``, all found by one
-    solve with a matrix right-hand side. Raises NumericalFailure when an
-    operator's residual exceeds ``10·tol.threshold(max(1, ‖op‖_F))``, that is,
-    when it does not lie in the span of the basis.
+    F is n×d², its rows the row-major flattened operators. The rows of Vh are
+    an orthonormal basis of the family's span, and F Vh* its coordinates over
+    them: every decision on a Kraus family's span is made at this one cut.
     """
-    stack = np.column_stack([vec(b) for b in basis])
-    rhs = np.column_stack([vec(op) for op in ops])
-    x, residuals = least_squares(stack, rhs)
-    for j, (res, norm) in enumerate(zip(residuals, np.linalg.norm(rhs, axis=0))):
-        if res > 10 * tol.threshold(max(1.0, float(norm))):
-            raise NumericalFailure(
-                f"operator {j} does not lie in the span of the basis (residual {res:.3e})"
-            )
-    return x.T
+    u, sigma, vh = np.linalg.svd(ops.reshape(len(ops), -1), full_matrices=False)
+    keep = sigma > tol.rank_cut(sigma[0])
+    return u[:, keep], sigma[keep], vh[keep]
 
 
 def _realify(z) -> np.ndarray:

@@ -34,6 +34,7 @@ from .linalg import (
     _Evolution,
     _phase_normalize_columns,
     _realify,
+    _span,
     dag,
     expm_skew,
     frobenius,
@@ -68,9 +69,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Masa:
-    """Masa U 𝓓_d U* given by the unitary of its joint eigenbasis."""
+    """Masa U 𝓓_d U* given by the unitary of its joint eigenbasis.
+
+    ``==`` is identity, as for the maps that `kraus_transform` and `gksl_equivalent` compare.
+    """
 
     dim: int
     basis_unitary: np.ndarray
@@ -381,12 +385,12 @@ def rebolledo_check(t, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> RebolledoVer
     The compatible-element analysis enumerates every support pattern
     (one permitted column per row, or none) and intersects its coordinate
     subspace with span{L_i}: the span elements supported inside a pattern
-    are the span's orthonormal basis times the nullspace of its rows outside
-    the pattern. Some decomposition of T can pass the per-operator check only
-    if these intersections are rich enough, so an all-zero outcome rules out
-    every decomposition at once. Raises PatternExplosion above dimension
-    _MAX_ENUMERATION_DIM, and NumericalFailure when a per-operator residual
-    or its scale is not finite.
+    are the span's orthonormal basis (`linalg._span`, row-major flattened)
+    times the nullspace of its rows outside the pattern. Some decomposition
+    of T can pass the per-operator check only if these intersections are rich
+    enough, so an all-zero outcome rules out every decomposition at once.
+    Raises PatternExplosion above dimension _MAX_ENUMERATION_DIM, and
+    NumericalFailure when a per-operator residual or its scale is not finite.
     """
     if t.dim != masa.dim:
         raise DimensionMismatch(f"map dim {t.dim} vs masa dim {masa.dim}")
@@ -412,15 +416,12 @@ def rebolledo_check(t, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> RebolledoVer
         for residual, scale in zip(residuals.tolist(), scales.tolist())
     ]
 
-    # column i is vec(L_i)
-    stack = ops.transpose(0, 2, 1).reshape(len(ops), d * d).T
-    u_mat, sing, _ = np.linalg.svd(stack, full_matrices=False)
-    span_basis = u_mat[:, sing > tol.rank_cut(sing[0])]
+    span_basis = _span(ops, tol)[2].T
     compatible = []
     for pattern in itertools.product(range(d + 1), repeat=d):
         outside = np.ones(d * d, dtype=bool)
-        # entry (r, s) sits at index s·d + r of vec
-        outside[[col * d + r for r, col in enumerate(pattern) if col < d]] = False
+        # entry (r, s) sits at index r·d + s of the row-major flattening
+        outside[[r * d + col for r, col in enumerate(pattern) if col < d]] = False
         # a product of two matrices with orthonormal columns needs no normalizing
         elements = span_basis @ nullspace(span_basis[outside], tol)
         if elements.shape[1] == 0:
@@ -432,7 +433,7 @@ def rebolledo_check(t, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> RebolledoVer
             PatternIntersection(
                 pattern=tuple(col if col < d else None for col in pattern),
                 dimension=elements.shape[1],
-                basis=tuple(unvec(w, d) for w in elements.T),
+                basis=tuple(w.reshape(d, d) for w in elements.T),
             )
         )
     return RebolledoVerdict(

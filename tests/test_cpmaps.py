@@ -6,6 +6,8 @@ from cpmasa import (
     GkslGenerator,
     Inequivalent,
     KrausMap,
+    Masa,
+    TransformWitness,
     apply_cp,
     choi_matrix,
     dag,
@@ -14,16 +16,17 @@ from cpmasa import (
     haar_unitary,
     is_unital,
     kraus_transform,
+    least_squares,
     map_superoperator,
     minimal_kraus,
     random_unital_kraus,
     vec,
 )
 from cpmasa import linalg
-from cpmasa.cpmaps import _superoperator_distance
+from cpmasa.cpmaps import _mixing, _superoperator_distance
 from cpmasa.errors import DimensionMismatch, NumericalFailure
 
-from _ensembles import complex_gaussian
+from _ensembles import complex_gaussian, transformed_presentation
 
 L21 = np.array([[1, 0], [1, 1]], dtype=complex)
 
@@ -354,3 +357,106 @@ def test_operators_are_one_read_only_stack():
     # the stack is a copy: the caller's operators stay writable and apart from it
     ops[0][0, 0] = 5.0
     assert t.operators[0, 0, 0] != 5.0
+
+
+def _reference_mixing(t_ops, s_ops, tol=DEFAULT_TOL):
+    """The mixing isometry by the construction it replaced: both families
+    expanded by least squares over minimal_kraus of the reference family."""
+    base = np.column_stack([vec(op) for op in minimal_kraus(KrausMap(t_ops), tol).operators])
+
+    def coordinates(ops):
+        return least_squares(base, np.column_stack([vec(op) for op in ops]))[0].T
+
+    return coordinates(s_ops) @ dag(coordinates(t_ops))
+
+
+def _reference_families():
+    """Seeded reference families, in turn minimal, with a duplicated operator,
+    with a zero operator, with a scalar operator, and scaled by 1e-6."""
+    for seed in range(60):
+        rng = np.random.default_rng([1800, seed])
+        d, n = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        ops = complex_gaussian(rng, (n, d, d))
+        kind = seed % 5
+        if kind == 1:
+            ops = np.concatenate((ops, ops[:1]))
+        elif kind == 2:
+            ops = np.concatenate((ops, np.zeros((1, d, d))))
+        elif kind == 3:
+            ops = np.concatenate((ops, 0.7j * np.eye(d)[None]))
+        elif kind == 4:
+            ops = 1e-6 * ops
+        yield seed, rng, ops
+
+
+def test_kraus_transform_matches_least_squares_reference():
+    for seed, rng, ops in _reference_families():
+        n = len(ops)
+        # S_j = Σ_i w_ji T_i for an isometry w with one spare row half the time
+        w = haar_unitary(rng, n + seed % 2)[:, :n]
+        other = np.einsum("ji,ikl->jkl", w, ops)
+        v = kraus_transform(KrausMap(ops), KrausMap(other)).v_matrix
+        scale = max(1.0, max(frobenius(op) for op in other))
+        assert frobenius(v - _reference_mixing(ops, other)) <= 1e-12 * scale, seed
+
+
+def test_gksl_equivalent_matches_least_squares_reference():
+    for seed, rng, ops in _reference_families():
+        d = ops.shape[1]
+        gen = GkslGenerator(KrausMap(ops), complex_gaussian(rng, (d, d)))
+        moved, _ = transformed_presentation(rng, gen, extra=seed % 2)
+        out = gksl_equivalent(gen, moved)
+        traces = [np.trace(g.kraus.operators, axis1=1, axis2=2) / d for g in (gen, moved)]
+        traceless = [
+            g.kraus.operators - t[:, None, None] * np.eye(d) for g, t in zip((gen, moved), traces)
+        ]
+        m = _reference_mixing(*traceless)
+        bound = 1e-12 * max(1.0, out.checks["scale"])
+        assert frobenius(out.m_matrix - m) <= bound, seed
+        assert np.linalg.norm(out.eta_prime - (traces[1] - m @ traces[0])) <= bound, seed
+
+
+def test_mixing_rejects_a_member_outside_the_span():
+    rng = np.random.default_rng(13)
+    t_ops = complex_gaussian(rng, (2, 3, 3))
+    coef = complex_gaussian(rng, (4, 2))
+    s_ops = np.einsum("ji,ikl->jkl", coef, t_ops)
+    v = _mixing(t_ops, s_ops, DEFAULT_TOL)
+    assert np.allclose(np.einsum("ji,ikl->jkl", v, t_ops), s_ops, atol=1e-10)
+    outside = np.concatenate((s_ops, complex_gaussian(rng, (1, 3, 3))))
+    with pytest.raises(NumericalFailure):
+        _mixing(t_ops, outside, DEFAULT_TOL)
+
+
+def test_gksl_equivalent_makes_one_distance_and_no_least_squares(monkeypatch):
+    rng = np.random.default_rng(1816)
+    gen = GkslGenerator(KrausMap(complex_gaussian(rng, (3, 4, 4))), complex_gaussian(rng, (4, 4)))
+    moved, _ = transformed_presentation(rng, gen, extra=1)
+    calls = {"lstsq": 0, "distance": 0}
+    lstsq, distance = np.linalg.lstsq, linalg._PairForm.distance
+
+    def counting_lstsq(*args, **kwargs):
+        calls["lstsq"] += 1
+        return lstsq(*args, **kwargs)
+
+    def counting_distance(self, other):
+        calls["distance"] += 1
+        return distance(self, other)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    monkeypatch.setattr(linalg._PairForm, "distance", counting_distance)
+    assert isinstance(gksl_equivalent(gen, moved), TransformWitness)
+    assert calls == {"lstsq": 0, "distance": 1}
+
+
+def test_model_objects_compare_and_hash_by_identity():
+    # sameness of two presentations is kraus_transform's and gksl_equivalent's question
+    t = KrausMap([np.eye(2)])
+    gen = GkslGenerator(t, np.zeros((2, 2)))
+    masa = Masa.diagonal(2)
+    twins = (KrausMap([np.eye(2)]), GkslGenerator(t, np.zeros((2, 2))), Masa.diagonal(2))
+    for obj, twin in zip((t, gen, masa), twins):
+        assert obj == obj
+        assert not obj == twin
+        assert obj != twin
+    assert len({t, gen, masa, t, *twins}) == 6

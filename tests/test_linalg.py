@@ -33,7 +33,6 @@ from cpmasa.linalg import (
     _disjoint_least_squares,
     complex_from_realified,
     complex_least_squares,
-    expand_over,
     least_squares,
     matrix_rank_tol,
     real_linear_least_squares,
@@ -296,16 +295,6 @@ def test_disjoint_least_squares_non_finite_system_raises():
     a = np.stack([np.eye(2), np.array([[np.inf, 1.0], [0.0, 1.0]])])
     with pytest.raises(NumericalFailure):
         _disjoint_least_squares(a, np.ones((2, 2, 1)))
-
-
-def test_expand_over_coordinates_and_span_check():
-    rng = np.random.default_rng(13)
-    basis = [complex_gaussian(rng, (3, 3)) for _ in range(2)]
-    coef = complex_gaussian(rng, (4, 2))
-    ops = [coef[j, 0] * basis[0] + coef[j, 1] * basis[1] for j in range(4)]
-    assert np.allclose(expand_over(basis, ops, DEFAULT_TOL), coef, atol=1e-10)
-    with pytest.raises(NumericalFailure):
-        expand_over(basis, ops + [complex_gaussian(rng, (3, 3))], DEFAULT_TOL)
 
 
 def test_realified_conjugate_linear_system_roundtrip():

@@ -13,6 +13,7 @@ from cpmasa import (
     Tolerance,
     apply_cp,
     apply_generator,
+    build_example,
     classical_restriction,
     dag,
     expm_skew,
@@ -515,6 +516,27 @@ def test_rebolledo_matches_pattern_stack_reference():
             assert np.abs(mine @ dag(mine) - theirs @ dag(theirs)).max() <= 1e-12, seed
             largest = max(largest, pi.dimension)
     assert largest >= 2
+
+
+def test_ex2_2_empty_intersections_exact_replay():
+    # ex2_2's operators have entries in Q(√2): over that field each of the 9
+    # support patterns meets span{op1, op2} only in 0
+    sympy = pytest.importorskip("sympy")
+    t = build_example("ex2_2").payload
+    s, h = 1 / sympy.sqrt(2), sympy.Rational(1, 2)
+    ops = [sympy.Matrix([[s, 0], [h, h]]), sympy.Matrix([[0, s], [-h, h]])]
+    exact = np.array([op.tolist() for op in ops], dtype=complex)
+    # the corpus family is the exact one, to an ulp
+    assert np.abs(exact - t.operators).max() <= np.finfo(float).eps
+    examined = 0
+    for pattern in itertools.product(range(3), repeat=2):
+        # a·op1 + b·op2 lies in the pattern iff it vanishes at every entry outside it
+        outside = [(r, c) for r in range(2) for c in range(2) if pattern[r] != c]
+        assert sympy.Matrix([[op[r, c] for op in ops] for r, c in outside]).rank() == 2, pattern
+        examined += 1
+    verdict = rebolledo_check(t, Masa.diagonal(2))
+    assert verdict.compatible_elements == ()
+    assert verdict.patterns_examined == examined == 9
 
 
 def test_rebolledo_explosion_guard():
