@@ -5,6 +5,10 @@ funnels its numerics through this module: Hermitian eigendecomposition with a
 deterministic phase convention, minimum-norm least squares over real and
 complex unknowns, the matrix exponential, commutant computation, and a single
 tolerance policy shared by every rank and feasibility threshold.
+
+Every factorization runs on numpy's LAPACK. The exponential alone is scipy's,
+and `_expm` imports scipy.linalg at the first exponential, so a process that
+never exponentiates never loads scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -303,10 +306,21 @@ def complex_from_realified(x: np.ndarray) -> np.ndarray:
     return x[0::2] + 1j * x[1::2]
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """scipy's scaling-and-squaring Padé exponential, with scipy.linalg imported on first use."""
+    import scipy.linalg
+
+    return scipy.linalg.expm(a)
+
+
 def matrix_exp(a) -> np.ndarray:
-    """Matrix exponential e^a (scaling-and-squaring Pade)."""
+    """Matrix exponential e^a (scaling-and-squaring Pade).
+
+    Raises NumericalFailure when the exponential overflows.
+    """
     m = require_matrix(a)
-    out = scipy.linalg.expm(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _expm(m)
     if not np.all(np.isfinite(out.view(float))):
         raise NumericalFailure("matrix exponential overflowed")
     return out
@@ -328,7 +342,7 @@ def _hermiticity_preserving_exp(s, d: int) -> np.ndarray:
     """
     s4 = require_matrix(s, dim=d * d).reshape(d, d, d, d)
     with np.errstate(over="ignore", invalid="ignore"):
-        e = scipy.linalg.expm((s4.real + s4.imag.swapaxes(2, 3)).reshape(d * d, d * d))
+        e = _expm((s4.real + s4.imag.swapaxes(2, 3)).reshape(d * d, d * d))
         e4 = e.reshape(d, d, d, d)
         out = np.empty((d, d, d, d), dtype=complex)
         out.real = (e4 + e4.transpose(1, 0, 3, 2)) / 2
@@ -407,14 +421,16 @@ def _upper_trapezoid(rows: int, cols: int) -> np.ndarray:
 def _r_factor(a: np.ndarray, with_q: bool = False):
     """The upper-trapezoidal R of a thin QR factorization a = Q R of a complex matrix.
 
-    LAPACK's geqrf directly, R masked out of its packed output: at the sizes
-    of a pair form, np.linalg.qr and np.triu cost several times the
-    factorization itself. With `with_q`, returns (Q, R), Q formed by ungqr.
+    numpy's LAPACK geqrf: R is masked out of the packed output of the raw
+    mode, which forms no Q. With `with_q`, returns (Q, R) of the reduced mode,
+    Q formed by ungqr. Entries that overflow come out as inf or NaN (an inf
+    under the mask gives NaN), for the caller to check.
     """
-    qr, tau, _, _ = scipy.linalg.lapack.zgeqrf(a)
+    if with_q:
+        return np.linalg.qr(a)
+    h, _ = np.linalg.qr(a, mode="raw")
     rows = min(a.shape)
-    r = qr[:rows] * _upper_trapezoid(rows, a.shape[1])
-    return (scipy.linalg.lapack.zungqr(qr[:, :rows], tau)[0], r) if with_q else r
+    return h.T[:rows] * _upper_trapezoid(rows, a.shape[1])
 
 
 def _stack_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -461,9 +477,9 @@ class _PairForm(NamedTuple):
         as inf or NaN, for the caller to check.
         """
         n, d = len(self.left), self.left.shape[-1]
-        r_a = _r_factor(np.concatenate([self.left, other.left]).reshape(-1, d * d).T)
-        r_b = _r_factor(np.concatenate([self.right, other.right]).reshape(-1, d * d).T)
         with np.errstate(over="ignore", invalid="ignore"):
+            r_a = _r_factor(np.concatenate([self.left, other.left]).reshape(-1, d * d).T)
+            r_b = _r_factor(np.concatenate([self.right, other.right]).reshape(-1, d * d).T)
             own = r_a[:, :n] @ r_b[:, :n].T
             theirs = r_a[:, n:] @ r_b[:, n:].T
             # the root of vdot is frobenius without np.linalg.norm's call overhead

@@ -69,6 +69,43 @@ def test_ex2_1_corner_embedding():
         embed_corner(t, 1)
 
 
+def test_ex2_1_unit_orbit_exact_replay():
+    # every invariant masa holds 1, T(1) and T²(1) and is commutative, so
+    # [T(1), T²(1)] ≠ 0 proves that ex2_1 and its corners have none; the Kraus
+    # operators are integer matrices, so T(X) = Σ K* X K replays over ℤ
+    sympy = pytest.importorskip("sympy")
+    base = build_example("ex2_1")
+    pinned = {
+        name: sympy.Matrix(base.expected[name].astype(int).tolist())
+        for name in ("unit_image", "unit_image_twice", "unit_commutator")
+    }
+    for t in (base.payload, embed_corner(base.payload, 3), embed_corner(base.payload, 4)):
+        d = t.dim
+        assert np.array_equal(t.operators, t.operators.real.astype(int))
+        ops = [sympy.Matrix(op.real.astype(int).tolist()) for op in t.operators]
+
+        def image(x):
+            return sum((op.H * x * op for op in ops), sympy.zeros(d))
+
+        def padded(m):
+            out = sympy.zeros(d)
+            out[:2, :2] = m
+            return out
+
+        one = image(sympy.eye(d))
+        two = image(one)
+        comm = one * two - two * one
+        assert one == padded(pinned["unit_image"])
+        assert two == padded(pinned["unit_image_twice"])
+        assert comm == padded(pinned["unit_commutator"])
+        assert sum(v**2 for v in comm) == 8
+        # the float check sees the same commutator, and its norm is √8
+        x = apply_cp(t, np.eye(d))
+        y = apply_cp(t, x)
+        assert np.array_equal(x @ y - y @ x, np.array(comm.tolist(), dtype=complex))
+        assert base.expected["unit_commutator_norm"] ** 2 == pytest.approx(8, rel=1e-15)
+
+
 def test_ex2_2_invariant_unital_rebolledo():
     t = build_example("ex2_2").payload
     masa = Masa.diagonal(2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,17 @@ def test_is_unital_non_finite_raises():
     # T(1) overflows, so its distance from the unit is NaN
     with pytest.raises(NumericalFailure):
         is_unital(KrausMap([1e200 * np.ones((2, 2), dtype=complex)]))
+
+
+def test_overflowing_family_raises_without_warning():
+    # the pair-form stacks hold inf after the QR; masking R must not warn
+    t = KrausMap([np.full((2, 2), 1e308, dtype=complex), np.diag([1e308, -1e308]).astype(complex)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure):
+            kraus_transform(t, t)
+        with pytest.raises(NumericalFailure):
+            minimal_kraus(t)
 
 
 def test_random_unital_kraus_is_unital():

@@ -535,3 +535,12 @@ def test_semigroup_at_overflow_raises_without_warning():
         # the scaled generator tS itself overflows
         with pytest.raises(NumericalFailure):
             semigroup_at(calm, 1e308)
+
+
+def test_gksl_equivalent_overflow_raises_without_warning():
+    ops = [np.full((2, 2), 1e308, dtype=complex), np.diag([1e308, -1e308]).astype(complex)]
+    gen = GkslGenerator(KrausMap(ops), np.zeros((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure):
+            gksl_equivalent(gen, gen)

@@ -10,11 +10,16 @@ numpy's solver. Maps, generators and raw superoperators share one evolution
 base in linalg.py, which defines application, the superoperator and the
 projection images once; no module tells the kinds apart by their attributes.
 No module imports a name it never uses. Every function the benchmark's
-tracer wraps exists on the module it names.
+tracer wraps exists on the module it names. scipy is imported by one
+function, the exponential, so importing the package loads no scipy module.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cpmasa
@@ -90,6 +95,62 @@ def _imports_scipy_optimize(path: Path) -> bool:
 def test_no_module_imports_scipy_optimize():
     paths = sorted(PACKAGE.glob("*.py"))
     assert not [path.name for path in paths if _imports_scipy_optimize(path)]
+
+
+def _scipy_imports(node: ast.AST, function: str | None = None) -> list:
+    """The innermost enclosing function (None at module level) of each scipy import under `node`."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            names = [child.module]
+        else:
+            names = []
+        found += [function for name in names if name == "scipy" or name.startswith("scipy.")]
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        found += _scipy_imports(child, inner)
+    return found
+
+
+def test_only_the_exponential_imports_scipy():
+    found = [
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in _scipy_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == [("linalg.py", "_expm")]
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+import numpy as np
+import cpmasa
+import cpmasa.cli
+loaded = {"import": "scipy" in sys.modules}
+rng = np.random.default_rng(5)
+t = cpmasa.random_unital_kraus(rng, 3, 2)
+cpmasa.solve_kraus_coefficients(t, cpmasa.Masa.diagonal(3))
+cpmasa.search_masa(t, restarts=2, seed=1)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cpmasa.cli.main(["corpus", "ex2_2"])
+loaded["decide"] = "scipy" in sys.modules
+gen = cpmasa.GkslGenerator(t, np.zeros((3, 3)))
+cpmasa.semigroup_at(gen, 0.5)
+loaded["exponentiate"] = "scipy" in sys.modules
+print(json.dumps({"code": code, **loaded}))
+"""
+
+
+def test_scipy_loads_at_the_first_exponential():
+    # a fresh interpreter: this process has scipy loaded by the other test modules
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"code": 0, "import": False, "decide": False, "exponentiate": True}
 
 
 def _calls(path: Path, name: str) -> bool:

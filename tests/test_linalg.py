@@ -332,6 +332,13 @@ def test_matrix_exp_pinned_values():
     assert np.allclose(matrix_exp(nilp), np.array([[1, 1], [0, 1]]))
 
 
+def test_matrix_exp_overflow_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure):
+            matrix_exp(np.array([[800.0, 1.0], [0.0, 1.0]]))
+
+
 def test_matrix_exp_inverse_property():
     for seed in range(50):
         rng = np.random.default_rng(seed)
