@@ -42,7 +42,7 @@ from .linalg import (
     realify_conjugate_linear_system,
     require_matrix,
 )
-from .masa import is_invariant
+from .masa import _drift_system, is_invariant
 
 __all__ = [
     "GkslGenerator",
@@ -195,9 +195,7 @@ def _transform_witness(gen, other, m, eta_prime, distance, tol: Tolerance) -> Tr
     """
     d = gen.dim
     eta = -dag(m) @ eta_prime
-    residual_matrix = other.beta - gen.beta
-    for i, op in enumerate(gen.kraus.operators):
-        residual_matrix = residual_matrix - np.conj(eta[i]) * op
+    residual_matrix = other.beta - gen.beta - np.tensordot(eta.conj(), gen.kraus.operators, 1)
     gamma = complex(np.trace(residual_matrix) / d)
     drift_residual = frobenius(residual_matrix - gamma * np.eye(d))
     drift_scale = max(1.0, frobenius(gen.beta), frobenius(other.beta))
@@ -309,10 +307,10 @@ def cp_part_diagonalizable(
     """Can the drift be re-gauged so that it lies in the masa?
 
     In masa coordinates this asks for coefficients eta with
-    offdiag(B + Σ_i conj(eta_i) L_i) = 0, a complex-linear least-squares
-    problem. When feasible the verdict carries the re-gauged presentation
-    (jump operators L_i - eta_i·1, drift B + gamma·1 + Σ conj(eta_i) L_i with
-    gamma = -⟨eta, eta⟩/2), whose jump part alone then preserves the masa.
+    offdiag(B + Σ_i conj(eta_i) L_i) = 0 (`masa._drift_system`, solved by row
+    in stage 1 of `solve_generator_coefficients`). A feasible verdict carries
+    the re-gauged presentation, jumps L_i - eta_i·1 and drift B + gamma·1 +
+    Σ conj(eta_i) L_i with gamma = -⟨eta, eta⟩/2, whose jump part preserves the masa.
     The generator must preserve the masa to begin with, as `is_invariant`
     decides; NotInvariant is raised otherwise, and NumericalFailure when the
     drift system's residual or right-hand side is not finite.
@@ -320,22 +318,17 @@ def cp_part_diagonalizable(
     verdict = is_invariant(gen, masa, tol)
     if not verdict:
         raise NotInvariant(f"generator does not preserve the masa, residual {verdict.residual:.3e}")
-    d = gen.dim
-    ops, b = gen._in_coordinates(masa)
-    r, s = np.nonzero(~np.eye(d, dtype=bool))
-    a = ops[:, r, s].T
-    b_vec = -b[r, s]
+    d, ops = gen.dim, gen.kraus.operators
+    a, b = _drift_system(*gen._in_coordinates(masa))
     # unknowns are conj(eta); the system is complex-linear in them
-    z, residual = least_squares(a, b_vec)
-    verdict = _decide(residual, float(np.linalg.norm(b_vec)), tol, "drift system is")
+    z, residual = least_squares(a.reshape(d * (d - 1), len(ops)), b.ravel())
+    verdict = _decide(residual, float(np.linalg.norm(b)), tol, "drift system is")
     if not verdict:
         return SplitVerdict(**vars(verdict))
     eta = np.conj(z)
     gamma = complex(-np.vdot(eta, eta) / 2)
-    new_ops = gen.kraus.operators - eta[:, None, None] * np.eye(d)
-    new_beta = gen.beta + gamma * np.eye(d)
-    for i, op in enumerate(gen.kraus.operators):
-        new_beta = new_beta + np.conj(eta[i]) * op
+    new_ops = ops - eta[:, None, None] * np.eye(d)
+    new_beta = gen.beta + gamma * np.eye(d) + np.tensordot(eta.conj(), ops, 1)
     return SplitVerdict(
         eta=eta,
         gamma=gamma,

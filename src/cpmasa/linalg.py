@@ -232,16 +232,18 @@ real_linear_least_squares = least_squares
 complex_least_squares = least_squares
 
 
-def _disjoint_least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm solutions of the real blocks ``a[i] x[i] = b[i]``, which share nothing.
+def _disjoint_least_squares(a: np.ndarray, b: np.ndarray, reference: float) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm solutions of the blocks ``a[i] x[i] = b[i]``, which share nothing.
 
-    `a` is a (k, m, n) stack and `b` a (k, m, c) stack of right-hand sides.
-    One batched SVD solves every block, and singular values are cut as one
-    solve of the block-diagonal whole would cut them: at or below
-    ``eps·k·max(m, n)·σ_max`` of the whole, not of the block. A block that
-    vanishes up to rounding then gets zero unknowns instead of ones fitted to
-    its rounding noise. Returns x (k, n, c) and the residuals ‖a x − b‖ of
-    each block's columns (k, c). Raises NumericalFailure if `a` is not finite.
+    `a` is a (k, m, n) stack and `b` a (k, m, c) stack of right-hand sides,
+    real or complex. One batched SVD solves every block. Singular values at or
+    below ``eps·k·max(m, n)·max(σ_max, reference)`` are cut, σ_max that of the
+    whole: as one solve of the block-diagonal whole would cut them, unless
+    `reference`, the norm the entries' rounding is relative to (such as that
+    of the operators the system was read from), is larger. A block that
+    vanishes up to that rounding then gets zero unknowns, not ones fitted to
+    its noise. Returns x (k, n, c) and the residuals ‖a x − b‖ of each block's
+    columns (k, c). Raises NumericalFailure if `a` is not finite.
     """
     if not np.all(np.isfinite(a)):
         raise NumericalFailure("system matrix is not finite")
@@ -250,13 +252,13 @@ def _disjoint_least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise NumericalFailure(f"least squares failed: {exc}") from exc
-    keep = s > np.finfo(float).eps * k * max(m, n) * s.max(initial=0.0)
+    keep = s > np.finfo(float).eps * k * max(m, n) * max(s.max(initial=0.0), reference)
     inverse = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    x = vh.swapaxes(1, 2) @ (inverse[..., None] * (u.swapaxes(1, 2) @ b))
+    x = dag(vh) @ (inverse[..., None] * (dag(u) @ b))
     fit = a @ x
     fit -= b
     # the column norms without a squared copy of the fit
-    return x, np.sqrt(np.einsum("kmc,kmc->kc", fit, fit))
+    return x, np.sqrt(np.einsum("kmc,kmc->kc", fit.conj(), fit).real)
 
 
 def _span(ops: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

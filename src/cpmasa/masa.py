@@ -40,7 +40,6 @@ from .linalg import (
     frobenius,
     haar_unitary,
     hermitian_eig,
-    least_squares,
     nullspace,
     require_matrix,
     unvec,
@@ -262,7 +261,7 @@ def _kraus_coefficient_solution(ops: np.ndarray):
     idx = np.arange(d)
     rhs[:, :, idx, :, idx] = -parts.transpose(2, 0, 1, 3)
     rhs[idx, :, :, :, idx] += parts
-    x, residuals = _disjoint_least_squares(a, rhs.reshape(d, 2 * n * d, d))
+    x, residuals = _disjoint_least_squares(a, rhs.reshape(d, 2 * n * d, d), frobenius(ops))
     c_blocks = np.tensordot(x, basis, axes=(1, 0)).transpose(1, 2, 3, 0)
     return c_blocks, float(np.linalg.norm(residuals)), float(np.linalg.norm(rhs))
 
@@ -302,43 +301,49 @@ class GeneratorCoefficientWitness(Verdict):
     inner_witness: KrausCoefficientWitness
 
 
+def _drift_system(ops: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The system offdiag(β + Σ_i z_i L_i) = 0 for jumps and drift in masa coordinates, by row.
+
+    Row k's equations are a[k] z = b[k], a[k] = ops[:, k, s≠k].T (d−1, n) and
+    b[k] = −β[k, s≠k] (d−1, 1); in row-major order ``a.reshape(d·(d−1), n)`` is the whole.
+    """
+    n, d, _ = ops.shape
+    r, s = np.nonzero(~np.eye(d, dtype=bool))
+    return ops[:, r, s].reshape(n, d, d - 1).transpose(1, 2, 0), -beta[r, s].reshape(d, d - 1, 1)
+
+
 def solve_generator_coefficients(gen, masa: Masa, tol: Tolerance = DEFAULT_TOL):
     """Coefficient criterion for invariance of a Lindblad-form generator.
 
-    Stage 1 recovers, for each k, the k-th diagonal entries of the shifts
-    from the row-k off-diagonal part of L(E_kk), where they enter linearly.
-    Stage 2 reads off gamma[k] from the (k,k) entry; the entries off row
-    and column k are those of the jump part alone, so they agree by
-    construction. Stage 3 runs the CP-map coefficient solver on the shifted
-    family. The criterion is feasible iff
-    the combined residual stays below tolerance, which happens exactly when
-    L(C) ⊆ C. Raises NumericalFailure when the residual or the scale of the
-    images is not finite.
+    Stage 1 finds the shifts x: row k of L(E_kk) off the diagonal is that of
+    E_kk·β + Σ_i conj(L_i[k, k]) E_kk L_i, so x[:, k] conjugates the unknowns
+    of row k of the drift system `gksl.cp_part_diagonalizable` solves whole.
+    The rows go to one stacked solve, cut against the coordinates' rounding,
+    so a row that vanishes up to rounding gets zero shifts, not noise. Stage 2
+    reads off gamma[k] from the (k,k) entry; the entries off row and column k
+    are those of the jump part alone, so they agree by construction. Stage 3
+    runs the CP-map coefficient solver on the shifted family. The criterion is
+    feasible iff the combined residual stays below tolerance, which happens
+    exactly when L(C) ⊆ C. Raises NumericalFailure when the residual or the
+    scale of the images is not finite.
     """
     if gen.dim != masa.dim:
         raise DimensionMismatch(f"generator dim {gen.dim} vs masa dim {masa.dim}")
     d = gen.dim
-    ops, _ = gen._in_coordinates(masa)
+    ops, beta = gen._in_coordinates(masa)
     idx = np.arange(d)
     diagonals = ops[:, idx, idx]
-
-    x = np.zeros((len(ops), d), dtype=complex)
-    residual_sq = 0.0
     # images that overflow leave the residual or the scale not finite, which is checked below
     with np.errstate(over="ignore", invalid="ignore"):
+        # each coordinate of U* L U sums 2d products, so it rounds at eps·2d·‖L‖
+        z, res1 = _disjoint_least_squares(*_drift_system(ops, beta), 2 * d * frobenius(ops))
+        x = z[..., 0].T.conj()
         images = gen.projection_images(masa)
-        for k in range(d):
-            other = idx != k
-            # row-k off-diagonal entries: the shifts appear linearly via conj(x_ik)
-            m = ops[:, k, other].T
-            z, res1 = least_squares(m, m @ diagonals[:, k].conj() - images[k, k, other])
-            x[:, k] = np.conj(z)
-            residual_sq += res1**2
         # diagonal entry k of image k, real by construction, defines gamma
         gamma = (images[idx, idx, idx] - (np.abs(diagonals - x) ** 2).sum(axis=0)).real
 
         c_blocks, res3, _ = _kraus_coefficient_solution(ops - x[:, :, None] * np.eye(d))
-        residual = float(np.sqrt(residual_sq + res3**2))
+        residual = float(np.hypot(np.linalg.norm(res1), res3))
         scale = frobenius(images)
     verdict = _decide(residual, scale, tol, "generator criterion is")
     if not verdict:

@@ -86,6 +86,27 @@ def invariant_generator_instance(rng, d, n, gauge_shift=False):
     return GkslGenerator(KrausMap(ops), w @ beta @ dag(w)), Masa(w)
 
 
+def vanishing_row_generator_instance(rng, d, n, entry):
+    """(GkslGenerator, Masa) that is not invariant, though its jumps preserve the masa.
+
+    The jumps are diagonal or, at random, pattern families in a Haar masa, so
+    in masa coordinates some or all rows of their off-diagonal parts vanish
+    up to rounding. The drift is Markov plus `entry`
+    at one off-diagonal position, where no scalar shift of the jumps can
+    absorb it; a shift fitted to the rounding noise of a vanishing row can
+    appear to.
+    """
+    if rng.integers(2) == 0:
+        base = [np.diag(complex_gaussian(rng, d)) for _ in range(n)]
+    else:
+        base = pattern_ops(rng, d, n)
+    beta = -sum(dag(op) @ op for op in base) / 2 + 1j * np.diag(rng.standard_normal(d))
+    r, s = rng.choice(d, 2, replace=False)
+    beta[r, s] += entry
+    w = haar_unitary(rng, d)
+    return GkslGenerator(KrausMap([w @ op @ dag(w) for op in base]), w @ beta @ dag(w)), Masa(w)
+
+
 def generic_generator_instance(rng, d, n):
     ops = [complex_gaussian(rng, (d, d)) for _ in range(n)]
     beta = complex_gaussian(rng, (d, d))

@@ -279,7 +279,8 @@ def test_disjoint_least_squares_cuts_against_the_whole():
     mixed = np.vstack([np.diag([1e-3, 1e-17, 1e-17]), np.zeros((1, 3))])
     tiny = 1e-17 * rng.standard_normal((4, 3))
     b = rng.standard_normal((4, 2))
-    x, residuals = _disjoint_least_squares(np.stack([big, mixed, tiny]), np.stack([b] * 3))
+    # a zero reference leaves the cut at the whole's σ_max
+    x, residuals = _disjoint_least_squares(np.stack([big, mixed, tiny]), np.stack([b] * 3), 0.0)
     assert x.shape == (3, 3, 2) and residuals.shape == (3, 2)
     x_whole, r_whole = least_squares(scipy.linalg.block_diag(big, mixed, tiny), np.vstack([b] * 3))
     assert np.allclose(x.reshape(9, 2), x_whole, atol=1e-12)
@@ -294,7 +295,26 @@ def test_disjoint_least_squares_cuts_against_the_whole():
 def test_disjoint_least_squares_non_finite_system_raises():
     a = np.stack([np.eye(2), np.array([[np.inf, 1.0], [0.0, 1.0]])])
     with pytest.raises(NumericalFailure):
-        _disjoint_least_squares(a, np.ones((2, 2, 1)))
+        _disjoint_least_squares(a, np.ones((2, 2, 1)), 1.0)
+
+
+def test_disjoint_least_squares_complex_blocks_and_reference():
+    # complex blocks solve as one least-squares call each
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((3, 5, 2)) + 1j * rng.standard_normal((3, 5, 2))
+    b = rng.standard_normal((3, 5, 1)) + 1j * rng.standard_normal((3, 5, 1))
+    x, residuals = _disjoint_least_squares(a, b, 1.0)
+    for block in range(3):
+        xb, rb = least_squares(a[block], b[block, :, 0])
+        assert np.allclose(x[block, :, 0], xb, atol=1e-12)
+        assert residuals[block, 0] == pytest.approx(rb, abs=1e-12)
+    # a system at the rounding level of its operators has no directions left,
+    # however large it is against its own σ_max
+    tiny = 1e-17 * a[:1]
+    x, residuals = _disjoint_least_squares(tiny, b[:1], 1.0)
+    assert np.array_equal(x, np.zeros_like(x))
+    assert residuals[0, 0] == pytest.approx(np.linalg.norm(b[0]), rel=1e-14)
+    assert np.abs(_disjoint_least_squares(tiny, b[:1], 0.0)[0]).max() > 1.0
 
 
 def test_realified_conjugate_linear_system_roundtrip():

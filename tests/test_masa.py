@@ -67,6 +67,7 @@ from _ensembles import (
     pattern_ops,
     random_markov_generator,
     random_unital_map,
+    vanishing_row_generator_instance,
 )
 
 
@@ -210,12 +211,14 @@ def test_raw_superoperator_side_must_be_square(call):
 
 
 def _criterion_cases(root):
-    """Seeded (seed, rng, d, n): 30 small draws, then d = 8, 8, 16, 16 with n = 3."""
+    """Seeded (seed, rng, d, n): 30 small draws, d = 8, 8, 16, 16 with n = 3, then d = 1 with n = 1, 2."""
     for seed in range(30):
         rng = np.random.default_rng([root, seed])
         yield seed, rng, int(rng.integers(2, 5)), int(rng.integers(1, 4))
     for seed, d in enumerate((8, 8, 16, 16), start=30):
         yield seed, np.random.default_rng([root, seed]), d, 3
+    for seed in (34, 35):
+        yield seed, np.random.default_rng([root, seed]), 1, seed - 33
 
 
 def test_kraus_coefficients_agree_with_invariance():
@@ -325,24 +328,35 @@ def test_kraus_coefficients_match_dense_reference():
 
 
 def test_kraus_criterion_is_one_batched_solve(monkeypatch):
-    # the d row systems go to one stacked SVD, not to one least-squares call per row
-    t, masa = invariant_map_instance(np.random.default_rng(451), 6, 3)
-    calls = {"least_squares": 0, "svd": 0}
-    least_squares, svd = linalg_module.least_squares, np.linalg.svd
+    # the d row systems go to one stacked SVD, not to one least-squares call per
+    # row: the map's rows in one, and the generator's in one for stage 1 (the
+    # drift system, (d, d − 1, n)) and one for stage 3 (its shifted family)
+    rng = np.random.default_rng(451)
+    t, masa = invariant_map_instance(rng, 6, 3)
+    gen, gen_masa = invariant_generator_instance(rng, 6, 3, gauge_shift=True)
+    calls = {"least_squares": 0, "lstsq": 0, "svd": []}
+    least_squares, lstsq, svd = linalg_module.least_squares, np.linalg.lstsq, np.linalg.svd
 
     def counting_least_squares(*args, **kwargs):
         calls["least_squares"] += 1
         return least_squares(*args, **kwargs)
 
-    def counting_svd(*args, **kwargs):
-        calls["svd"] += 1
-        return svd(*args, **kwargs)
+    def counting_lstsq(*args, **kwargs):
+        calls["lstsq"] += 1
+        return lstsq(*args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        calls["svd"].append(np.shape(a))
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg_module, "least_squares", counting_least_squares)
-    monkeypatch.setattr(masa_module, "least_squares", counting_least_squares)
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     assert not isinstance(solve_kraus_coefficients(t, masa), Infeasible)
-    assert calls == {"least_squares": 0, "svd": 1}
+    assert calls["least_squares"] == calls["lstsq"] == 0 and len(calls["svd"]) == 1
+    assert not isinstance(solve_generator_coefficients(gen, gen_masa), Infeasible)
+    assert calls["least_squares"] == calls["lstsq"] == 0
+    assert calls["svd"][1:] == [(6, 5, 3), calls["svd"][0]]
 
 
 def test_kraus_coefficients_infeasible_reports_residual():
@@ -354,12 +368,25 @@ def test_kraus_coefficients_infeasible_reports_residual():
     assert out.residual > out.threshold
 
 
+def _vanishing_row_cases(root):
+    """Seeded vanishing-row generators: d from 2 to 6, n from 1 to 3, drift entry 1e-6, 1e-3 or 1."""
+    for seed in range(30):
+        for entry in (1e-6, 1e-3, 1.0):
+            rng = np.random.default_rng([root, seed])
+            d, n = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            yield vanishing_row_generator_instance(rng, d, n, entry)
+
+
 def test_generator_coefficients_agree_with_invariance():
-    for seed, rng, d, n in _criterion_cases(500):
-        if seed % 2 == 0:
-            gen, masa = invariant_generator_instance(rng, d, n, gauge_shift=(seed % 4 == 0))
-        else:
-            gen, masa = generic_generator_instance(rng, d, n)
+    def cases():
+        for seed, rng, d, n in _criterion_cases(500):
+            if seed % 2 == 0:
+                yield invariant_generator_instance(rng, d, n, gauge_shift=(seed % 4 == 0))
+            else:
+                yield generic_generator_instance(rng, d, n)
+        yield from _vanishing_row_cases(501)
+
+    for gen, masa in cases():
         tol8 = Tolerance(atol=1e-8, rtol=1e-8)
         direct = bool(is_invariant_generator(gen, masa, tol8))
         out = solve_generator_coefficients(gen, masa, tol8)
