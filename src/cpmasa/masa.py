@@ -467,11 +467,12 @@ def find_masa_m2(alpha_map, tol: Tolerance = DEFAULT_TOL) -> Masa:
     if evolution.dim != 2:
         raise DimensionMismatch(f"the constructive finder needs dim 2, got {evolution.dim}")
     eye = np.eye(2, dtype=complex)
-    unit_image = evolution.apply(eye)
-    pauli_images = [evolution.apply(s) for s in _PAULI]
-    if not all(np.all(np.isfinite(img)) for img in (unit_image, *pauli_images)):
-        raise NumericalFailure("images of the unit and the Pauli matrices are not finite")
-    scale = max(1.0, frobenius(unit_image), *[frobenius(img) for img in pauli_images])
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit_image, *pauli_images = (evolution.apply(x) for x in (eye, *_PAULI))
+        norms = [frobenius(img) for img in (unit_image, *pauli_images)]
+    if not np.all(np.isfinite(norms)):
+        raise NumericalFailure("norms of the unit's and the Pauli matrices' images are not finite")
+    scale = max(1.0, *norms)
     unit_defect = frobenius(unit_image - (np.trace(unit_image) / 2) * eye)
     if unit_defect > tol.threshold(scale):
         raise PreconditionFailed(
@@ -625,7 +626,7 @@ def _squared_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def _descend(
-    objective, starts: np.ndarray, max_iters: int, width: int, exit_residual: float = 0.0
+    objective, starts: np.ndarray, max_iters: int, *, exit_residual: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Steepest descent on U(d) along u·exp(−t·g/‖g‖), with a halving step search.
 
@@ -639,60 +640,70 @@ def _descend(
     (`objective.trial`) and forms gradients (`objective.gradients`) only for
     the trials it accepts, from what the trial kept; the rejected rows are
     released first, and no rows are copied when every trial won. The results
-    are bit-identical to forming value and gradient for every trial. Starts
-    run in index-ordered chunks of `width`.
-    Once the residual √value of start r falls below `exit_residual`, every
-    start after r is dropped, since a search stops at the first restart whose
-    residual does. Returns the final unitaries and values of the starts that
-    were not dropped, a leading part of the stack.
+    are bit-identical to forming value and gradient for every trial. The
+    stack descends as one; `_descents` cuts starts into chunks. Once the
+    residual √value of start r falls below `exit_residual`, every start after
+    r is dropped, since a search stops at the first restart whose residual
+    does. Returns the final unitaries and values of the starts that were not
+    dropped, a leading part of the stack.
     """
-    finals = np.array(starts, dtype=complex)
-    values = np.empty(len(finals))
-    grads = np.empty_like(finals)
-    limit = len(finals)
-    for lo in range(0, len(finals), width):
-        if lo >= limit:
+    u = np.array(starts, dtype=complex)  # the stack descends in place
+    value, grad = objective(u)
+    direction = np.empty_like(grad)
+    step = np.full(len(u), 0.1)
+    iters = np.zeros(len(u), dtype=int)
+    live = np.ones(len(u), dtype=bool)
+    fresh = live.copy()
+    while True:
+        # a value only falls, so the first start below exit_residual stays below it
+        reached = np.flatnonzero(np.sqrt(np.maximum(value, 0.0)) < exit_residual)
+        limit = reached[0] + 1 if reached.size else len(u)
+        live[limit:] = False
+        begin = np.flatnonzero(live & fresh)
+        if begin.size:
+            norm = np.sqrt(_squared_norms(grad[begin]))
+            stop = (iters[begin] >= max_iters) | (norm < 1e-14) | (value[begin] < 1e-24)
+            live[begin[stop]] = False
+            go = begin[~stop]
+            direction[go] = grad[go] / norm[~stop, None, None]
+            iters[go] += 1
+            fresh[begin] = False
+        active = np.flatnonzero(live)
+        if not active.size:
             break
-        # views: the chunk descends in place
-        u, value, grad = finals[lo : lo + width], values[lo : lo + width], grads[lo : lo + width]
-        value[:], grad[:] = objective(u)
-        direction = np.empty_like(grad)
-        step = np.full(len(u), 0.1)
-        iters = np.zeros(len(u), dtype=int)
-        live = np.ones(len(u), dtype=bool)
-        fresh = live.copy()
-        while True:
-            reached = np.flatnonzero(np.sqrt(np.maximum(value, 0.0)) < exit_residual)
-            if reached.size:
-                limit = min(limit, lo + reached[0] + 1)
-                live[limit - lo :] = False
-            begin = np.flatnonzero(live & fresh)
-            if begin.size:
-                norm = np.sqrt(_squared_norms(grad[begin]))
-                stop = (iters[begin] >= max_iters) | (norm < 1e-14) | (value[begin] < 1e-24)
-                live[begin[stop]] = False
-                go = begin[~stop]
-                direction[go] = grad[go] / norm[~stop, None, None]
-                iters[go] += 1
-                fresh[begin] = False
-            active = np.flatnonzero(live)
-            if not active.size:
-                break
-            candidate = u[active] @ expm_skew(-step[active, None, None] * direction[active])
-            candidate_value, kept = objective.trial(candidate)
-            better = candidate_value < value[active]
-            won, lost = active[better], active[~better]
-            if won.size:
-                if lost.size:
-                    kept = [part[better] for part in kept]  # the lost rows go before gradients
-                grad[won] = objective.gradients(*kept)
-            del kept
-            u[won], value[won] = candidate[better], candidate_value[better]
-            step[won] = np.minimum(step[won] * 1.2, 0.5)
-            fresh[won] = True
-            step[lost] *= 0.5
-            live[lost[step[lost] <= 1e-10]] = False
-    return finals[:limit], values[:limit]
+        candidate = u[active] @ expm_skew(-step[active, None, None] * direction[active])
+        candidate_value, kept = objective.trial(candidate)
+        better = candidate_value < value[active]
+        won, lost = active[better], active[~better]
+        if won.size:
+            if lost.size:
+                kept = [part[better] for part in kept]  # the lost rows go before gradients
+            grad[won] = objective.gradients(*kept)
+        del kept
+        u[won], value[won] = candidate[better], candidate_value[better]
+        step[won] = np.minimum(step[won] * 1.2, 0.5)
+        fresh[won] = True
+        step[lost] *= 0.5
+        live[lost[step[lost] <= 1e-10]] = False
+    return u[:limit], value[:limit]
+
+
+def _descents(objective, pairs, keys: list, exit_residual: float = 0.0):
+    """(u, value) of `_descend` from the Haar start of each rng key, in key order.
+
+    The one place that draws and chunks starts: a chunk of _stack_width is
+    drawn only when it runs. The first start below `exit_residual` is the
+    last one yielded, since `_descend` drops the rest of its chunk.
+    """
+    d = pairs.left.shape[-1]
+    width = _stack_width(pairs)
+    for lo in range(0, len(keys), width):
+        chunk = keys[lo : lo + width]
+        starts = np.array([haar_unitary(np.random.default_rng(key), d) for key in chunk])
+        finals, values = _descend(objective, starts, _MAX_ITERS, exit_residual=exit_residual)
+        yield from zip(finals, values)
+        if np.sqrt(max(values[-1], 0.0)) < exit_residual:
+            return
 
 
 def search_masa(
@@ -703,17 +714,15 @@ def search_masa(
     Minimizes the summed squared off-diagonal mass of the rotated projection
     images over the unitary group; returns the best masa found and the
     square root of the best objective value, which matches the invariance
-    residual scale. Restart r starts from a Haar unitary drawn from
-    default_rng([seed, r]); the restarts descend in lockstep, one chunk of
-    at most _stack_width starts at a time, drawn when the chunk runs, and
-    each one's result depends only on (seed, r). The restarts are read in
-    order, keeping the first strictly best, and the search stops after the
-    first restart at which the best residual is below atol/10; the restarts
-    after it are dropped from its chunk as soon as that restart gets there,
-    and no later chunk is drawn. A residual bounded away from zero is
-    numerical evidence of nonexistence, not a proof. Raises PreconditionFailed
-    when `restarts` < 1 or `seed` < 0, and NumericalFailure when the evolution's
-    compressed pair form or the objective at the identity is not finite.
+    residual scale. Restart r descends from a Haar unitary drawn from
+    default_rng([seed, r]), in `_descents`' lockstep chunks, so its result
+    depends only on (seed, r). The restarts are read in order, keeping the
+    first strictly best, and the search stops at the first restart whose
+    residual is below atol/10: no restart after it is kept or drawn. A
+    residual bounded away from zero is numerical evidence of nonexistence,
+    not a proof. Raises PreconditionFailed when `restarts` < 1 or `seed` < 0,
+    and NumericalFailure when the evolution's compressed pair form or the
+    objective at the identity is not finite.
     """
     if restarts < 1:
         raise PreconditionFailed("restarts must be positive")
@@ -727,18 +736,10 @@ def search_masa(
     exit_residual = tol.atol / 10
     if np.sqrt(max(best_value, 0.0)) < exit_residual:
         restarts = 1  # the exit test first runs after restart 0
-    width = _stack_width(pairs)
-    # one chunk of starts at a time, so memory does not grow with restarts
-    for lo in range(0, restarts, width):
-        chunk = range(lo, min(lo + width, restarts))
-        starts = np.array([haar_unitary(np.random.default_rng([seed, r]), d) for r in chunk])
-        # _descend drops the starts after the first one below exit_residual,
-        # so the best falls below it only at the chunk's last returned start
-        for u, value in zip(*_descend(objective, starts, _MAX_ITERS, width, exit_residual)):
-            if value < best_value:
-                best_u, best_value = u, value
-        if np.sqrt(max(best_value, 0.0)) < exit_residual:
-            break
+    keys = [[seed, r] for r in range(restarts)]
+    for u, value in _descents(objective, pairs, keys, exit_residual):
+        if value < best_value:
+            best_u, best_value = u, value
     return Masa(best_u), float(np.sqrt(max(best_value, 0.0)))
 
 
@@ -751,10 +752,11 @@ def search_invariant_projections(
     rank, P the first basis projections of that rank, by search_masa's
     descent from 20 Haar unitaries u per rank, trial t drawn from
     default_rng([seed, rank, t]); the 20 trials of a rank descend in
-    lockstep as one stack. In u-coordinates the commutator is L's image of P
-    outside P's two diagonal blocks. 0 and 1 are always included with
-    residual 0. Returns (projection, residual) pairs whose residual falls
-    below the tolerance threshold against ‖L‖_F (`_decide`), best first. Raises
+    lockstep through `_descents`, in chunks as search_masa's restarts do.
+    In u-coordinates the commutator is L's image of P outside P's two
+    diagonal blocks. 0 and 1 are always included with residual 0. Returns
+    (projection, residual) pairs whose residual falls below the tolerance
+    threshold against ‖L‖_F (`_decide`), best first. Raises
     PreconditionFailed when `seed` < 0, and NumericalFailure when the pair
     form or the objective at the identity is not finite.
     """
@@ -762,8 +764,8 @@ def search_invariant_projections(
         raise PreconditionFailed(f"seed must be nonnegative, got {seed}")
     pairs = _evolution(gen)._pairs().compressed()
     d = pairs.left.shape[-1]
-    width = _stack_width(pairs)
-    scale = frobenius(pairs.left)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = frobenius(pairs.left)
     results = [
         (np.zeros((d, d), dtype=complex), 0.0),
         (np.eye(d, dtype=complex), 0.0),
@@ -773,10 +775,7 @@ def search_invariant_projections(
         block = np.arange(d) < rank
         inputs = block[None, :].astype(float)
         objective = _masked_objective(pairs, inputs, block[:, None] != block)
-        starts = np.array(
-            [haar_unitary(np.random.default_rng([seed, rank, trial]), d) for trial in range(20)]
-        )
-        for u, value in zip(*_descend(objective, starts, _MAX_ITERS, width)):
+        for u, value in _descents(objective, pairs, [[seed, rank, t] for t in range(20)]):
             residual = float(np.sqrt(max(value, 0.0)))
             if not _decide(residual, scale, tol, "projection residual is"):
                 continue

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -10,6 +11,7 @@ import pytest
 
 import cpmasa
 from cpmasa import cli
+from cpmasa import corpus as corpus_module
 from cpmasa.cli import main
 
 try:
@@ -272,6 +274,63 @@ def test_equiv_with_small_jump_and_padded_reference(capsys, tmp_path):
     assert report["result"]["checks"]["drift_equation_residual"] <= 1e-9
 
 
+def test_equiv_inequivalent_presentation(capsys, generator_problem, tmp_path):
+    # the same jump with the opposite Hamiltonian: another generator
+    other = write_json(
+        tmp_path / "other.json",
+        {
+            "kind": "generator",
+            "kraus": [[[[0, 0], [0, 0]], [[1, 0], [0, 0]]]],
+            "hamiltonian": [[[-0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]],
+        },
+    )
+    code, report = run_cli(capsys, "equiv", "--input", generator_problem, "--other", other)
+    assert code == 0
+    assert report["result"]["equivalent"] is False
+    assert report["result"]["distance"] > 0.1
+    code, _ = run_cli(capsys, "equiv", "--input", generator_problem, "--other", other, "--assert")
+    assert code == 1
+
+
+def test_problem_file_masa_is_used_without_masa_flag(capsys, generator_problem, tmp_path):
+    # the generator leaves the diagonal masa invariant and not the Hadamard one
+    s = 1 / np.sqrt(2)
+    hadamard = [[[s, 0], [s, 0]], [[s, 0], [-s, 0]]]
+    masa_file = write_json(tmp_path / "masa.json", {"masa": hadamard})
+    problem = json.loads(Path(generator_problem).read_text())
+    embedded = write_json(tmp_path / "embedded.json", {**problem, "masa": hadamard})
+    _, diagonal = run_cli(capsys, "check-invariance", "--input", generator_problem)
+    assert diagonal["invariant"]["ok"] is True
+    code, report = run_cli(capsys, "check-invariance", "--input", embedded)
+    assert code == 0
+    assert report["invariant"]["ok"] is False
+    assert report["inputs"]["masa"] == hadamard
+    _, flagged = run_cli(
+        capsys, "check-invariance", "--input", generator_problem, "--masa", masa_file
+    )
+    assert report["invariant"] == flagged["invariant"]
+
+
+def test_corpus_failing_sub_check(capsys, monkeypatch):
+    build = corpus_module.build_example
+
+    def repinned(example_id):
+        entry = build(example_id)
+        return dataclasses.replace(entry, expected={"compatible_element_count": 1})
+
+    monkeypatch.setattr(corpus_module, "build_example", repinned)
+    for flags, exit_code in (((), 0), (("--assert",), 1)):
+        assert main(["corpus", "ex2_2", *flags]) == exit_code
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["ok"] is False
+        failed = [c["name"] for c in report["checks"] if not c["ok"]]
+        assert failed == ["no_nonzero_compatible_element"]
+        assert captured.err.splitlines() == [
+            "error: ex2_2: failing sub-checks: no_nonzero_compatible_element"
+        ]
+
+
 def test_restrict(capsys, generator_problem):
     code, report = run_cli(capsys, "restrict", "--input", generator_problem)
     assert code == 0
@@ -296,10 +355,20 @@ def test_timing_flag(capsys, map_problem):
 
 
 def test_error_exit_codes(capsys, tmp_path):
-    assert main(["check-invariance", "--input", str(tmp_path / "missing.json")]) == 2
-    bad = write_json(tmp_path / "bad.json", {"kind": "cp_map"})
-    assert main(["check-invariance", "--input", bad]) == 2
-    assert main(["corpus", "ex0_0"]) == 2
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text('{"kind": "cp_map",')
+    for argv in (
+        ["check-invariance", "--input", str(tmp_path / "missing.json")],
+        ["check-invariance", "--input", write_json(tmp_path / "bad.json", {"kind": "cp_map"})],
+        ["corpus", "ex0_0"],
+        ["check-invariance", "--input", write_json(tmp_path / "list.json", [[[1, 0], [0, 1]]])],
+        ["check-invariance", "--input", str(invalid)],
+        ["check-invariance"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 @pytest.mark.parametrize(
@@ -309,8 +378,27 @@ def test_error_exit_codes(capsys, tmp_path):
         {"atol": True},
         {"rtol": False},
         {"kraus": [[[True, False], [False, True]]]},
+        {"kraus": [[1, 0]]},
+        {"kraus": [[[1, 0], [0]]]},
+        {"kind": "channel"},
+        {"dim": 3},
+        {"kind": "generator", "beta": [[1, 0], [0, 1]], "hamiltonian": [[1, 0], [0, 1]]},
+        {"kind": "generator"},
+        {"beta": [[1, 0], [0, 1]]},
     ],
-    ids=["atol-string", "atol-bool", "rtol-bool", "bool-matrix-entries"],
+    ids=[
+        "atol-string",
+        "atol-bool",
+        "rtol-bool",
+        "bool-matrix-entries",
+        "rows-not-a-list",
+        "ragged-rows",
+        "unknown-kind",
+        "operators-not-dim-by-dim",
+        "generator-beta-and-hamiltonian",
+        "generator-neither-beta-nor-hamiltonian",
+        "beta-on-cp-map",
+    ],
 )
 def test_malformed_numbers_exit_2(capsys, tmp_path, fields):
     problem = {"kind": "cp_map", "kraus": [[[1, 0], [0, 1]]], **fields}

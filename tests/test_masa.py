@@ -657,6 +657,13 @@ def test_finders_build_no_superoperator(monkeypatch, call, kind):
     call(make(rng, 3, 2))
 
 
+def _scaled(source, factor=1e100):
+    """The map or generator with its Kraus operators times `factor`, and the drift kept."""
+    if isinstance(source, GkslGenerator):
+        return GkslGenerator(_scaled(source.kraus, factor), source.beta)
+    return KrausMap([factor * k for k in source.operators])
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -665,8 +672,29 @@ def test_finders_build_no_superoperator(monkeypatch, call, kind):
             GkslGenerator(KrausMap([1e200 * np.eye(2, dtype=complex)]), np.eye(2, dtype=complex)),
             seed=1,
         ),
+        # finite pair forms whose objective overflows
+        lambda: search_masa(_scaled(random_unital_map(np.random.default_rng(42), 3, 2)), restarts=2),
+        lambda: search_masa(_scaled(random_markov_generator(np.random.default_rng(42), 3, 2))),
+        lambda: search_invariant_projections(
+            _scaled(random_unital_map(np.random.default_rng(42), 3, 2)), seed=1
+        ),
+        lambda: search_invariant_projections(
+            _scaled(random_markov_generator(np.random.default_rng(42), 3, 2)), seed=1
+        ),
+        # at 1e100 the images are finite and their norms overflow; at 1e200 the images do
+        lambda: find_masa_m2(_scaled(random_unital_map(np.random.default_rng(42), 2, 2))),
+        lambda: find_masa_m2(_scaled(random_unital_map(np.random.default_rng(42), 2, 2), 1e200)),
     ],
-    ids=["search_masa", "search_invariant_projections"],
+    ids=[
+        "search_masa",
+        "search_invariant_projections",
+        "search_masa_overflow_map",
+        "search_masa_overflow_generator",
+        "search_invariant_projections_overflow_map",
+        "search_invariant_projections_overflow_generator",
+        "find_masa_m2_norm_overflow",
+        "find_masa_m2_image_overflow",
+    ],
 )
 def test_search_masa_non_finite_superoperator_raises(call):
     with pytest.raises(NumericalFailure):
@@ -748,19 +776,19 @@ def _scalar_descend(objective, u, max_iters):
 def _search_objective(source):
     pairs = _evolution(source)._pairs().compressed()
     eye = np.eye(pairs[0].shape[-1])
-    return _masked_objective(pairs, eye, 1 - eye), pairs
+    return _masked_objective(pairs, eye, 1 - eye)
 
 
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("kind", ["map", "generator", "superoperator"])
 def test_lockstep_descent_equals_scalar_loop(d, kind):
     rng = np.random.default_rng([31, d])
-    objective, pairs = _search_objective(_descent_sources(rng, d)[kind])
+    objective = _search_objective(_descent_sources(rng, d)[kind])
     starts = np.array([haar_unitary(rng, d) for _ in range(6)])
     reasons = set()
     # the budget stops every start at 3, some at 150, and few at 400
     for max_iters in (3, _MAX_ITERS, 400):
-        finals, values = _descend(objective, starts, max_iters, _stack_width(pairs))
+        finals, values = _descend(objective, starts, max_iters)
         assert len(finals) == len(starts)
         for start, u, value in zip(starts, finals, values):
             ref_u, ref_value, reason = _scalar_descend(objective, start, max_iters)
@@ -773,12 +801,11 @@ def test_lockstep_descent_equals_scalar_loop(d, kind):
 @pytest.mark.parametrize("kind", ["map", "generator", "superoperator"])
 def test_lockstep_restart_ignores_its_stack_mates(kind):
     rng = np.random.default_rng(33)
-    objective, pairs = _search_objective(_descent_sources(rng, 4)[kind])
+    objective = _search_objective(_descent_sources(rng, 4)[kind])
     starts = np.array([haar_unitary(rng, 4) for _ in range(8)])
-    width = _stack_width(pairs)
-    finals, values = _descend(objective, starts, 40, width)
+    finals, values = _descend(objective, starts, 40)
     for order in ([5], [7, 0, 3], list(range(8))[::-1]):
-        alone, alone_values = _descend(objective, starts[order], 40, width)
+        alone, alone_values = _descend(objective, starts[order], 40)
         assert np.array_equal(alone, finals[order])
         assert np.array_equal(alone_values, values[order])
 
@@ -833,6 +860,22 @@ def test_search_masa_draws_one_chunk_of_starts_at_a_time(monkeypatch):
     assert len(draws) == 4
     assert long[1] == short[1]
     assert np.array_equal(long[0].basis_unitary, short[0].basis_unitary)
+
+
+def test_search_invariant_projections_chunks_match_one_stack(monkeypatch):
+    rng = np.random.default_rng(34)
+    gen = random_markov_generator(rng, 3, 2)
+    whole = search_invariant_projections(gen, seed=5)
+    pairs = _evolution(gen)._pairs().compressed()
+    width = _stack_width(pairs)
+    assert width >= 20  # unpatched, the 20 trials of a rank are one stack
+    monkeypatch.setattr(masa_module, "_STACK_ENTRIES", masa_module._STACK_ENTRIES * 4 // width)
+    assert _stack_width(pairs) == 4  # chunks of 4 trials, five per rank
+    chunked = search_invariant_projections(gen, seed=5)
+    assert len(chunked) == len(whole)
+    for (q, residual), (ref_q, ref_residual) in zip(chunked, whole):
+        assert np.array_equal(q, ref_q)
+        assert residual == ref_residual
 
 
 def _one_pass_objective(pairs, inputs, mask):
@@ -895,7 +938,7 @@ def test_two_step_descent_equals_one_pass_reference(d, kind):
         reference = _one_pass_objective(pairs, inputs, mask)
         for got, want in zip(objective(starts), reference(starts)):
             assert np.array_equal(got, want)
-        finals, values = _descend(objective, starts, _MAX_ITERS, _stack_width(pairs))
+        finals, values = _descend(objective, starts, _MAX_ITERS)
         for start, u, value in zip(starts, finals, values):
             ref_u, ref_value, _ = _scalar_descend(reference, start, _MAX_ITERS)
             assert np.array_equal(u, ref_u)
@@ -976,7 +1019,7 @@ def test_descent_forms_gradients_for_starts_and_accepted_trials_only(kind, input
         return grads
 
     objective.gradients = counted
-    _descend(objective, starts, 40, _stack_width(pairs))
+    _descend(objective, starts, 40)
     assert sum(formed) == len(starts) + accepted
 
 
@@ -1036,7 +1079,7 @@ def test_descent_chunk_stays_within_stack_budget(inputs_kind, d):
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        _descend(objective, starts, 5, width)
+        _descend(objective, starts, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         if not tracing:
