@@ -378,7 +378,9 @@ def _run(name: str, args) -> tuple[dict, bool]:
 _COMMANDS = {name: functools.partial(_run, name) for name in _TABLE}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cpmasa",
         description="Decide and certify masa invariance for CP maps and "

@@ -127,7 +127,8 @@ def markov_form(kraus: KrausMap, hamiltonian, tol: Tolerance = DEFAULT_TOL) -> G
 
     The drift is beta = -(Σ L_i* L_i)/2 + i·h for the given self-adjoint h,
     which makes the action Σ L_i* X L_i - (X·S + S·X)/2 + i[X, h] and leaves
-    h recoverable as the imaginary part of the drift.
+    h recoverable as the imaginary part of the drift. Raises NumericalFailure
+    when Σ L_i* L_i is not finite.
     """
     if not isinstance(kraus, KrausMap):
         kraus = KrausMap(kraus)
@@ -136,7 +137,10 @@ def markov_form(kraus: KrausMap, hamiltonian, tol: Tolerance = DEFAULT_TOL) -> G
     if defect > tol.threshold(frobenius(h)):
         raise NotSelfAdjoint(f"hamiltonian symmetry defect {defect:.3e} exceeds tolerance")
     h = (h + dag(h)) / 2
-    total = (dag(kraus.operators) @ kraus.operators).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = (dag(kraus.operators) @ kraus.operators).sum(axis=0)
+    if not np.all(np.isfinite(total)):
+        raise NumericalFailure("Σ L_i* L_i is not finite")
     return GkslGenerator(kraus, -total / 2 + 1j * h)
 
 

@@ -354,14 +354,20 @@ def _hermiticity_preserving_exp(s, d: int) -> np.ndarray:
     return out.reshape(d * d, d * d)
 
 
+def _exp_from_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v·e^{−iw}·v*: e^a for the skew-Hermitian a (or stack) whose i·a has eigenpairs (w, v)."""
+    return (v * np.exp(-1j * w)[..., None, :]) @ dag(v)
+
+
 def expm_skew(a: np.ndarray) -> np.ndarray:
     """Exponential of a skew-Hermitian matrix, or of each in a stack, via eigendecomposition.
 
     Exact for the unitary-group retractions used by the masa search, and
-    cheaper than the general-purpose exponential at small dimensions.
+    cheaper than the general-purpose exponential at small dimensions. One
+    `eigh` of i·a, then `_exp_from_eigh`, which the masa descent shares: it
+    keeps each direction's eigenpairs and forms its trials from them.
     """
-    w, v = np.linalg.eigh(1j * np.asarray(a, dtype=complex))
-    return (v * np.exp(-1j * w)[..., None, :]) @ dag(v)
+    return _exp_from_eigh(*np.linalg.eigh(1j * np.asarray(a, dtype=complex)))
 
 
 def matrix_rank_tol(a, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -436,9 +442,16 @@ def _r_factor(a: np.ndarray, with_q: bool = False):
 
 
 def _stack_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Σ_i vec_r(x_i) vec_r(y_i)ᵀ over row-major flattenings of two stacks, as one product."""
+    """Σ_i vec_r(x_i) vec_r(y_i)ᵀ over row-major flattenings of two stacks, as one product.
+
+    Raises NumericalFailure when the product is not finite.
+    """
     m, d, _ = x.shape
-    return x.reshape(m, d * d).T @ y.reshape(m, d * d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = x.reshape(m, d * d).T @ y.reshape(m, d * d)
+    if not np.all(np.isfinite(out.view(float))):
+        raise NumericalFailure("pair-form product is not finite")
+    return out
 
 
 class _PairForm(NamedTuple):
@@ -453,8 +466,12 @@ class _PairForm(NamedTuple):
     right: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """T(X)."""
-        return (self.left @ x @ self.right).sum(axis=0)
+        """T(X); raises NumericalFailure when it is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (self.left @ x @ self.right).sum(axis=0)
+        if not np.all(np.isfinite(out)):
+            raise NumericalFailure("image is not finite")
+        return out
 
     def superoperator(self) -> np.ndarray:
         """The d²×d² matrix S = Σ_i B_iᵀ ⊗ A_i: vec(T(X)) = S vec(X), column-stacking vec.
@@ -553,13 +570,25 @@ class _Evolution:
         return self._pairs().images(masa.basis_unitary)
 
 
+def _haar_isometries(rngs: Sequence[np.random.Generator], rows: int, cols: int) -> np.ndarray:
+    """Haar-distributed rows×cols isometries, one per generator, as one (len(rngs), rows, cols) stack.
+
+    Each generator fills its own complex Ginibre matrix, in order; one
+    batched QR and one phase fix (R's diagonal made positive) then serve the
+    stack, and slice k holds the bits that rngs[k] alone would get.
+    """
+    z = np.array(
+        [rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)) for rng in rngs]
+    )
+    q, r = np.linalg.qr(z)
+    ph = np.diagonal(r, axis1=1, axis2=2).copy()
+    ph /= np.abs(ph)
+    return q * ph[:, None, :]
+
+
 def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Haar-distributed rows×cols isometry: QR of a complex Ginibre matrix, R's diagonal made positive."""
-    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    return _haar_isometries([rng], rows, cols)[0]
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

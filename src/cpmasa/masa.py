@@ -32,13 +32,13 @@ from .linalg import (
     _decide,
     _disjoint_least_squares,
     _Evolution,
+    _exp_from_eigh,
+    _haar_isometries,
     _phase_normalize_columns,
     _realify,
     _span,
     dag,
-    expm_skew,
     frobenius,
-    haar_unitary,
     hermitian_eig,
     nullspace,
     require_matrix,
@@ -525,9 +525,11 @@ def _stack_width(pairs) -> int:
     masked images, which are K itself for search_masa's inputs, or K alone
     for a one-row input), eight d×d per pair (the rotated pairs, their
     conjugates, G, H and two reordered copies) and about seven and a half
-    d×d of the descent's own, plus a few scalars per start that weigh most
-    at d = 2. Measured by tracemalloc over 5 ticks at full width, d 2–16 and
-    1–9 pairs, the peak stays between 0.7 and 0.97 of the budget.
+    d×d of the descent's own (the eigenvectors it keeps per direction among
+    them), plus a few scalars per start that weigh most at d = 2. Measured
+    by tracemalloc over 5 ticks at full width, d 2–16, 1–9 pairs and
+    search_masa's inputs or one projection of rank 1, d/2 or d − 1, the
+    peak stays between 0.8 and 0.98 of the budget.
     """
     count, d, _ = pairs[0].shape
     return max(1, _STACK_ENTRIES // (d * d * (d + 8 * count + 10)))
@@ -625,6 +627,7 @@ def _squared_norms(stack: np.ndarray) -> np.ndarray:
     return (flat.real @ flat.real.swapaxes(1, 2) + flat.imag @ flat.imag.swapaxes(1, 2))[:, 0, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a trial that is not finite loses every comparison
 def _descend(
     objective, starts: np.ndarray, max_iters: int, *, exit_residual: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -640,7 +643,14 @@ def _descend(
     (`objective.trial`) and forms gradients (`objective.gradients`) only for
     the trials it accepts, from what the trial kept; the rejected rows are
     released first, and no rows are copied when every trial won. The results
-    are bit-identical to forming value and gradient for every trial. The
+    are bit-identical to forming value and gradient for every trial. Each
+    direction is decomposed once: `eigh` of i·(−step·direction) runs only
+    for a start taking its first step or after a trial won, and a rejected
+    trial halves the kept eigenvalues, since `eigh` of exactly half a
+    Hermitian matrix returns exactly half its eigenvalues and the same
+    eigenvectors while every entry of step·direction is a normal float (a
+    subnormal one would round when halved). The trial u·v·e^{−iw}·v* thus
+    has the bits of u·expm_skew(−step·direction) at every step. The
     stack descends as one; `_descents` cuts starts into chunks. Once the
     residual √value of start r falls below `exit_residual`, every start after
     r is dropped, since a search stops at the first restart whose residual
@@ -649,7 +659,8 @@ def _descend(
     """
     u = np.array(starts, dtype=complex)  # the stack descends in place
     value, grad = objective(u)
-    direction = np.empty_like(grad)
+    # eigenpairs of i·(−step·direction) per start, kept while its direction is
+    w, v = np.empty(u.shape[:2]), np.empty_like(u)
     step = np.full(len(u), 0.1)
     iters = np.zeros(len(u), dtype=int)
     live = np.ones(len(u), dtype=bool)
@@ -665,13 +676,19 @@ def _descend(
             stop = (iters[begin] >= max_iters) | (norm < 1e-14) | (value[begin] < 1e-24)
             live[begin[stop]] = False
             go = begin[~stop]
-            direction[go] = grad[go] / norm[~stop, None, None]
+            # i·(−step·direction) with the bits of expm_skew's argument, formed in
+            # place (one stack temporary, not three); only its eigenpairs are kept
+            scaled = grad[go] / norm[~stop, None, None]
+            scaled *= -step[go, None, None]
+            scaled *= 1j
+            w[go], v[go] = np.linalg.eigh(scaled)
+            del scaled
             iters[go] += 1
             fresh[begin] = False
         active = np.flatnonzero(live)
         if not active.size:
             break
-        candidate = u[active] @ expm_skew(-step[active, None, None] * direction[active])
+        candidate = u[active] @ _exp_from_eigh(w[active], v[active])
         candidate_value, kept = objective.trial(candidate)
         better = candidate_value < value[active]
         won, lost = active[better], active[~better]
@@ -684,6 +701,7 @@ def _descend(
         step[won] = np.minimum(step[won] * 1.2, 0.5)
         fresh[won] = True
         step[lost] *= 0.5
+        w[lost] *= 0.5  # the eigenpairs of the halved step: exact, see above
         live[lost[step[lost] <= 1e-10]] = False
     return u[:limit], value[:limit]
 
@@ -692,14 +710,17 @@ def _descents(objective, pairs, keys: list, exit_residual: float = 0.0):
     """(u, value) of `_descend` from the Haar start of each rng key, in key order.
 
     The one place that draws and chunks starts: a chunk of _stack_width is
-    drawn only when it runs. The first start below `exit_residual` is the
-    last one yielded, since `_descend` drops the rest of its chunk.
+    drawn only when it runs, each key filling its own Ginibre matrix and one
+    batched QR serving the chunk, so start k has the bits of
+    haar_unitary(default_rng(keys[k]), d). The first start below
+    `exit_residual` is the last one yielded, since `_descend` drops the rest
+    of its chunk.
     """
     d = pairs.left.shape[-1]
     width = _stack_width(pairs)
     for lo in range(0, len(keys), width):
         chunk = keys[lo : lo + width]
-        starts = np.array([haar_unitary(np.random.default_rng(key), d) for key in chunk])
+        starts = _haar_isometries([np.random.default_rng(key) for key in chunk], d, d)
         finals, values = _descend(objective, starts, _MAX_ITERS, exit_residual=exit_residual)
         yield from zip(finals, values)
         if np.sqrt(max(values[-1], 0.0)) < exit_residual:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -346,6 +347,28 @@ def test_corpus_command(capsys):
     assert report["id"] == "ex2_1"
     code, _ = run_cli(capsys, "corpus", "ex2_1", "--assert")
     assert code == 0
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    parsers = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        parsers.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+    assert main(["corpus", "ex2_2"]) == 0
+    first = capsys.readouterr().out
+    # a malformed command line exits 2 from the shared parser and leaves it as it was
+    with pytest.raises(SystemExit) as exit_info:
+        main(["corpus"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert main(["corpus", "ex2_2"]) == 0
+    assert capsys.readouterr().out == first
+    assert len(parsers) == 3
+    assert all(parser is parsers[0] for parser in parsers)
 
 
 def test_timing_flag(capsys, map_problem):

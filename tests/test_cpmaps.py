@@ -296,6 +296,19 @@ def test_overflowing_family_raises_without_warning():
             minimal_kraus(t)
 
 
+def test_overflowing_products_raise_without_warning():
+    # a finite family whose images, Choi matrix and superoperator overflow
+    t = KrausMap([1e160 * np.eye(2, dtype=complex)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure):
+            apply_cp(t, np.eye(2))
+        with pytest.raises(NumericalFailure):
+            choi_matrix(t)
+        with pytest.raises(NumericalFailure):
+            map_superoperator(t)
+
+
 def test_random_unital_kraus_is_unital():
     for seed in range(50):
         rng = np.random.default_rng(seed)

@@ -544,3 +544,12 @@ def test_gksl_equivalent_overflow_raises_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailure):
             gksl_equivalent(gen, gen)
+
+
+def test_markov_form_overflow_raises_without_warning():
+    # Σ L_i* L_i overflows at entries of 1e160
+    kraus = KrausMap([1e160 * np.eye(2, dtype=complex)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure):
+            markov_form(kraus, np.zeros((2, 2)))

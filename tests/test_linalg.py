@@ -39,6 +39,7 @@ from cpmasa.linalg import (
     realify_conjugate_linear_system,
     require_matrix,
 )
+from cpmasa import linalg as linalg_module
 from cpmasa.masa import _Superoperator
 
 from _ensembles import complex_gaussian, mix_ops
@@ -400,6 +401,25 @@ def test_expm_skew_acts_on_each_matrix_of_a_stack(shape):
         np.testing.assert_allclose(out[idx], scipy.linalg.expm(a[idx]), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", range(2, 17))
+def test_eigh_of_a_halved_descent_step_is_the_halved_eigenvalues(d):
+    # the masa descent keeps eigh of i·(−step·g) for a unit skew-Hermitian g and
+    # halves the eigenvalues for each rejected trial; LAPACK must agree bitwise
+    z = complex_gaussian(np.random.default_rng([44, d]), (4, d, d))
+    g = (z - dag(z)) / 2
+    g /= np.sqrt(np.einsum("rij,rij->r", g.conj(), g).real)[:, None, None]
+    for k in range(9):  # the descent caps its step at 0.5
+        step = 0.1 * 1.2**k
+        w, v = np.linalg.eigh(1j * (-step * g))
+        for _ in range(30):  # down to the descent's floor near 1e-10
+            step *= 0.5
+            w *= 0.5
+            got_w, got_v = np.linalg.eigh(1j * (-step * g))
+            assert np.array_equal(got_w, w)
+            assert np.array_equal(got_v, v)
+        assert np.array_equal(linalg_module._exp_from_eigh(w, v), expm_skew(-step * g))
+
+
 def test_rank_and_nullspace():
     a = np.array([[1, 1], [1, 1]], dtype=complex)
     assert matrix_rank_tol(a) == 1
@@ -443,3 +463,22 @@ def test_haar_unitary_is_unitary_and_deterministic():
     v = haar_unitary(np.random.default_rng(4), 5)
     assert frobenius(dag(u) @ u - np.eye(5)) < 1e-12
     assert np.array_equal(u, v)
+
+
+def _haar_reference(rng, d):
+    """A Haar unitary from one 2-D QR, as drawn before the batched draw."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    ph = np.diag(r).copy()
+    ph /= np.abs(ph)
+    return q * ph
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_batched_haar_draw_equals_one_draw_per_key(d):
+    keys = [[7, r] for r in range(9)]
+    chunk = linalg_module._haar_isometries([np.random.default_rng(key) for key in keys], d, d)
+    assert chunk.shape == (len(keys), d, d)
+    for key, u in zip(keys, chunk):
+        assert np.array_equal(u, haar_unitary(np.random.default_rng(key), d))
+        assert np.array_equal(u, _haar_reference(np.random.default_rng(key), d))

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -681,6 +682,8 @@ def _scaled(source, factor=1e100):
         lambda: search_invariant_projections(
             _scaled(random_markov_generator(np.random.default_rng(42), 3, 2)), seed=1
         ),
+        # finite at the identity, not finite at the descent's starts
+        lambda: search_invariant_projections(KrausMap([1e100 * np.eye(2, dtype=complex)])),
         # at 1e100 the images are finite and their norms overflow; at 1e200 the images do
         lambda: find_masa_m2(_scaled(random_unital_map(np.random.default_rng(42), 2, 2))),
         lambda: find_masa_m2(_scaled(random_unital_map(np.random.default_rng(42), 2, 2), 1e200)),
@@ -692,6 +695,7 @@ def _scaled(source, factor=1e100):
         "search_masa_overflow_generator",
         "search_invariant_projections_overflow_map",
         "search_invariant_projections_overflow_generator",
+        "search_invariant_projections_overflow_in_descent",
         "find_masa_m2_norm_overflow",
         "find_masa_m2_image_overflow",
     ],
@@ -699,6 +703,16 @@ def _scaled(source, factor=1e100):
 def test_search_masa_non_finite_superoperator_raises(call):
     with pytest.raises(NumericalFailure):
         call()
+
+
+def test_search_masa_overflow_in_descent_keeps_the_identity():
+    # the objective is 0 at the identity and not finite at restart 0's start,
+    # whose non-finite trials lose every comparison, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        masa, residual = search_masa(KrausMap([1e100 * np.eye(2, dtype=complex)]), restarts=2)
+    assert np.array_equal(masa.basis_unitary, np.eye(2))
+    assert residual == 0.0
 
 
 def _realigned_svd_pairs(s):
@@ -850,12 +864,13 @@ def test_search_masa_draws_one_chunk_of_starts_at_a_time(monkeypatch):
     )
     assert _stack_width(pairs) == 4
     draws = []
+    draw = masa_module._haar_isometries
 
-    def counted(rng, d):
-        draws.append(d)
-        return haar_unitary(rng, d)
+    def counted(rngs, rows, cols):
+        draws.extend(cols for _ in rngs)
+        return draw(rngs, rows, cols)
 
-    monkeypatch.setattr(masa_module, "haar_unitary", counted)
+    monkeypatch.setattr(masa_module, "_haar_isometries", counted)
     long = search_masa(t, restarts=40, seed=7)
     assert len(draws) == 4
     assert long[1] == short[1]
@@ -1021,6 +1036,40 @@ def test_descent_forms_gradients_for_starts_and_accepted_trials_only(kind, input
     objective.gradients = counted
     _descend(objective, starts, 40)
     assert sum(formed) == len(starts) + accepted
+
+
+@pytest.mark.parametrize("kind", ["map", "generator"])
+@pytest.mark.parametrize("inputs_kind", ["diagonal", "projection"])
+def test_descent_decomposes_each_direction_once(monkeypatch, kind, inputs_kind):
+    rng = np.random.default_rng(39)
+    pairs = _evolution(_descent_sources(rng, 4)[kind])._pairs().compressed()
+    inputs, mask = _descent_inputs(4)[inputs_kind]
+    objective = _masked_objective(pairs, inputs, mask)
+    starts = np.array([haar_unitary(rng, 4) for _ in range(5)])
+    directions = trials = 0
+    reasons = set()
+    # at 400 iterations some starts run out of step: their last direction wins no trial
+    for start in starts:
+        accepted, count = _accepted_trials(objective, start, 400)
+        reason = _scalar_descend(objective, start, 400)[2]
+        # a direction ends in an accepted trial, or out of step ends its start;
+        # a start stopped at its budget or its convergence test takes no step
+        # after its last accepted trial
+        directions += accepted + (reason == "out_of_step")
+        trials += count
+        reasons.add(reason)
+    assert "out_of_step" in reasons
+    assert directions < trials  # some trials were rejected
+    rows = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        rows.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    _descend(objective, starts, 400)
+    assert sum(rows) == directions
 
 
 def test_search_masa_forms_no_gradient_at_the_identity(monkeypatch):
