@@ -515,24 +515,35 @@ def find_masa_m2(alpha_map, tol: Tolerance = DEFAULT_TOL) -> Masa:
 _MAX_ITERS = 150
 # complex entries (8 MiB) one lockstep chunk of starts may hold in the objective's temporaries
 _STACK_ENTRIES = 2**19
+# Armijo's sufficient-decrease constant (Nocedal–Wright, ch. 3)
+_ARMIJO = 1e-4
+# a start stops once the decrease α·|⟨g, p⟩| its trial predicts is at most this many
+# rounding units eps·value, a fall that the value's own rounding hides
+_ROUNDING_UNITS = 4.0
+# curvature pairs (s, y) each start keeps for its limited-memory BFGS direction
+_MEMORY = 8
 
 
 def _stack_width(pairs) -> int:
     """Starts per lockstep chunk within _STACK_ENTRIES.
 
-    Each start is charged d²·(d + 8·pairs + 10) complex entries. A descent
-    tick peaks at about d²·(d + 8·pairs + 7.5) per start: one d×d×d stack (the
-    masked images, which are K itself for search_masa's inputs, or K alone
-    for a one-row input), eight d×d per pair (the rotated pairs, their
-    conjugates, G, H and two reordered copies) and about seven and a half
-    d×d of the descent's own (the eigenvectors it keeps per direction among
-    them), plus a few scalars per start that weigh most at d = 2. Measured
-    by tracemalloc over 5 ticks at full width, d 2–16, 1–9 pairs and
+    Each start is charged d²·(2d + 8·pairs + 10) complex entries for the
+    objective and the descent's d×d state, and _MEMORY·m more for its
+    curvature pairs, 2·_MEMORY vectors of m = d(d − 1) reals. A tick peaks
+    while it forms the gradients of its accepted trials: the trial's masked
+    images (K itself for search_masa's inputs, a d×d×d stack) are then held
+    twice when some trial lost, once for every row and once for the rows
+    that won, beside eight d×d per pair (the rotated pairs, their
+    conjugates, G, H and two reordered copies), the descent's own d×d state
+    (the eigenvectors it keeps per direction among them) and a few scalars
+    per start that weigh most at d = 2. For a one-row input the images are
+    d² per start, so the charge is loosest there at large d. Measured by
+    tracemalloc over 5 ticks at full width, d 2–16, 1–9 pairs and
     search_masa's inputs or one projection of rank 1, d/2 or d − 1, the
-    peak stays between 0.8 and 0.98 of the budget.
+    peak stays between 0.67 and 0.96 of the budget.
     """
     count, d, _ = pairs[0].shape
-    return max(1, _STACK_ENTRIES // (d * d * (d + 8 * count + 10)))
+    return max(1, _STACK_ENTRIES // (d * d * (2 * d + 8 * count + 10) + _MEMORY * d * (d - 1)))
 
 
 class _MaskedObjective:
@@ -627,82 +638,176 @@ def _squared_norms(stack: np.ndarray) -> np.ndarray:
     return (flat.real @ flat.real.swapaxes(1, 2) + flat.imag @ flat.imag.swapaxes(1, 2))[:, 0, 0]
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (R, m) stacks, each row with the bits it gets alone."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _tangent_coordinates(grads: np.ndarray, upper) -> np.ndarray:
+    """√2·(Re, Im) of each skew-Hermitian's entries above the diagonal, as (R, d(d − 1)) rows.
+
+    Their Euclidean product is the Frobenius product Re tr(a* b) of the
+    off-diagonal parts; the diagonal is left out, since u → u·D for a diagonal
+    unitary D changes neither objective, so the gradient's diagonal is rounding.
+    """
+    entries = grads[:, upper[0], upper[1]]
+    return np.sqrt(2) * np.concatenate([entries.real, entries.imag], axis=1)
+
+
+def _hermitian_from_coordinates(p: np.ndarray, upper, d: int) -> np.ndarray:
+    """i·Ω for the skew-Hermitian Ω with zero diagonal whose coordinates are the rows of p."""
+    r, s = upper
+    entries = (p[:, : len(r)] + 1j * p[:, len(r) :]) * (1j / np.sqrt(2))
+    out = np.zeros((len(p), d, d), dtype=complex)
+    out[:, r, s] = entries
+    out[:, s, r] = entries.conj()
+    return out
+
+
+def _lbfgs_direction(grads, steps, changes, rho, scale) -> np.ndarray:
+    """−H·g for each row g of grads, H its limited-memory BFGS inverse Hessian.
+
+    The two-loop recursion (Nocedal–Wright, Numerical Optimization, 2006,
+    Algorithm 7.4) over each row's (s, y) pairs: `steps` and `changes` are
+    (k, R, m), oldest first and newest last, `rho` is (k, R) with 1/sᵀy, and
+    `scale` (R,) is sᵀy/yᵀy of the newest pair, H₀ = scale·1. An unused slot
+    holds zeros, which leave the recursion's vectors as they are, and a row
+    without pairs has scale 0 and gets the direction 0; every row takes the
+    same operations on its own data, so it has the bits it gets alone.
+    """
+    q = grads.copy()
+    a = np.empty(rho.shape)
+    for i in reversed(range(len(steps))):
+        a[i] = rho[i] * _dots(steps[i], q)
+        q -= a[i][:, None] * changes[i]
+    r = q * scale[:, None]
+    for i in range(len(steps)):
+        r += steps[i] * (a[i] - rho[i] * _dots(changes[i], r))[:, None]
+    return -r
+
+
+def _remember(histories, rows, news) -> None:
+    """Append each new pair entry to its row's history, dropping the oldest."""
+    for history, new in zip(histories, news):
+        history[:-1, rows] = history[1:, rows]
+        history[-1, rows] = new
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a trial that is not finite loses every comparison
 def _descend(
     objective, starts: np.ndarray, max_iters: int, *, exit_residual: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Steepest descent on U(d) along u·exp(−t·g/‖g‖), with a halving step search.
+    """Quasi-Newton descent on U(d) along u·exp(α·Ω), with L-BFGS directions and a halving α.
 
     Every start of the (R, d, d) stack `starts` descends on its own, in
     lockstep with the others: on each tick each live start makes one trial.
-    The step starts at 0.1; a trial is accepted when it strictly lowers the
-    value, and the step then becomes min(1.2·step, 0.5); a rejected trial
-    halves the step. A start stops when its step falls to 1e-10 or below,
-    when ‖g‖ < 1e-14 or value < 1e-24 at the start of an iteration, or after
-    `max_iters` iterations. A tick judges its trials by value alone
+    Directions live in the d(d − 1) off-diagonal tangent coordinates of
+    `_tangent_coordinates`, where the gradient g has the Frobenius norm. A
+    start's direction is p = −H·g (`_lbfgs_direction`) for the
+    limited-memory BFGS inverse Hessian H of its last _MEMORY curvature
+    pairs (s, y), s an accepted step and y the gradient's change along it,
+    with H₀ = (sᵀy/yᵀy)·1 of the newest pair (Nocedal–Wright, Numerical
+    Optimization, 2006, ch. 6–7). While it has no pair, or when p is no
+    descent direction (⟨g, p⟩ not negative), p is the steepest step
+    −0.1·g/‖g‖. A pair is kept only when it is finite with sᵀy > 0, so H
+    stays positive definite and a gradient that overflows leaves it as it
+    was. Each direction's first trial has α = 1; a trial is accepted when
+    its value falls strictly and by at least the Armijo share
+    1e-4·α·|⟨g, p⟩|, and a rejected trial halves α. A start stops when α
+    falls to 1e-10 or below, when ‖g‖ < 1e-14 or value < 1e-24 at the start
+    of an iteration, after `max_iters` iterations (directions), when its
+    direction is not finite, or when the decrease α·|⟨g, p⟩| its next trial
+    predicts is at most _ROUNDING_UNITS·eps·value, which rounding in the
+    value cannot resolve. A tick judges its trials by value alone
     (`objective.trial`) and forms gradients (`objective.gradients`) only for
-    the trials it accepts, from what the trial kept; the rejected rows are
-    released first, and no rows are copied when every trial won. The results
-    are bit-identical to forming value and gradient for every trial. Each
-    direction is decomposed once: `eigh` of i·(−step·direction) runs only
-    for a start taking its first step or after a trial won, and a rejected
-    trial halves the kept eigenvalues, since `eigh` of exactly half a
-    Hermitian matrix returns exactly half its eigenvalues and the same
-    eigenvectors while every entry of step·direction is a normal float (a
-    subnormal one would round when halved). The trial u·v·e^{−iw}·v* thus
-    has the bits of u·expm_skew(−step·direction) at every step. The
-    stack descends as one; `_descents` cuts starts into chunks. Once the
-    residual √value of start r falls below `exit_residual`, every start after
-    r is dropped, since a search stops at the first restart whose residual
-    does. Returns the final unitaries and values of the starts that were not
-    dropped, a leading part of the stack.
+    the trials it accepts, from what the trial kept: the rows that won are
+    copied out of it and the rest released before gradients are formed, and
+    no rows are copied when every trial won. The results are bit-identical
+    to forming value and gradient for every trial. Each direction is
+    decomposed once: `eigh` of i·Ω runs when a start takes a new direction,
+    and a rejected trial halves the kept eigenvalues, since `eigh` of
+    exactly half a Hermitian matrix returns exactly half its eigenvalues and
+    the same eigenvectors while every entry of α·Ω is a normal float (a
+    subnormal one would round when halved). Every row's arithmetic is its own, so a start
+    gets the same bits in any stack. The stack descends as one; `_descents`
+    cuts starts into chunks. Once the residual √value of start r falls below
+    `exit_residual`, every start after r is dropped, since a search stops at
+    the first restart whose residual does. Returns the final unitaries and
+    values of the starts that were not dropped, a leading part of the stack.
     """
     u = np.array(starts, dtype=complex)  # the stack descends in place
+    count, d, _ = u.shape
+    upper = np.triu_indices(d, 1)
     value, grad = objective(u)
-    # eigenpairs of i·(−step·direction) per start, kept while its direction is
+    grad = _tangent_coordinates(grad, upper)
+    m = grad.shape[1]
+    # per start: its last _MEMORY curvature pairs (zero slots until it has them),
+    # direction, slope ⟨g, p⟩, step α and the eigenpairs of i·α·Ω, kept while
+    # its direction is
+    steps, changes = np.zeros((2, _MEMORY, count, m))
+    rho, scale = np.zeros((_MEMORY, count)), np.zeros(count)
+    direction = np.empty((count, m))
+    slope, alpha = np.empty(count), np.empty(count)
     w, v = np.empty(u.shape[:2]), np.empty_like(u)
-    step = np.full(len(u), 0.1)
-    iters = np.zeros(len(u), dtype=int)
-    live = np.ones(len(u), dtype=bool)
+    rounding = _ROUNDING_UNITS * np.finfo(float).eps
+    iters = np.zeros(count, dtype=int)
+    live = np.ones(count, dtype=bool)
     fresh = live.copy()
     while True:
         # a value only falls, so the first start below exit_residual stays below it
         reached = np.flatnonzero(np.sqrt(np.maximum(value, 0.0)) < exit_residual)
-        limit = reached[0] + 1 if reached.size else len(u)
+        limit = reached[0] + 1 if reached.size else count
         live[limit:] = False
         begin = np.flatnonzero(live & fresh)
         if begin.size:
-            norm = np.sqrt(_squared_norms(grad[begin]))
+            fresh[begin] = False
+            g = grad[begin]
+            norm = np.sqrt(_dots(g, g))
             stop = (iters[begin] >= max_iters) | (norm < 1e-14) | (value[begin] < 1e-24)
             live[begin[stop]] = False
-            go = begin[~stop]
-            # i·(−step·direction) with the bits of expm_skew's argument, formed in
-            # place (one stack temporary, not three); only its eigenpairs are kept
-            scaled = grad[go] / norm[~stop, None, None]
-            scaled *= -step[go, None, None]
-            scaled *= 1j
-            w[go], v[go] = np.linalg.eigh(scaled)
-            del scaled
+            go, g, norm = begin[~stop], g[~stop], norm[~stop]
+            p = _lbfgs_direction(g, steps[:, go], changes[:, go], rho[:, go], scale[go])
+            gp = _dots(g, p)
+            steep = ~(gp < 0)  # also where no pair is kept yet: p = 0
+            p[steep] = g[steep] * (-0.1 / norm[steep, None])
+            gp[steep] = _dots(g[steep], p[steep])
+            direction[go], slope[go], alpha[go] = p, gp, 1.0
+            fit = np.isfinite(p).all(axis=1) & (np.abs(gp) > rounding * value[go])
+            live[go[~fit]] = False
+            go = go[fit]
+            w[go], v[go] = np.linalg.eigh(_hermitian_from_coordinates(direction[go], upper, d))
             iters[go] += 1
-            fresh[begin] = False
         active = np.flatnonzero(live)
         if not active.size:
             break
         candidate = u[active] @ _exp_from_eigh(w[active], v[active])
         candidate_value, kept = objective.trial(candidate)
-        better = candidate_value < value[active]
+        before = value[active]
+        better = (candidate_value < before) & (
+            candidate_value <= before + _ARMIJO * alpha[active] * slope[active]
+        )
         won, lost = active[better], active[~better]
         if won.size:
             if lost.size:
                 kept = [part[better] for part in kept]  # the lost rows go before gradients
-            grad[won] = objective.gradients(*kept)
+            new_grad = _tangent_coordinates(objective.gradients(*kept), upper)
         del kept
-        u[won], value[won] = candidate[better], candidate_value[better]
-        step[won] = np.minimum(step[won] * 1.2, 0.5)
-        fresh[won] = True
-        step[lost] *= 0.5
+        if won.size:
+            step = direction[won] * alpha[won, None]
+            change = new_grad - grad[won]
+            sy, yy = _dots(step, change), _dots(change, change)
+            pair = (sy > 0) & np.isfinite(sy) & np.isfinite(yy)
+            rows = won[pair]
+            sy, yy = sy[pair], yy[pair]
+            _remember((steps, changes, rho), rows, (step[pair], change[pair], 1 / sy))
+            scale[rows] = sy / yy
+            grad[won] = new_grad
+            u[won], value[won] = candidate[better], candidate_value[better]
+            fresh[won] = True
+        alpha[lost] *= 0.5
         w[lost] *= 0.5  # the eigenpairs of the halved step: exact, see above
-        live[lost[step[lost] <= 1e-10]] = False
+        spent = alpha[lost] * np.abs(slope[lost]) <= rounding * value[lost]
+        live[lost[spent | (alpha[lost] <= 1e-10)]] = False
     return u[:limit], value[:limit]
 
 
@@ -730,19 +835,22 @@ def _descents(objective, pairs, keys: list, exit_residual: float = 0.0):
 def search_masa(
     objective_source, restarts: int = 200, seed: int = 42, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[Masa, float]:
-    """Multi-start descent for an invariant masa of a map or generator.
+    """Multi-start quasi-Newton descent for an invariant masa of a map or generator.
 
     Minimizes the summed squared off-diagonal mass of the rotated projection
     images over the unitary group; returns the best masa found and the
     square root of the best objective value, which matches the invariance
-    residual scale. Restart r descends from a Haar unitary drawn from
-    default_rng([seed, r]), in `_descents`' lockstep chunks, so its result
-    depends only on (seed, r). The restarts are read in order, keeping the
-    first strictly best, and the search stops at the first restart whose
-    residual is below atol/10: no restart after it is kept or drawn. A
-    residual bounded away from zero is numerical evidence of nonexistence,
-    not a proof. Raises PreconditionFailed when `restarts` < 1 or `seed` < 0,
-    and NumericalFailure when the evolution's compressed pair form or the
+    residual scale. Restart r descends (`_descend`: limited-memory BFGS
+    directions, each restart stopping at convergence, at its budget of 150
+    directions, or once rounding in the value hides the decrease its step
+    predicts) from a Haar unitary drawn from default_rng([seed, r]), in
+    `_descents`' lockstep chunks, so its result depends only on (seed, r).
+    The restarts are read in order, keeping the first strictly best, and the
+    search stops at the first restart whose residual is below atol/10: no
+    restart after it is kept or drawn. A residual bounded away from zero is
+    numerical evidence of nonexistence, not a proof. Raises
+    PreconditionFailed when `restarts` < 1 or `seed` < 0, and
+    NumericalFailure when the evolution's compressed pair form or the
     objective at the identity is not finite.
     """
     if restarts < 1:
@@ -771,7 +879,7 @@ def search_invariant_projections(
 
     Minimizes ‖[q, L(q)]‖_F over projections q = u P u* of each intermediate
     rank, P the first basis projections of that rank, by search_masa's
-    descent from 20 Haar unitaries u per rank, trial t drawn from
+    quasi-Newton descent from 20 Haar unitaries u per rank, trial t drawn from
     default_rng([seed, rank, t]); the 20 trials of a rank descend in
     lockstep through `_descents`, in chunks as search_masa's restarts do.
     In u-coordinates the commutator is L's image of P outside P's two

@@ -58,6 +58,21 @@ def invariant_map_instance(rng, d, n):
     return KrausMap(ops), Masa(w)
 
 
+def invariant_unital_map_instance(rng, d, n):
+    """(KrausMap, Masa) of a unital map preserving the masa by construction.
+
+    The operators are sqrt(p_i)·D_i·P_i in the masa's basis, for phase
+    diagonals D_i, permutations P_i and a Dirichlet p, so Σ L_i* L_i = 1.
+    """
+    p = rng.dirichlet(np.ones(n))
+    base = [
+        np.sqrt(pi) * np.diag(np.exp(2j * np.pi * rng.random(d))) @ np.eye(d)[rng.permutation(d)]
+        for pi in p
+    ]
+    w = haar_unitary(rng, d)
+    return KrausMap([w @ op @ dag(w) for op in base]), Masa(w)
+
+
 def generic_map_instance(rng, d, n):
     """(KrausMap, Masa) with iid Gaussian operators and a Haar masa."""
     ops = [complex_gaussian(rng, (d, d)) for _ in range(n)]
