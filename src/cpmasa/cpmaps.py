@@ -23,7 +23,7 @@ from .linalg import (
     Verdict,
     _decide,
     _Evolution,
-    _haar_isometry,
+    _haar_isometries,
     _PairForm,
     _phase_normalize_columns,
     _span,
@@ -197,4 +197,4 @@ def random_unital_kraus(rng: np.random.Generator, d: int, count: int) -> KrausMa
     Built from a Haar isometry ℂ^d → ℂ^d ⊗ ℂ^count sliced into blocks, so
     Σ L_i* L_i = 1 holds exactly by construction.
     """
-    return KrausMap(_haar_isometry(rng, d * count, d).reshape(count, d, d))
+    return KrausMap(_haar_isometries([rng], d * count, d)[0].reshape(count, d, d))

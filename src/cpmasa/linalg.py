@@ -586,11 +586,6 @@ def _haar_isometries(rngs: Sequence[np.random.Generator], rows: int, cols: int) 
     return q * ph[:, None, :]
 
 
-def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Haar-distributed rows×cols isometry: QR of a complex Ginibre matrix, R's diagonal made positive."""
-    return _haar_isometries([rng], rows, cols)[0]
-
-
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-distributed d×d unitary (QR of a complex Ginibre matrix)."""
-    return _haar_isometry(rng, d, d)
+    return _haar_isometries([rng], d, d)[0]

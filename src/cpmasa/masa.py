@@ -527,27 +527,24 @@ _MEMORY = 8
 def _stack_width(pairs) -> int:
     """Starts per lockstep chunk within _STACK_ENTRIES.
 
-    Each start is charged d²·(2d + 8·pairs + 10) complex entries for the
+    Each start is charged d²·(d + 6·pairs + 13) complex entries for the
     objective and the descent's d×d state, and _MEMORY·m more for its
     curvature pairs, 2·_MEMORY vectors of m = d(d − 1) reals. A tick peaks
-    while it forms the gradients of its accepted trials: the trial's masked
-    images (K itself for search_masa's inputs, a d×d×d stack) are then held
-    twice when some trial lost, once for every row and once for the rows
-    that won, beside eight d×d per pair (the rotated pairs, their
-    conjugates, G, H and two reordered copies), the descent's own d×d state
-    (the eigenvectors it keeps per direction among them) and a few scalars
-    per start that weigh most at d = 2. For a one-row input the images are
-    d² per start, so the charge is loosest there at large d. Measured by
-    tracemalloc over 5 ticks at full width, d 2–16, 1–9 pairs and
-    search_masa's inputs or one projection of rank 1, d/2 or d − 1, the
-    peak stays between 0.67 and 0.96 of the budget.
+    while the objective forms Z: K (the masked images for search_masa's
+    inputs, a d×d×d stack) is held once, beside six d×d per pair (the
+    rotated pairs' conjugates, G, H and two reordered copies), the descent's
+    own d×d state (the eigenvectors it keeps per direction and the last
+    tick's gradients among them) and a few scalars per start that weigh most
+    at d = 2. Measured by tracemalloc over 5 ticks at full width, d 2–16,
+    1–9 pairs and search_masa's inputs or one projection of rank 1, d/2 or
+    d − 1, the peak stays between 0.86 and 0.96 of the budget.
     """
     count, d, _ = pairs[0].shape
-    return max(1, _STACK_ENTRIES // (d * d * (2 * d + 8 * count + 10) + _MEMORY * d * (d - 1)))
+    return max(1, _STACK_ENTRIES // (d * d * (d + 6 * count + 13) + _MEMORY * d * (d - 1)))
 
 
 class _MaskedObjective:
-    """f(u) = Σ_m ‖mask ⊙ u* T(u X_m u*) u‖²_F over unitaries u, and its gradient, in two steps.
+    """f(u) = Σ_m ‖mask ⊙ u* T(u X_m u*) u‖²_F over unitaries u, and its gradient, in one pass.
 
     `pairs` is T's pair form, row m of `inputs` the diagonal of X_m. In
     u-coordinates the image of E_cc is P_c = Σ_i a_i E_cc b_i with
@@ -558,18 +555,14 @@ class _MaskedObjective:
     the gradient g = Z − Z* is skew-Hermitian and gives that derivative as
     Re tr(g* Ω).
 
-    `trial` takes a stack of shape (R, d, d) and returns the values[R] with
-    what it kept: the rotated pairs and the masked images. `gradients` forms
-    the gradients of kept rows from that, with no second rotation, so a
-    descent judges its trials by value alone and pays for a gradient only
-    where a trial wins. Called on one u the objective returns (value,
-    gradient), on a stack (values[R], gradients[R, d, d]). `at_identity` is
-    f at the identity, found once on construction. For search_masa's
+    Called on a stack of shape (R, d, d), the objective returns
+    (values[R], gradients[R, d, d]), each row's value and gradient formed
+    together from one rotation and one set of masked images. `at_identity`
+    is f at the identity, found once on construction. For search_masa's
     inputs X_m = E_mm both products with the inputs are the identity, and
     they are skipped. Every sum over the pair index is the inner dimension
     of a batched matrix product, and slice r of a stack gets the bits that
-    u = stack[r] alone gets; the two steps give the bits of one pass that
-    forms value and gradient together and multiplies by the inputs.
+    u = stack[r] alone gets.
     """
 
     def __init__(self, pairs, inputs: np.ndarray, mask: np.ndarray):
@@ -580,17 +573,9 @@ class _MaskedObjective:
         self.inputs = None if np.array_equal(inputs, np.eye(self.dim)) else inputs
         self.mask = mask.ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            self.at_identity = float(self.trial(np.eye(self.dim, dtype=complex)[None])[0][0])
+            self.at_identity = float(self(np.eye(self.dim, dtype=complex)[None])[0][0])
 
-    def __call__(self, u: np.ndarray):
-        values, kept = self.trial(u.reshape(-1, self.dim, self.dim))
-        grads = self.gradients(*kept)
-        if u.ndim == 2:
-            return float(values[0]), grads[0]
-        return values, grads
-
-    def trial(self, stack: np.ndarray):
-        """Values of a (R, d, d) stack, and the (a_cols, b_rows, masked) its gradients start from."""
+    def __call__(self, stack: np.ndarray):
         r, n, d = len(stack), self.count, self.dim
         # one (R·d, d) × (d, 2nd) product rotates every pair of every start
         rows = (dag(stack).reshape(r * d, d) @ self.side).reshape(r, d, 2 * n, d)
@@ -603,13 +588,10 @@ class _MaskedObjective:
         if self.inputs is not None:
             masked = self.inputs @ masked
         masked *= self.mask
-        return _squared_norms(masked), (a_cols, b_rows, masked)
-
-    def gradients(self, a_cols: np.ndarray, b_rows: np.ndarray, masked: np.ndarray) -> np.ndarray:
-        """Gradients of the rows that `trial` kept, of shape (R, d, d)."""
-        r, n, d = len(masked), self.count, self.dim
+        values = _squared_norms(masked)
         k = (masked if self.inputs is None else self.inputs.T @ masked).reshape(r, d, d, d)
         a_adj, b_adj = a_cols.conj(), b_rows.conj()
+        del masked, a_cols, b_rows  # only K and the conjugates are used from here on
         # column c of G_i = Σ_c K_c b_i* E_cc, and row c of H_i = Σ_c E_cc a_i* K_c
         g_cols = k @ b_adj.swapaxes(2, 3)
         h_rows = a_adj.swapaxes(2, 3) @ k
@@ -620,7 +602,7 @@ class _MaskedObjective:
             + b_adj.reshape(r, d * n, d).swapaxes(1, 2) @ h_rows.reshape(r, d * n, d)
             - h_rows.reshape(r, d, n * d) @ b_adj.reshape(r, d, n * d).swapaxes(1, 2)
         )
-        return z - dag(z)
+        return values, z - dag(z)
 
 
 def _masked_objective(pairs, inputs: np.ndarray, mask: np.ndarray) -> _MaskedObjective:
@@ -718,18 +700,15 @@ def _descend(
     of an iteration, after `max_iters` iterations (directions), when its
     direction is not finite, or when the decrease α·|⟨g, p⟩| its next trial
     predicts is at most _ROUNDING_UNITS·eps·value, which rounding in the
-    value cannot resolve. A tick judges its trials by value alone
-    (`objective.trial`) and forms gradients (`objective.gradients`) only for
-    the trials it accepts, from what the trial kept: the rows that won are
-    copied out of it and the rest released before gradients are formed, and
-    no rows are copied when every trial won. The results are bit-identical
-    to forming value and gradient for every trial. Each direction is
-    decomposed once: `eigh` of i·Ω runs when a start takes a new direction,
-    and a rejected trial halves the kept eigenvalues, since `eigh` of
-    exactly half a Hermitian matrix returns exactly half its eigenvalues and
-    the same eigenvectors while every entry of α·Ω is a normal float (a
-    subnormal one would round when halved). Every row's arithmetic is its own, so a start
-    gets the same bits in any stack. The stack descends as one; `_descents`
+    value cannot resolve. A tick makes one objective call, which forms value
+    and gradient for every trial, and keeps the gradients of the trials it
+    accepts. Each direction is decomposed once: `eigh` of i·Ω runs when a
+    start takes a new direction, and a rejected trial halves the kept
+    eigenvalues, since `eigh` of exactly half a Hermitian matrix returns
+    exactly half its eigenvalues and the same eigenvectors while every entry
+    of α·Ω is a normal float (a subnormal one would round when halved).
+    Every row's arithmetic is its own, so a start gets the same bits in any
+    stack. The stack descends as one; `_descents`
     cuts starts into chunks. Once the residual √value of start r falls below
     `exit_residual`, every start after r is dropped, since a search stops at
     the first restart whose residual does. Returns the final unitaries and
@@ -781,18 +760,14 @@ def _descend(
         if not active.size:
             break
         candidate = u[active] @ _exp_from_eigh(w[active], v[active])
-        candidate_value, kept = objective.trial(candidate)
+        candidate_value, candidate_grad = objective(candidate)
         before = value[active]
         better = (candidate_value < before) & (
             candidate_value <= before + _ARMIJO * alpha[active] * slope[active]
         )
         won, lost = active[better], active[~better]
         if won.size:
-            if lost.size:
-                kept = [part[better] for part in kept]  # the lost rows go before gradients
-            new_grad = _tangent_coordinates(objective.gradients(*kept), upper)
-        del kept
-        if won.size:
+            new_grad = _tangent_coordinates(candidate_grad[better], upper)
             step = direction[won] * alpha[won, None]
             change = new_grad - grad[won]
             sy, yy = _dots(step, change), _dots(change, change)

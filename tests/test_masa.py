@@ -811,15 +811,16 @@ def test_descent_objective_gradient_and_pair_form(d, kind):
     ]:
         objective = _masked_objective(pairs, inputs, mask)
         u = haar_unitary(rng, d)
-        _, grad = objective(u)
+        _, grad = objective(u[None])
         for _ in range(3):
             z = complex_gaussian(rng, (d, d))
             a = (z - dag(z)) / 2
             t = 1e-5
             central = (
-                objective(u @ expm_skew(t * a))[0] - objective(u @ expm_skew(-t * a))[0]
+                objective((u @ expm_skew(t * a))[None])[0][0]
+                - objective((u @ expm_skew(-t * a))[None])[0][0]
             ) / (2 * t)
-            analytic = np.vdot(grad, a).real
+            analytic = np.vdot(grad[0], a).real
             assert abs(central - analytic) <= 1e-6 * abs(analytic)
 
 
@@ -892,27 +893,21 @@ def _search_objective(source):
 
 
 class _Walled:
-    """The objective, with every trial whose value falls below `wall` read as inf.
+    """The objective, with every value below `wall` read as inf.
 
     A start that reaches the wall has its trials rejected until α runs out.
-    Counts the rows the lockstep descent passes to `trial`.
+    Records the rows of each call; after the lockstep descent's first call,
+    for its starts, each row is one trial.
     """
 
     def __init__(self, objective, wall):
         self.objective, self.wall = objective, wall
-        self.trial_rows = 0
+        self.calls = []
 
-    def __call__(self, u):
-        value, grad = self.objective(u)
-        return np.where(value < self.wall, np.inf, value), grad
-
-    def trial(self, stack):
-        self.trial_rows += len(stack)
-        values, kept = self.objective.trial(stack)
-        return np.where(values < self.wall, np.inf, values), kept
-
-    def gradients(self, *kept):
-        return self.objective.gradients(*kept)
+    def __call__(self, stack):
+        self.calls.append(len(stack))
+        values, grads = self.objective(stack)
+        return np.where(values < self.wall, np.inf, values), grads
 
 
 def _walls(objective, starts):
@@ -934,6 +929,7 @@ def test_lockstep_descent_equals_scalar_loop(d, kind):
     for at, max_iters in runs:
         walled = _Walled(objective, at)
         finals, values = _descend(walled, starts, max_iters)
+        trial_rows = sum(walled.calls[1:])
         assert len(finals) == len(starts)
         trials = 0
         for start, u, value in zip(starts, finals, values):
@@ -942,7 +938,7 @@ def test_lockstep_descent_equals_scalar_loop(d, kind):
             trials += tally["trials"]
             assert np.array_equal(u, ref_u)
             assert value == ref_value
-        assert walled.trial_rows == trials
+        assert trial_rows == trials
     assert {"max_iters", "out_of_step"} <= reasons
 
 
@@ -1001,31 +997,22 @@ def test_lockstep_restart_ignores_its_stack_mates(kind):
 
 
 class _OverflowingGradient:
-    """The objective, with the gradient of every accepted trial of value `at` overflowing.
+    """The objective, with the gradient of every row of value `at` overflowing.
 
-    Records the values whose gradients it forms, in order.
+    Records the values of the rows it evaluates, in order.
     """
 
     def __init__(self, objective, at=None):
         self.objective, self.at = objective, at
-        self.at_identity = objective.at_identity
         self.values = []
 
-    def __call__(self, u):
-        return self.objective(u)
-
-    def trial(self, stack):
-        values, kept = self.objective.trial(stack)
-        return values, (*kept, values)
-
-    def gradients(self, *kept):
-        *kept, values = kept
+    def __call__(self, stack):
+        values, grads = self.objective(stack)
         self.values.extend(values.tolist())
-        grads = self.objective.gradients(*kept)
         hit = values == self.at
         grads[hit] *= 1e300
         grads[hit] *= 1e300
-        return grads
+        return values, grads
 
 
 def test_descent_overflow_in_one_start_spares_its_stack_mates(monkeypatch):
@@ -1034,7 +1021,7 @@ def test_descent_overflow_in_one_start_spares_its_stack_mates(monkeypatch):
     starts = np.array([haar_unitary(rng, 4) for _ in range(5)])
     probe = _OverflowingGradient(objective)
     _descend(probe, starts[[2]], 40)
-    at = probe.values[6]  # start 2's sixth accepted trial; values[0] is its start
+    at = probe.values[14]  # start 2's seventh accepted trial; values[0] is its start
     pairs = []
     remember = masa_module._remember
 
@@ -1130,7 +1117,7 @@ def test_search_invariant_projections_chunks_match_one_stack(monkeypatch):
 
 
 def _one_pass_objective(pairs, inputs, mask):
-    """The one-pass objective that the two-step one replaced, kept as its reference.
+    """A plain one-pass objective, kept as the finders' reference.
 
     Every call forms the value and the gradient of every row, and multiplies
     by the inputs even when they are the identity.
@@ -1140,8 +1127,7 @@ def _one_pass_objective(pairs, inputs, mask):
     mask_flat = mask.ravel()
     side = np.concatenate([left, right]).transpose(1, 0, 2).reshape(d, 2 * n * d)
 
-    def objective(u):
-        stack = u.reshape(-1, d, d)
+    def objective(stack):
         r = len(stack)
         rows = (dag(stack) @ side).reshape(r, d, 2 * n, d).swapaxes(1, 2).reshape(r, 2 * n * d, d)
         rotated = (rows @ stack).reshape(r, 2 * n, d, d)
@@ -1161,10 +1147,7 @@ def _one_pass_objective(pairs, inputs, mask):
         )
         flat = masked.reshape(r, 1, -1)
         values = (flat.real @ flat.real.swapaxes(1, 2) + flat.imag @ flat.imag.swapaxes(1, 2))[:, 0, 0]
-        grads = z - dag(z)
-        if u.ndim == 2:
-            return float(values[0]), grads[0]
-        return values, grads
+        return values, z - dag(z)
 
     return objective
 
@@ -1196,22 +1179,15 @@ def test_two_step_descent_equals_one_pass_reference(d, kind):
             assert value == ref_value
 
 
-class _OnePassSteps:
-    """The one-pass reference behind the two-step interface: every trial forms its gradient."""
+class _OnePassReference:
+    """The one-pass reference with the `at_identity` that the finders read."""
 
     def __init__(self, pairs, inputs, mask):
         self.objective = _one_pass_objective(pairs, inputs, mask)
-        self.at_identity = self.objective(np.eye(pairs[0].shape[-1], dtype=complex))[0]
+        self.at_identity = float(self.objective(np.eye(pairs[0].shape[-1], dtype=complex)[None])[0][0])
 
-    def __call__(self, u):
-        return self.objective(u)
-
-    def trial(self, stack):
-        values, grads = self.objective(stack)
-        return values, (grads,)
-
-    def gradients(self, grads):
-        return grads
+    def __call__(self, stack):
+        return self.objective(stack)
 
 
 @pytest.mark.parametrize("source_seed", [37, 38])
@@ -1221,7 +1197,7 @@ def test_finders_equal_one_pass_reference(monkeypatch, source_seed):
     t = random_unital_map(rng, 3, 2)
     found = [search_masa(gen, restarts=10, seed=3), search_masa(t, restarts=10, seed=3)]
     projections = search_invariant_projections(gen, seed=3)
-    monkeypatch.setattr(masa_module, "_masked_objective", _OnePassSteps)
+    monkeypatch.setattr(masa_module, "_masked_objective", _OnePassReference)
     reference = [search_masa(gen, restarts=10, seed=3), search_masa(t, restarts=10, seed=3)]
     for (masa, residual), (ref_masa, ref_residual) in zip(found, reference):
         assert np.array_equal(masa.basis_unitary, ref_masa.basis_unitary)
@@ -1235,26 +1211,19 @@ def test_finders_equal_one_pass_reference(monkeypatch, source_seed):
 
 @pytest.mark.parametrize("kind", ["map", "generator"])
 @pytest.mark.parametrize("inputs_kind", ["diagonal", "projection"])
-def test_descent_forms_gradients_for_starts_and_accepted_trials_only(kind, inputs_kind):
+def test_descent_makes_one_objective_call_per_tick(kind, inputs_kind):
     rng = np.random.default_rng(39)
     pairs = _evolution(_descent_sources(rng, 4)[kind])._pairs().compressed()
-    inputs, mask = _descent_inputs(4)[inputs_kind]
-    objective = _masked_objective(pairs, inputs, mask)
+    objective = _masked_objective(pairs, *_descent_inputs(4)[inputs_kind])
     starts = np.array([haar_unitary(rng, 4) for _ in range(5)])
-    tallies = [_scalar_descend(objective, start, 40)[3] for start in starts]
-    accepted = sum(tally["accepted"] for tally in tallies)
-    assert accepted < sum(tally["trials"] for tally in tallies)  # some trials were rejected
-    formed = []
-    gradients = objective.gradients
-
-    def counted(*kept):
-        grads = gradients(*kept)
-        formed.append(len(grads))
-        return grads
-
-    objective.gradients = counted
-    _descend(objective, starts, 40)
-    assert sum(formed) == len(starts) + accepted
+    trials = [_scalar_descend(objective, start, 40)[3]["trials"] for start in starts]
+    assert len(set(trials)) > 1  # the starts stop at different ticks
+    counted = _Walled(objective, -np.inf)
+    _descend(counted, starts, 40)
+    # one call for the starts, then one per tick, with a row for each start still live
+    ticks = range(1, max(trials) + 1)
+    assert counted.calls == [len(starts)] + [sum(t >= tick for t in trials) for tick in ticks]
+    assert sum(counted.calls) == len(starts) + sum(trials)
 
 
 @pytest.mark.parametrize("kind", ["map", "generator"])
@@ -1287,27 +1256,40 @@ def test_descent_decomposes_each_direction_once(monkeypatch, kind, inputs_kind):
             assert unfinished[-1] == (reason in ("out_of_step", "rounding_after_rejection"))
         assert directions < trials  # some trials were rejected
         rows.clear()
+        walled = _Walled(objective, wall)
         _descend(walled, starts, _MAX_ITERS)
         assert sum(rows) == directions
-        assert walled.trial_rows == trials
+        assert sum(walled.calls[1:]) == trials
     assert 1 in unfinished
 
 
 def test_search_masa_forms_no_gradient_at_the_identity(monkeypatch):
-    # the identity's value is the one the finiteness check already found
+    # the identity is evaluated once, by the finiteness check, and the search
+    # reads its value from there
     called = []
     call = masa_module._MaskedObjective.__call__
 
-    def recorded(self, u):
-        called.append(np.array(u))
-        return call(self, u)
+    def recorded(self, stack):
+        called.append(np.array(stack))
+        return call(self, stack)
 
     monkeypatch.setattr(masa_module._MaskedObjective, "__call__", recorded)
+    check = masa_module._masked_objective
+    in_check = []
+
+    def checked(*args):
+        before = len(called)
+        objective = check(*args)
+        in_check.append(called[before:])
+        return objective
+
+    monkeypatch.setattr(masa_module, "_masked_objective", checked)
     gen = random_markov_generator(np.random.default_rng(40), 3, 2)
     search_masa(gen, restarts=4, seed=1)
-    assert called  # the restarts' starts
-    eye = np.eye(3)
-    assert not any(np.array_equal(row, eye) for u in called for row in u.reshape(-1, 3, 3))
+    [[identity]] = in_check  # one check, which makes one call
+    assert np.array_equal(identity, np.eye(3)[None])
+    assert len(called) > 1  # the restarts' starts
+    assert not any(np.array_equal(row, identity[0]) for stack in called[1:] for row in stack)
 
 
 def test_search_masa_makes_no_product_with_its_inputs(monkeypatch):
@@ -1335,13 +1317,19 @@ def test_search_masa_makes_no_product_with_its_inputs(monkeypatch):
     assert products  # the projection search's one-row inputs are counted
 
 
-@pytest.mark.parametrize("d", [3, 4, 8])
+@pytest.mark.parametrize(
+    "d, count",
+    [pytest.param(d, 1, id=str(d)) for d in (2, 3, 4, 8)]
+    + [pytest.param(d, 3, id=f"{d}-3pairs") for d in (2, 4)],
+)
 @pytest.mark.parametrize("inputs_kind", ["diagonal", "projection"])
-def test_descent_chunk_stays_within_stack_budget(inputs_kind, d):
-    # one pair: the widest chunk, where the per-start terms weigh most
+def test_descent_chunk_stays_within_stack_budget(inputs_kind, d, count):
+    # one pair gives the widest chunk, where the per-start terms weigh most;
+    # at d = 2 the scalars per start weigh most, and three pairs add the
+    # per-pair terms beside them
     rng = np.random.default_rng(41)
-    pairs = _evolution(KrausMap([complex_gaussian(rng, (d, d))]))._pairs().compressed()
-    assert len(pairs.left) == 1
+    pairs = _evolution(KrausMap(list(complex_gaussian(rng, (count, d, d)))))._pairs().compressed()
+    assert len(pairs.left) == count
     objective = _masked_objective(pairs, *_descent_inputs(d)[inputs_kind])
     width = _stack_width(pairs)
     starts = np.array([haar_unitary(rng, d) for _ in range(width)])
