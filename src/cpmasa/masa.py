@@ -520,27 +520,34 @@ _ARMIJO = 1e-4
 # a start stops once the decrease α·|⟨g, p⟩| its trial predicts is at most this many
 # rounding units eps·value, a fall that the value's own rounding hides
 _ROUNDING_UNITS = 4.0
-# curvature pairs (s, y) each start keeps for its limited-memory BFGS direction
-_MEMORY = 8
+# curvature pairs (s, y) each start keeps for its limited-memory BFGS direction: 16
+# cover the 12 tangent coordinates at d = 4, and a direction's cost in numpy calls
+# does not grow with them
+_MEMORY = 16
 
 
 def _stack_width(pairs) -> int:
     """Starts per lockstep chunk within _STACK_ENTRIES.
 
     Each start is charged d²·(d + 6·pairs + 13) complex entries for the
-    objective and the descent's d×d state, and _MEMORY·m more for its
-    curvature pairs, 2·_MEMORY vectors of m = d(d − 1) reals. A tick peaks
-    while the objective forms Z: K (the masked images for search_masa's
-    inputs, a d×d×d stack) is held once, beside six d×d per pair (the
-    rotated pairs' conjugates, G, H and two reordered copies), the descent's
-    own d×d state (the eigenvectors it keeps per direction and the last
-    tick's gradients among them) and a few scalars per start that weigh most
-    at d = 2. Measured by tracemalloc over 5 ticks at full width, d 2–16,
-    1–9 pairs and search_masa's inputs or one projection of rank 1, d/2 or
-    d − 1, the peak stays between 0.86 and 0.96 of the budget.
+    objective and the descent's d×d state, and k·(2m + k + 1) more, k =
+    _MEMORY and m = d(d − 1), for its `_Curvature`: 2·k·m reals of pairs, k²
+    for R⁻¹ and k for D, held twice while a direction gathers its copy of
+    them. The objective's peak comes while it forms Z: K (the masked images
+    for search_masa's inputs, a d×d×d stack) is held once, beside six d×d
+    per pair (the rotated pairs' conjugates, G, H and two reordered copies),
+    the descent's own d×d state (the eigenvectors it keeps per direction and
+    the last tick's gradients among them) and a few scalars per start that
+    weigh most at d = 2. The two peaks come at different times, so the sum
+    overcharges where both are large. Measured by tracemalloc over 5 ticks at
+    full width, d 2–16, 1–9 pairs and search_masa's inputs or one projection
+    of rank 1, d/2 or d − 1, the peak stays between 0.67 and 0.98 of the
+    budget, highest at d = 2 with one pair, where the curvature state and a
+    direction's vectors of length k weigh most.
     """
     count, d, _ = pairs[0].shape
-    return max(1, _STACK_ENTRIES // (d * d * (d + 6 * count + 13) + _MEMORY * d * (d - 1)))
+    curvature = _MEMORY * (2 * d * (d - 1) + _MEMORY + 1)
+    return max(1, _STACK_ENTRIES // (d * d * (d + 6 * count + 13) + curvature))
 
 
 class _MaskedObjective:
@@ -646,33 +653,69 @@ def _hermitian_from_coordinates(p: np.ndarray, upper, d: int) -> np.ndarray:
     return out
 
 
-def _lbfgs_direction(grads, steps, changes, rho, scale) -> np.ndarray:
-    """−H·g for each row g of grads, H its limited-memory BFGS inverse Hessian.
+class _Curvature:
+    """The limited-memory BFGS inverse Hessians H of a stack of starts, in compact form.
 
-    The two-loop recursion (Nocedal–Wright, Numerical Optimization, 2006,
-    Algorithm 7.4) over each row's (s, y) pairs: `steps` and `changes` are
-    (k, R, m), oldest first and newest last, `rho` is (k, R) with 1/sᵀy, and
-    `scale` (R,) is sᵀy/yᵀy of the newest pair, H₀ = scale·1. An unused slot
-    holds zeros, which leave the recursion's vectors as they are, and a row
-    without pairs has scale 0 and gets the direction 0; every row takes the
-    same operations on its own data, so it has the bits it gets alone.
+    Each start keeps its last _MEMORY curvature pairs (s, y) as the columns of
+    S and Y, with H₀ = γ·1, γ = sᵀy/yᵀy of the newest pair, and
+    H = γ·1 + [S γY] [[R⁻ᵀ(D + γYᵀY)R⁻¹, −R⁻ᵀ], [−R⁻¹, 0]] [S γY]ᵀ for R the
+    upper triangle of SᵀY in chronological order and D its diagonal (Byrd,
+    Nocedal & Schnabel, 1994; Nocedal–Wright, Numerical Optimization, 2006,
+    §7.2). The identity holds under any one permutation of the pair index, so
+    pair number n lives in slot n mod _MEMORY and nothing is ever shifted:
+    `pairs` holds the S slots, then the Y slots, and `inverse` is R⁻¹ and
+    `diagonal` D, both in slot order. An empty slot holds zeros, which add
+    nothing to H·g, and a start without pairs has γ = 0 and H·g = 0. Every
+    row's arithmetic is its own, so a start has the bits it gets alone.
     """
-    q = grads.copy()
-    a = np.empty(rho.shape)
-    for i in reversed(range(len(steps))):
-        a[i] = rho[i] * _dots(steps[i], q)
-        q -= a[i][:, None] * changes[i]
-    r = q * scale[:, None]
-    for i in range(len(steps)):
-        r += steps[i] * (a[i] - rho[i] * _dots(changes[i], r))[:, None]
-    return -r
 
+    def __init__(self, count: int, m: int):
+        self.pairs = np.zeros((count, 2 * _MEMORY, m))
+        self.inverse = np.zeros((count, _MEMORY, _MEMORY))
+        self.diagonal = np.zeros((count, _MEMORY, 1))
+        self.gamma = np.zeros((count, 1, 1))
+        self.kept = np.zeros(count, dtype=int)
 
-def _remember(histories, rows, news) -> None:
-    """Append each new pair entry to its row's history, dropping the oldest."""
-    for history, new in zip(histories, news):
-        history[:-1, rows] = history[1:, rows]
-        history[-1, rows] = new
+    def direction(self, rows, grads: np.ndarray) -> np.ndarray:
+        """−H·g for start rows[i] and g = grads[i], from the same batched products for any _MEMORY.
+
+        With c = R⁻¹Sᵀg, e = D·c + γ(Yᵀ(Y·c) − Yᵀg) and f = R⁻ᵀe,
+        H·g = γg + S·f − γY·c. YᵀY·c is formed as Yᵀ(Y·c), since Y·c is
+        needed anyway: a kept YᵀY would cost a k×k gather per direction and
+        two scatters per pair, more than the product it saves.
+        """
+        pairs, inverse, gamma = self.pairs[rows], self.inverse[rows], self.gamma[rows]
+        sg, yg = np.split(pairs @ grads[:, :, None], 2, axis=1)
+        s, y = np.split(pairs, 2, axis=1)
+        c = inverse @ sg
+        yc = y.swapaxes(1, 2) @ c
+        e = self.diagonal[rows] * c + gamma * (y @ yc - yg)
+        f = inverse.swapaxes(1, 2) @ e
+        return -(gamma * grads[:, :, None] + s.swapaxes(1, 2) @ f - gamma * yc)[:, :, 0]
+
+    def remember(self, rows, steps, changes, sy, yy) -> None:
+        """Add pair (steps[i], changes[i]), with sᵀy = sy[i] and yᵀy = yy[i], to start rows[i].
+
+        The new pair takes the oldest pair's slot. For upper-triangular R,
+        R⁻¹ without its first row and column is the inverse of R without
+        them, so dropping the oldest pair zeroes its row of R⁻¹, and appending
+        the newest writes its column: −R⁻¹c/sᵀy for c = Sᵀy over the pairs
+        kept before it, with the diagonal entry 1/sᵀy. c's entry in the slot is
+        zeroed, so the old column there adds nothing.
+        """
+        slot = self.kept[rows] % _MEMORY
+        line = np.arange(len(rows))
+        self.pairs[rows, slot] = steps
+        self.pairs[rows, _MEMORY + slot] = changes
+        c = self.pairs[rows, :_MEMORY] @ changes[:, :, None]
+        c[line, slot] = 0
+        self.inverse[rows, slot] = 0
+        column = (self.inverse[rows] @ c)[:, :, 0] / -sy[:, None]
+        column[line, slot] = 1 / sy
+        self.inverse[rows, :, slot] = column
+        self.diagonal[rows, slot, 0] = sy
+        self.gamma[rows, 0, 0] = sy / yy
+        self.kept[rows] += 1
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a trial that is not finite loses every comparison
@@ -685,11 +728,12 @@ def _descend(
     lockstep with the others: on each tick each live start makes one trial.
     Directions live in the d(d − 1) off-diagonal tangent coordinates of
     `_tangent_coordinates`, where the gradient g has the Frobenius norm. A
-    start's direction is p = −H·g (`_lbfgs_direction`) for the
-    limited-memory BFGS inverse Hessian H of its last _MEMORY curvature
-    pairs (s, y), s an accepted step and y the gradient's change along it,
-    with H₀ = (sᵀy/yᵀy)·1 of the newest pair (Nocedal–Wright, Numerical
-    Optimization, 2006, ch. 6–7). While it has no pair, or when p is no
+    start's direction is p = −H·g for the limited-memory BFGS inverse
+    Hessian H of its last _MEMORY curvature pairs (s, y), s an accepted step
+    and y the gradient's change along it, with H₀ = (sᵀy/yᵀy)·1 of the
+    newest pair (Nocedal–Wright, Numerical Optimization, 2006, ch. 6–7),
+    formed in compact form by the stack's `_Curvature` from the same few
+    batched products for any _MEMORY. While it has no pair, or when p is no
     descent direction (⟨g, p⟩ not negative), p is the steepest step
     −0.1·g/‖g‖. A pair is kept only when it is finite with sᵀy > 0, so H
     stays positive definite and a gradient that overflows leaves it as it
@@ -720,11 +764,9 @@ def _descend(
     value, grad = objective(u)
     grad = _tangent_coordinates(grad, upper)
     m = grad.shape[1]
-    # per start: its last _MEMORY curvature pairs (zero slots until it has them),
-    # direction, slope ⟨g, p⟩, step α and the eigenpairs of i·α·Ω, kept while
-    # its direction is
-    steps, changes = np.zeros((2, _MEMORY, count, m))
-    rho, scale = np.zeros((_MEMORY, count)), np.zeros(count)
+    # per start: its curvature pairs, direction, slope ⟨g, p⟩, step α and the
+    # eigenpairs of i·α·Ω, kept while its direction is
+    curvature = _Curvature(count, m)
     direction = np.empty((count, m))
     slope, alpha = np.empty(count), np.empty(count)
     w, v = np.empty(u.shape[:2]), np.empty_like(u)
@@ -745,7 +787,7 @@ def _descend(
             stop = (iters[begin] >= max_iters) | (norm < 1e-14) | (value[begin] < 1e-24)
             live[begin[stop]] = False
             go, g, norm = begin[~stop], g[~stop], norm[~stop]
-            p = _lbfgs_direction(g, steps[:, go], changes[:, go], rho[:, go], scale[go])
+            p = curvature.direction(go, g)
             gp = _dots(g, p)
             steep = ~(gp < 0)  # also where no pair is kept yet: p = 0
             p[steep] = g[steep] * (-0.1 / norm[steep, None])
@@ -772,10 +814,7 @@ def _descend(
             change = new_grad - grad[won]
             sy, yy = _dots(step, change), _dots(change, change)
             pair = (sy > 0) & np.isfinite(sy) & np.isfinite(yy)
-            rows = won[pair]
-            sy, yy = sy[pair], yy[pair]
-            _remember((steps, changes, rho), rows, (step[pair], change[pair], 1 / sy))
-            scale[rows] = sy / yy
+            curvature.remember(won[pair], step[pair], change[pair], sy[pair], yy[pair])
             grad[won] = new_grad
             u[won], value[won] = candidate[better], candidate_value[better]
             fresh[won] = True
@@ -816,7 +855,8 @@ def search_masa(
     images over the unitary group; returns the best masa found and the
     square root of the best objective value, which matches the invariance
     residual scale. Restart r descends (`_descend`: limited-memory BFGS
-    directions, each restart stopping at convergence, at its budget of 150
+    directions from the last 16 curvature pairs in compact form, each
+    restart stopping at convergence, at its budget of 150
     directions, or once rounding in the value hides the decrease its step
     predicts) from a Haar unitary drawn from default_rng([seed, r]), in
     `_descents`' lockstep chunks, so its result depends only on (seed, r).

@@ -52,6 +52,7 @@ from cpmasa import masa as masa_module
 from cpmasa.masa import (
     _MAX_ITERS,
     _MEMORY,
+    _Curvature,
     _Superoperator,
     _descend,
     _dots,
@@ -59,9 +60,7 @@ from cpmasa.masa import (
     _exp_from_eigh,
     _hermitian_from_coordinates,
     _kraus_coefficient_solution,
-    _lbfgs_direction,
     _masked_objective,
-    _remember,
     _stack_width,
     _tangent_coordinates,
 )
@@ -839,8 +838,7 @@ def _scalar_descend(objective, u, max_iters):
     u = u[None]
     value, grad = objective(u)
     grad = _tangent_coordinates(grad, upper)
-    steps, changes = np.zeros((2, _MEMORY, 1, grad.shape[1]))
-    rho, scale = np.zeros((_MEMORY, 1)), np.zeros(1)
+    curvature, row = _Curvature(1, grad.shape[1]), np.zeros(1, dtype=int)
     rounding = 4 * np.finfo(float).eps  # the stop at rounding
     tally = {"trials": 0, "accepted": 0, "directions": 0}
 
@@ -851,7 +849,7 @@ def _scalar_descend(objective, u, max_iters):
         norm = np.sqrt(_dots(grad, grad))
         if norm < 1e-14 or value < 1e-24:
             return stopped("converged")
-        p = _lbfgs_direction(grad, steps, changes, rho, scale)
+        p = curvature.direction(row, grad)
         slope = _dots(grad, p)
         if not slope < 0:
             p = grad * (-0.1 / norm[:, None])
@@ -880,8 +878,7 @@ def _scalar_descend(objective, u, max_iters):
         step, change = p * alpha, candidate_grad - grad
         sy, yy = _dots(step, change), _dots(change, change)
         if sy > 0 and np.isfinite(sy) and np.isfinite(yy):
-            _remember((steps, changes, rho), [0], (step, change, 1 / sy))
-            scale = sy / yy
+            curvature.remember(row, step, change, sy, yy)
         u, value, grad = candidate, candidate_value, candidate_grad
     return stopped("max_iters")
 
@@ -954,34 +951,43 @@ def test_descent_primitives_match_their_definitions():
     assert np.isclose(_dots(coords[:1], coords[1:])[0], np.vdot(skew[0], skew[1]).real, rtol=1e-13)
     # and the Hermitian they map back to is i times the skew-Hermitian they came from
     assert np.allclose(_hermitian_from_coordinates(coords, upper, d), 1j * skew, rtol=0, atol=1e-15)
-    # the two-loop direction is −H·g for the BFGS H from the newest _MEMORY pairs,
+    # the compact direction is −H·g for the BFGS H from the newest _MEMORY pairs,
     # with H₀ = (sᵀy/yᵀy)·1 of the newest: (1 − ρ s yᵀ) H (1 − ρ y sᵀ) + ρ s sᵀ
     m = d * (d - 1)
     a = rng.standard_normal((m, m))
-    curvature = a @ a.T + np.eye(m)
-    steps, changes = np.zeros((2, _MEMORY, 2, m))
-    rho, scale = np.zeros((_MEMORY, 2)), np.zeros(2)
+    hessian = a @ a.T + np.eye(m)
+    curvature = _Curvature(2, m)
     history = []
-    for _ in range(_MEMORY + 3):  # row 0 keeps the newest _MEMORY; row 1 has none
+    for _ in range(_MEMORY + 5):  # row 0's ring wraps to keep the newest _MEMORY; row 1 has none
         s = rng.standard_normal(m)
-        y = curvature @ s
+        y = hessian @ s
         history.append((s, y))
-        _remember((steps, changes, rho), [0], (s[None], y[None], 1 / np.array([s @ y])))
-        scale[0] = (s @ y) / (y @ y)
-    h = scale[0] * np.eye(m)
+        curvature.remember(np.array([0]), s[None], y[None], np.array([s @ y]), np.array([y @ y]))
+    s, y = history[-1]
+    h = (s @ y) / (y @ y) * np.eye(m)
     for s, y in history[-_MEMORY:]:
         r = 1 / (s @ y)
         left = np.eye(m) - r * np.outer(s, y)
         h = left @ h @ left.T + r * np.outer(s, s)
     assert np.allclose(h, h.T, rtol=0, atol=1e-12 * np.abs(h).max())
     g = rng.standard_normal((2, m))
-    p = _lbfgs_direction(g, steps, changes, rho, scale)
+    p = curvature.direction(np.arange(2), g)
     assert np.allclose(p[0], -h @ g[0], rtol=1e-9, atol=1e-12 * np.abs(h @ g[0]).max())
     assert not p[1].any()  # no pairs yet: the descent takes the steepest step
     # the secant condition H·y = s for the newest pair
     s, y = history[-1]
-    secant = _lbfgs_direction(np.array([y, y]), steps, changes, rho, scale)[0]
+    secant = curvature.direction(np.arange(2), np.array([y, y]))[0]
     assert np.allclose(-secant, s, rtol=1e-9, atol=1e-12 * np.abs(s).max())
+
+
+@pytest.mark.parametrize("d, instance, directions", [(4, [64, 4], 50), (6, [64, 6, 4], 120)])
+def test_descent_converges_beyond_eight_coordinates(d, instance, directions):
+    # 12 and 30 tangent coordinates. With 16 pairs these starts fall below
+    # (atol/10)² in 43 and 105 directions; with 8 pairs they took 58 and more than 150
+    t, _ = invariant_map_instance(np.random.default_rng(instance), d, 3)
+    start = haar_unitary(np.random.default_rng([65, d, 0]), d)
+    _, value, *_ = _scalar_descend(_search_objective(t), start, directions)
+    assert value < (DEFAULT_TOL.atol / 10) ** 2
 
 
 @pytest.mark.parametrize("kind", ["map", "generator", "superoperator"])
@@ -1023,15 +1029,16 @@ def test_descent_overflow_in_one_start_spares_its_stack_mates(monkeypatch):
     _descend(probe, starts[[2]], 40)
     at = probe.values[14]  # start 2's seventh accepted trial; values[0] is its start
     pairs = []
-    remember = masa_module._remember
+    remember = _Curvature.remember
 
-    def recorded(histories, rows, news):
-        pairs.append(np.isfinite(news[0]).all(axis=1) & np.isfinite(news[1]).all(axis=1))
-        return remember(histories, rows, news)
+    def recorded(self, rows, steps, changes, sy, yy):
+        pairs.append(np.isfinite(steps).all(axis=1) & np.isfinite(changes).all(axis=1))
+        return remember(self, rows, steps, changes, sy, yy)
 
-    monkeypatch.setattr(masa_module, "_remember", recorded)
+    monkeypatch.setattr(_Curvature, "remember", recorded)
     alone = [_descend(_OverflowingGradient(objective, at), starts[[r]], 40) for r in range(5)]
     updates_alone = sum(len(rows) for rows in pairs)
+    assert updates_alone > 0
     pairs.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1163,7 +1170,7 @@ def _descent_inputs(d):
 
 @pytest.mark.parametrize("d", [3, 4, 6])
 @pytest.mark.parametrize("kind", ["map", "generator", "superoperator"])
-def test_two_step_descent_equals_one_pass_reference(d, kind):
+def test_descent_equals_one_pass_reference(d, kind):
     rng = np.random.default_rng([36, d])
     pairs = _evolution(_descent_sources(rng, d)[kind])._pairs().compressed()
     starts = np.array([haar_unitary(rng, d) for _ in range(3)])
