@@ -13,7 +13,6 @@ never exponentiates never loads scipy.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -418,29 +417,6 @@ def commutant_intersection(
     return len(basis), basis
 
 
-@functools.lru_cache
-def _upper_trapezoid(rows: int, cols: int) -> np.ndarray:
-    """Read-only boolean mask of the entries on and above the diagonal of a rows×cols matrix."""
-    mask = np.arange(rows)[:, None] <= np.arange(cols)
-    mask.flags.writeable = False
-    return mask
-
-
-def _r_factor(a: np.ndarray, with_q: bool = False):
-    """The upper-trapezoidal R of a thin QR factorization a = Q R of a complex matrix.
-
-    numpy's LAPACK geqrf: R is masked out of the packed output of the raw
-    mode, which forms no Q. With `with_q`, returns (Q, R) of the reduced mode,
-    Q formed by ungqr. Entries that overflow come out as inf or NaN (an inf
-    under the mask gives NaN), for the caller to check.
-    """
-    if with_q:
-        return np.linalg.qr(a)
-    h, _ = np.linalg.qr(a, mode="raw")
-    rows = min(a.shape)
-    return h.T[:rows] * _upper_trapezoid(rows, a.shape[1])
-
-
 def _stack_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Σ_i vec_r(x_i) vec_r(y_i)ᵀ over row-major flattenings of two stacks, as one product.
 
@@ -492,29 +468,32 @@ class _PairForm(NamedTuple):
         stack, [A, A'] = Q_a [R_a, R_a'] and [B, B'] = Q_b [R_b, R_b'], leaves
         a bᵀ − a' b'ᵀ = Q_a (R_a R_bᵀ − R_a' R_b'ᵀ) Q_bᵀ: the distance and the
         two norms are Frobenius norms of p×p matrices for p pairs in all, found
-        in O(p²d²) with QR's backward stability. Entries that overflow come out
-        as inf or NaN, for the caller to check.
+        in O(p²d²) with QR's backward stability. numpy's `qr(mode="r")` gives
+        each R and forms no Q. Entries that overflow come out as inf or NaN,
+        for the caller to check.
         """
         n, d = len(self.left), self.left.shape[-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            r_a = _r_factor(np.concatenate([self.left, other.left]).reshape(-1, d * d).T)
-            r_b = _r_factor(np.concatenate([self.right, other.right]).reshape(-1, d * d).T)
+            a = np.concatenate([self.left, other.left]).reshape(-1, d * d).T
+            b = np.concatenate([self.right, other.right]).reshape(-1, d * d).T
+            r_a, r_b = np.linalg.qr(a, mode="r"), np.linalg.qr(b, mode="r")
             own = r_a[:, :n] @ r_b[:, :n].T
             theirs = r_a[:, n:] @ r_b[:, n:].T
             # the root of vdot is frobenius without np.linalg.norm's call overhead
             return tuple(float(np.sqrt(np.vdot(m, m).real)) for m in (own - theirs, own, theirs))
 
     def compressed(self) -> _PairForm:
-        """The fewest pairs of the same map: `distance`'s QRs, then an SVD of the p×p core.
+        """The fewest pairs of the same map: reduced QRs of both stacks, then an SVD of the p×p core.
 
-        With a = Q_a R_a, b = Q_b R_b and R_a R_bᵀ = U Σ Vh, a bᵀ = (Q_a U Σ)(Q_b Vhᵀ)ᵀ;
-        singular values at or below eps·d²·σ_max are dropped. The right stack is
-        orthonormal, so ‖left‖_F = ‖S‖_F. Raises NumericalFailure if the core is not finite.
+        With a = Q_a R_a, b = Q_b R_b (numpy's reduced `qr`) and
+        R_a R_bᵀ = U Σ Vh, a bᵀ = (Q_a U Σ)(Q_b Vhᵀ)ᵀ; singular values at or
+        below eps·d²·σ_max are dropped. The right stack is orthonormal, so
+        ‖left‖_F = ‖S‖_F. Raises NumericalFailure if the core is not finite.
         """
         d = self.left.shape[-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            q_a, r_a = _r_factor(self.left.reshape(-1, d * d).T, with_q=True)
-            q_b, r_b = _r_factor(self.right.reshape(-1, d * d).T, with_q=True)
+            q_a, r_a = np.linalg.qr(self.left.reshape(-1, d * d).T)
+            q_b, r_b = np.linalg.qr(self.right.reshape(-1, d * d).T)
             core = r_a @ r_b.T
         if not np.all(np.isfinite(core)):
             raise NumericalFailure("pair form is not finite")

@@ -448,59 +448,50 @@ def rebolledo_check(t, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> RebolledoVer
     )
 
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
+# σ_0 = 1 and the Pauli matrices σ_x, σ_y, σ_z
+_PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
 )
+# columns vec(σ_a)/√2, an orthonormal basis of C⁴; vec(σ) is the row-major flattening of σᵀ
+_PAULI_COLUMNS = _PAULI.transpose(0, 2, 1).reshape(4, 4).T / np.sqrt(2)
 
 
 def find_masa_m2(alpha_map, tol: Tolerance = DEFAULT_TOL) -> Masa:
     """Invariant masa of a *-map on M₂ whose unit image is scalar.
 
-    The traceless self-adjoint part of the map, written in the Pauli
-    coordinates as a real 3×3 matrix, always has a real eigenvalue; the masa
-    generated by the corresponding eigenvector is invariant. The returned
-    masa is the best real-eigenvalue candidate by direct invariance residual.
+    The map's Pauli transfer matrix m = P* S P, for S its superoperator and P
+    the columns vec(σ_a)/√2, holds m[a, b] = tr(σ_a T(σ_b))/2, so
+    T(σ_b) = Σ_a m[a, b] σ_a (the affine Bloch form). The preconditions ask
+    that m[1:, 0] vanish and the Pauli columns m[:, 1:] be real; then the
+    masa generated by y·σ, for a real eigenvector y of the real 3×3 block
+    m[1:, 1:], is invariant. The returned masa is the best such candidate by
+    direct invariance residual.
     """
     evolution = _evolution(alpha_map)
     if evolution.dim != 2:
         raise DimensionMismatch(f"the constructive finder needs dim 2, got {evolution.dim}")
-    eye = np.eye(2, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        unit_image, *pauli_images = (evolution.apply(x) for x in (eye, *_PAULI))
-        norms = [frobenius(img) for img in (unit_image, *pauli_images)]
+        m = dag(_PAULI_COLUMNS) @ evolution.superoperator() @ _PAULI_COLUMNS
+        # ‖T(σ_b)‖_F = √2·‖m[:, b]‖ since P is unitary
+        norms = np.sqrt(2) * np.linalg.norm(m, axis=0)
     if not np.all(np.isfinite(norms)):
         raise NumericalFailure("norms of the unit's and the Pauli matrices' images are not finite")
-    scale = max(1.0, *norms)
-    unit_defect = frobenius(unit_image - (np.trace(unit_image) / 2) * eye)
+    scale = max(1.0, float(norms.max()))
+    unit_defect = np.sqrt(2) * float(np.linalg.norm(m[1:, 0]))
     if unit_defect > tol.threshold(scale):
-        raise PreconditionFailed(
-            f"image of the unit is not scalar, defect {unit_defect:.3e}"
-        )
-    for img in pauli_images:
-        sa_defect = frobenius(img - dag(img))
-        if sa_defect > tol.threshold(scale):
-            raise PreconditionFailed(
-                f"not a *-map, self-adjointness defect {sa_defect:.3e}"
-            )
+        raise PreconditionFailed(f"image of the unit is not scalar, defect {unit_defect:.3e}")
+    # T(σ_b) − T(σ_b)* = 2i Σ_a Im(m[a, b]) σ_a
+    sa_defect = 2 * np.sqrt(2) * float(np.linalg.norm(m[:, 1:].imag, axis=0).max())
+    if sa_defect > tol.threshold(scale):
+        raise PreconditionFailed(f"not a *-map, self-adjointness defect {sa_defect:.3e}")
 
-    r = np.array([[np.trace(a @ b).real / 2 for b in pauli_images] for a in _PAULI])
-    eigenvalues = np.linalg.eigvals(r)
-    candidates = [
-        lam for lam in eigenvalues if abs(lam.imag) <= tol.threshold(max(1.0, abs(lam)))
-    ]
-    if not candidates:
-        # a real eigenvalue exists in exact arithmetic; take the nearest
-        candidates = [min(eigenvalues, key=lambda lam: abs(lam.imag))]
-
+    # LAPACK's dgeev returns each real eigenvalue of a real matrix with an
+    # imaginary part of exactly 0 and a real unit eigenvector; a real 3×3
+    # matrix has an odd number of real eigenvalues, so at least one column stays
+    eigenvalues, eigenvectors = np.linalg.eig(m[1:, 1:].real)
     best = None
-    for lam in candidates:
-        _, _, vt = np.linalg.svd(r - lam.real * np.eye(3))
-        y = vt[-1].real
-        y = y / np.linalg.norm(y)
-        generator_elt = sum(y[a] * _PAULI[a] for a in range(3))
-        masa = masa_from_selfadjoint(generator_elt, tol)
+    for y in eigenvectors[:, eigenvalues.imag == 0].real.T:
+        masa = masa_from_selfadjoint(np.tensordot(y, _PAULI[1:], axes=1), tol)
         residual = is_invariant(evolution, masa, tol).residual
         if best is None or residual < best[0]:
             best = (residual, masa)

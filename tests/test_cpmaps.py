@@ -230,6 +230,11 @@ def test_kraus_transform_detects_different_maps():
     assert out.distance > 1e-3
 
 
+def test_kraus_transform_rejects_maps_of_other_dimension():
+    with pytest.raises(DimensionMismatch):
+        kraus_transform(KrausMap([L21]), KrausMap([np.eye(3, dtype=complex)]))
+
+
 def test_kraus_transform_span_inclusion():
     # connecting matrix implies span{S_j} inside span{T_i} and conversely
     for seed in range(25):

@@ -80,6 +80,22 @@ def test_markov_form_commutator_action():
     assert np.allclose(apply_generator(gen, x), 1j * (x @ h - h @ x))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda ops, h: GkslGenerator(ops, h),
+        lambda ops, h: markov_form(ops, h),
+    ],
+    ids=["GkslGenerator", "markov_form"],
+)
+def test_plain_operator_list_is_read_as_a_kraus_map(build):
+    ops = [np.array([[1, 0], [1, 1]], dtype=complex)]
+    h = np.diag([0.5, -0.5]).astype(complex)
+    gen = build(ops, h)
+    assert isinstance(gen.kraus, KrausMap)
+    assert np.array_equal(gen.superoperator(), build(KrausMap(ops), h).superoperator())
+
+
 def test_markov_form_rejects_nonselfadjoint():
     with pytest.raises(NotSelfAdjoint):
         markov_form(

@@ -610,6 +610,52 @@ def test_find_masa_m2_precondition():
         find_masa_m2(t)
 
 
+def _z_rotation(theta):
+    return KrausMap([np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])])
+
+
+_SIGMAS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "source, diagonal",
+    [
+        # the Pauli block is a rotation: one real eigenvalue, the z axis
+        (_z_rotation(0.7), True),
+        # a complex pair 1e-12 off the real axis: still only the z axis is real
+        (_z_rotation(1e-12), True),
+        # depolarizing: the Pauli block is 0.6·1, three real eigenvalues
+        (KrausMap([np.sqrt(0.7) * np.eye(2)] + [np.sqrt(0.1) * s for s in _SIGMAS]), False),
+    ],
+    ids=["rotation", "near_real_pair", "depolarizing"],
+)
+def test_find_masa_m2_pauli_eigen_cases(source, diagonal):
+    masa = find_masa_m2(source)
+    assert is_invariant(source, masa).residual <= 1e-14
+    if diagonal:
+        assert all(frobenius(offdiag(masa.projection(k))) <= 1e-14 for k in range(2))
+
+
+def test_find_masa_m2_rejects_non_star_map():
+    # the unit is fixed, and the off-diagonal entries are multiplied by i
+    with pytest.raises(PreconditionFailed, match=r"not a \*-map"):
+        find_masa_m2(np.diag([1, 1j, 1j, 1]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t, masa: solve_kraus_coefficients(t, masa),
+        lambda t, masa: solve_generator_coefficients(GkslGenerator(t, np.zeros((2, 2))), masa),
+        lambda t, masa: rebolledo_check(t, masa),
+    ],
+    ids=["solve_kraus_coefficients", "solve_generator_coefficients", "rebolledo_check"],
+)
+def test_coefficient_criteria_reject_masa_of_other_dimension(call):
+    with pytest.raises(DimensionMismatch):
+        call(KrausMap([np.eye(2, dtype=complex)]), Masa.diagonal(3))
+
+
 def test_search_masa_finds_invariant_masa():
     rng = np.random.default_rng(9)
     t, _ = invariant_map_instance(rng, 2, 2)
@@ -1398,6 +1444,12 @@ def test_classical_restriction_requires_invariance():
     gen, masa = generic_generator_instance(rng, 3, 2)
     with pytest.raises(NotInvariant):
         classical_restriction(gen, masa)
+
+
+def test_classical_restriction_rejects_non_real_diagonal():
+    # X ↦ iX keeps every masa and turns its diagonal imaginary
+    with pytest.raises(NumericalFailure, match="non-real diagonal"):
+        classical_restriction(1j * np.eye(4), Masa.diagonal(2))
 
 
 def test_classical_restriction_markov_generator_is_q_matrix():
