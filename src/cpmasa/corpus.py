@@ -5,8 +5,8 @@ two CP maps and a generator on M₂, two generators on M₃, and a unital CP
 map (after halving) on M₃. Each entry pins the values its verifier checks,
 and the verifier reads every pin and re-derives it from the payload rather
 than trusting it. Two of the instances depend on hypotheses about a constructed unitary
-or commutant; those are re-checked at build time, with deterministic seed
-retries for the seeded construction.
+or commutant; those are re-checked at build time, and a build whose
+hypothesis fails raises HypothesisFailed.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ __all__ = [
 ]
 
 # margin required of the seeded-unitary hypotheses (eigenvector overlaps
-# and the real-part spectrum), and retry budget for the seeded search
+# and the real-part spectrum)
 HYPOTHESIS_MARGIN = 1e-3
-SEED_RETRIES = 40
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,8 @@ def _build_ex3_3() -> CorpusEntry:
     return CorpusEntry(id="ex3_3", payload=gen, expected=expected)
 
 
-def _seeded_unitary(attempt: int) -> np.ndarray:
-    rng = np.random.default_rng(7 if attempt == 0 else [7, attempt])
+def _seeded_unitary() -> np.ndarray:
+    rng = np.random.default_rng(7)
     k = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     k = (k + dag(k)) / 2
     k /= np.linalg.norm(k, 2)
@@ -171,16 +170,12 @@ def _unitary_margins(u: np.ndarray, e: np.ndarray, f: np.ndarray):
 def _build_ex3_4() -> CorpusEntry:
     e, projector, _ = _ex3_3_data()
     f = np.ones(3, dtype=complex) / np.sqrt(3)
-    u = None
-    for attempt in range(SEED_RETRIES):
-        candidate = _seeded_unitary(attempt)
-        re_min, overlap_gap, component = _unitary_margins(candidate, e, f)
-        if min(re_min, overlap_gap, component) >= HYPOTHESIS_MARGIN:
-            u = candidate
-            break
-    if u is None:
+    u = _seeded_unitary()
+    margin = min(_unitary_margins(u, e, f))
+    # negated so that a NaN margin fails too
+    if not margin >= HYPOTHESIS_MARGIN:
         raise HypothesisFailed(
-            f"no seeded unitary met the overlap margins in {SEED_RETRIES} attempts"
+            f"the seeded unitary's smallest margin {margin:.3e} is below {HYPOTHESIS_MARGIN}"
         )
     basis = np.eye(3, dtype=complex)
     ops = [

@@ -23,6 +23,7 @@ from .linalg import (
     Verdict,
     _decide,
     _Evolution,
+    _finite,
     _haar_isometries,
     _PairForm,
     _phase_normalize_columns,
@@ -145,8 +146,7 @@ def _superoperator_distance(a, b, tol: Tolerance) -> tuple[float, bool]:
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch {a.dim} vs {b.dim}")
     distance, norm_a, norm_b = a._pairs().distance(b._pairs())
-    if not np.isfinite(distance):
-        raise NumericalFailure("superoperator distance is not finite")
+    _finite(distance, "superoperator distance")
     return distance, distance <= tol.threshold(max(norm_a, norm_b))
 
 

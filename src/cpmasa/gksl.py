@@ -17,23 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmaps import Inequivalent, KrausMap, _mixing, _superoperator_distance, is_unital
-from .errors import (
-    DimensionMismatch,
-    NotInvariant,
-    NotMinimal,
-    NotSelfAdjoint,
-    NotUnital,
-    NumericalFailure,
-    PreconditionFailed,
-)
+from .errors import NotMinimal, NotUnital, NumericalFailure, PreconditionFailed
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     Verdict,
     _decide,
     _Evolution,
+    _finite,
     _hermiticity_preserving_exp,
     _PairForm,
+    _require_hermitian,
     complex_from_realified,
     dag,
     frobenius,
@@ -42,7 +36,7 @@ from .linalg import (
     realify_conjugate_linear_system,
     require_matrix,
 )
-from .masa import _drift_system, is_invariant
+from .masa import _drift_system, _on_masa, _require_invariant
 
 __all__ = [
     "GkslGenerator",
@@ -133,14 +127,10 @@ def markov_form(kraus: KrausMap, hamiltonian, tol: Tolerance = DEFAULT_TOL) -> G
     if not isinstance(kraus, KrausMap):
         kraus = KrausMap(kraus)
     h = require_matrix(hamiltonian, dim=kraus.dim, name="hamiltonian")
-    defect = frobenius(h - dag(h))
-    if defect > tol.threshold(frobenius(h)):
-        raise NotSelfAdjoint(f"hamiltonian symmetry defect {defect:.3e} exceeds tolerance")
+    _require_hermitian(h, tol, "hamiltonian")
     h = (h + dag(h)) / 2
     with np.errstate(over="ignore", invalid="ignore"):
-        total = (dag(kraus.operators) @ kraus.operators).sum(axis=0)
-    if not np.all(np.isfinite(total)):
-        raise NumericalFailure("Σ L_i* L_i is not finite")
+        total = _finite((dag(kraus.operators) @ kraus.operators).sum(axis=0), "Σ L_i* L_i")
     return GkslGenerator(kraus, -total / 2 + 1j * h)
 
 
@@ -319,9 +309,7 @@ def cp_part_diagonalizable(
     decides; NotInvariant is raised otherwise, and NumericalFailure when the
     drift system's residual or right-hand side is not finite.
     """
-    verdict = is_invariant(gen, masa, tol)
-    if not verdict:
-        raise NotInvariant(f"generator does not preserve the masa, residual {verdict.residual:.3e}")
+    _require_invariant(gen, masa, tol)
     d, ops = gen.dim, gen.kraus.operators
     a, b = _drift_system(*gen._in_coordinates(masa))
     # unknowns are conj(eta); the system is complex-linear in them
@@ -399,9 +387,7 @@ def hamiltonian_part_diagonalizable(
     the verdict carries a certificate exhibiting the forced coefficient
     values and the violated equations.
     """
-    if gen.dim != masa.dim:
-        raise DimensionMismatch(f"generator dim {gen.dim} vs masa dim {masa.dim}")
-    d = gen.dim
+    d = _on_masa(gen, masa).dim
     r, s = np.nonzero(~np.eye(d, dtype=bool))
     with np.errstate(over="ignore", invalid="ignore"):
         ops, b = gen._in_coordinates(masa)

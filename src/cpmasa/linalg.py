@@ -141,6 +141,20 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def _finite(x, what: str):
+    """`x` itself, once every entry is finite; raises NumericalFailure naming `what` otherwise."""
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailure(f"{what} is not finite")
+    return x
+
+
+def _require_hermitian(m: np.ndarray, tol: Tolerance, what: str) -> None:
+    """Raises NotSelfAdjoint, naming `what`, when ‖m − m*‖_F exceeds the threshold at ‖m‖_F."""
+    defect = frobenius(m - dag(m))
+    if defect > tol.threshold(frobenius(m)):
+        raise NotSelfAdjoint(f"{what} symmetry defect {defect:.3e} exceeds tolerance")
+
+
 def require_matrix(a, dim: int | None = None, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex array, checking shape and finiteness."""
     m = np.asarray(a, dtype=complex)
@@ -148,9 +162,7 @@ def require_matrix(a, dim: int | None = None, name: str = "matrix") -> np.ndarra
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
     if dim is not None and m.shape[0] != dim:
         raise DimensionMismatch(f"{name} must be {dim}x{dim}, got {m.shape[0]}x{m.shape[1]}")
-    if not np.all(np.isfinite(m)):
-        raise NumericalFailure(f"{name} contains non-finite entries")
-    return m
+    return _finite(m, name)
 
 
 def _phase_normalize_columns(v: np.ndarray) -> np.ndarray:
@@ -185,16 +197,13 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
         deterministic column phase convention applied.
     """
     m = require_matrix(a)
-    sym_defect = frobenius(m - dag(m))
-    if sym_defect > tol.threshold(frobenius(m)):
-        raise NotSelfAdjoint(f"symmetry defect {sym_defect:.3e} exceeds tolerance")
+    _require_hermitian(m, tol, "matrix")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v.view(float)))):
-        raise NumericalFailure("eigendecomposition produced non-finite output")
-    return w, _phase_normalize_columns(v)
+    _finite(w, "eigenvalues")
+    return w, _phase_normalize_columns(_finite(v, "eigenvectors"))
 
 
 def least_squares(a, b) -> tuple[np.ndarray, float | np.ndarray]:
@@ -215,13 +224,10 @@ def least_squares(a, b) -> tuple[np.ndarray, float | np.ndarray]:
     b = b.astype(dtype, copy=False)
     if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"incompatible system shapes {a.shape} and {b.shape}")
-    if a.shape[1] == 0:
-        x = np.zeros((0,) + b.shape[1:], dtype=dtype)
-    else:
-        try:
-            x, _, _, _ = np.linalg.lstsq(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"least squares failed: {exc}") from exc
+    try:
+        x, _, _, _ = np.linalg.lstsq(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"least squares failed: {exc}") from exc
     # residues from lstsq are unreliable for rank-deficient systems
     residual = np.linalg.norm(a @ x - b, axis=0)
     return x, float(residual) if b.ndim == 1 else residual
@@ -244,9 +250,7 @@ def _disjoint_least_squares(a: np.ndarray, b: np.ndarray, reference: float) -> t
     its noise. Returns x (k, n, c) and the residuals ‖a x − b‖ of each block's
     columns (k, c). Raises NumericalFailure if `a` is not finite.
     """
-    if not np.all(np.isfinite(a)):
-        raise NumericalFailure("system matrix is not finite")
-    k, m, n = a.shape
+    k, m, n = _finite(a, "system matrix").shape
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
@@ -321,10 +325,7 @@ def matrix_exp(a) -> np.ndarray:
     """
     m = require_matrix(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _expm(m)
-    if not np.all(np.isfinite(out.view(float))):
-        raise NumericalFailure("matrix exponential overflowed")
-    return out
+        return _finite(_expm(m), "matrix exponential")
 
 
 def _hermiticity_preserving_exp(s, d: int) -> np.ndarray:
@@ -348,9 +349,7 @@ def _hermiticity_preserving_exp(s, d: int) -> np.ndarray:
         out = np.empty((d, d, d, d), dtype=complex)
         out.real = (e4 + e4.transpose(1, 0, 3, 2)) / 2
         out.imag = (e4.swapaxes(2, 3) - e4.swapaxes(0, 1)) / 2
-    if not np.all(np.isfinite(out.view(float))):
-        raise NumericalFailure("matrix exponential overflowed")
-    return out.reshape(d * d, d * d)
+    return _finite(out, "matrix exponential").reshape(d * d, d * d)
 
 
 def _exp_from_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -424,10 +423,7 @@ def _stack_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     m, d, _ = x.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        out = x.reshape(m, d * d).T @ y.reshape(m, d * d)
-    if not np.all(np.isfinite(out.view(float))):
-        raise NumericalFailure("pair-form product is not finite")
-    return out
+        return _finite(x.reshape(m, d * d).T @ y.reshape(m, d * d), "pair-form product")
 
 
 class _PairForm(NamedTuple):
@@ -444,10 +440,7 @@ class _PairForm(NamedTuple):
     def apply(self, x: np.ndarray) -> np.ndarray:
         """T(X); raises NumericalFailure when it is not finite."""
         with np.errstate(over="ignore", invalid="ignore"):
-            out = (self.left @ x @ self.right).sum(axis=0)
-        if not np.all(np.isfinite(out)):
-            raise NumericalFailure("image is not finite")
-        return out
+            return _finite((self.left @ x @ self.right).sum(axis=0), "image")
 
     def superoperator(self) -> np.ndarray:
         """The d²×d² matrix S = Σ_i B_iᵀ ⊗ A_i: vec(T(X)) = S vec(X), column-stacking vec.
@@ -495,9 +488,7 @@ class _PairForm(NamedTuple):
             q_a, r_a = np.linalg.qr(self.left.reshape(-1, d * d).T)
             q_b, r_b = np.linalg.qr(self.right.reshape(-1, d * d).T)
             core = r_a @ r_b.T
-        if not np.all(np.isfinite(core)):
-            raise NumericalFailure("pair form is not finite")
-        u, s, vh = np.linalg.svd(core)
+        u, s, vh = np.linalg.svd(_finite(core, "pair form"))
         keep = s > np.finfo(float).eps * d * d * s[0]
         left = (q_a @ (u[:, keep] * s[keep])).T.reshape(-1, d, d)
         return _PairForm(left, (q_b @ vh[keep].T).T.reshape(-1, d, d))

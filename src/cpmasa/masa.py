@@ -33,6 +33,7 @@ from .linalg import (
     _disjoint_least_squares,
     _Evolution,
     _exp_from_eigh,
+    _finite,
     _haar_isometries,
     _phase_normalize_columns,
     _realify,
@@ -42,8 +43,6 @@ from .linalg import (
     hermitian_eig,
     nullspace,
     require_matrix,
-    unvec,
-    vec,
 )
 
 __all__ = [
@@ -129,8 +128,8 @@ class Infeasible(Verdict):
 class _Superoperator(_Evolution):
     """An evolution known only through its d²×d² matrix under column-stacking vec.
 
-    Its pair form serves the finders; application, the projection images and
-    the superoperator itself come straight from the matrix.
+    Its pair form serves the finders and application; the projection images
+    and the superoperator itself come straight from the matrix.
     """
 
     def __init__(self, matrix):
@@ -140,9 +139,6 @@ class _Superoperator(_Evolution):
             raise DimensionMismatch(f"superoperator side {s.shape[0]} is not a square")
         self.dim = d
         self.matrix = s
-
-    def apply(self, x) -> np.ndarray:
-        return unvec(self.matrix @ vec(x), self.dim)
 
     def superoperator(self) -> np.ndarray:
         return self.matrix
@@ -170,10 +166,16 @@ def _evolution(source):
     return source if isinstance(source, _Evolution) else _Superoperator(source)
 
 
-def _projection_images(source, masa: Masa) -> np.ndarray:
+def _on_masa(source, masa: Masa):
+    """The evolution `source` reads as; raises DimensionMismatch unless its dim is the masa's."""
     evolution = _evolution(source)
     if evolution.dim != masa.dim:
         raise DimensionMismatch(f"evolution dim {evolution.dim} vs masa dim {masa.dim}")
+    return evolution
+
+
+def _projection_images(source, masa: Masa) -> np.ndarray:
+    evolution = _on_masa(source, masa)
     # images that overflow are caught by _invariance_verdict's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         return evolution.projection_images(masa)
@@ -202,6 +204,18 @@ def is_invariant(evolution, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> Verdict
 is_invariant_map = is_invariant
 is_invariant_generator = is_invariant
 is_invariant_superoperator = is_invariant
+
+
+def _require_invariant(source, masa: Masa, tol: Tolerance) -> np.ndarray:
+    """The masa's projection images under `source`; raises NotInvariant unless they stay in it."""
+    images = _projection_images(source, masa)
+    verdict = _invariance_verdict(images, tol)
+    if not verdict:
+        raise NotInvariant(
+            f"masa is not invariant, residual {verdict.residual:.3e} "
+            f"exceeds {verdict.threshold:.3e}"
+        )
+    return images
 
 
 @dataclass(frozen=True)
@@ -274,9 +288,7 @@ def solve_kraus_coefficients(t, masa: Masa, tol: Tolerance = DEFAULT_TOL):
     least-squares residual either way. Raises NumericalFailure when the
     residual or the norm of the right-hand sides is not finite.
     """
-    if t.dim != masa.dim:
-        raise DimensionMismatch(f"map dim {t.dim} vs masa dim {masa.dim}")
-    ops = masa.to_coordinates(t.operators)
+    ops = masa.to_coordinates(_on_masa(t, masa).operators)
     with np.errstate(over="ignore", invalid="ignore"):
         c_blocks, residual, rhs_norm = _kraus_coefficient_solution(ops)
     verdict = _decide(residual, rhs_norm, tol, "commutator expansion is")
@@ -327,9 +339,7 @@ def solve_generator_coefficients(gen, masa: Masa, tol: Tolerance = DEFAULT_TOL):
     exactly when L(C) ⊆ C. Raises NumericalFailure when the residual or the
     scale of the images is not finite.
     """
-    if gen.dim != masa.dim:
-        raise DimensionMismatch(f"generator dim {gen.dim} vs masa dim {masa.dim}")
-    d = gen.dim
+    d = _on_masa(gen, masa).dim
     ops, beta = gen._in_coordinates(masa)
     idx = np.arange(d)
     diagonals = ops[:, idx, idx]
@@ -397,9 +407,7 @@ def rebolledo_check(t, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> RebolledoVer
     Raises PatternExplosion above dimension _MAX_ENUMERATION_DIM, and
     NumericalFailure when a per-operator residual or its scale is not finite.
     """
-    if t.dim != masa.dim:
-        raise DimensionMismatch(f"map dim {t.dim} vs masa dim {masa.dim}")
-    d = t.dim
+    d = _on_masa(t, masa).dim
     if d > _MAX_ENUMERATION_DIM:
         raise PatternExplosion(
             f"{(d + 1) ** d} support patterns at dim {d} exceed the enumeration cap"
@@ -474,8 +482,7 @@ def find_masa_m2(alpha_map, tol: Tolerance = DEFAULT_TOL) -> Masa:
         m = dag(_PAULI_COLUMNS) @ evolution.superoperator() @ _PAULI_COLUMNS
         # ‖T(σ_b)‖_F = √2·‖m[:, b]‖ since P is unitary
         norms = np.sqrt(2) * np.linalg.norm(m, axis=0)
-    if not np.all(np.isfinite(norms)):
-        raise NumericalFailure("norms of the unit's and the Pauli matrices' images are not finite")
+    _finite(norms, "norms of the unit's and the Pauli matrices' images")
     scale = max(1.0, float(norms.max()))
     unit_defect = np.sqrt(2) * float(np.linalg.norm(m[1:, 0]))
     if unit_defect > tol.threshold(scale):
@@ -607,8 +614,7 @@ def _masked_objective(pairs, inputs: np.ndarray, mask: np.ndarray) -> _MaskedObj
     """The _MaskedObjective of T's pairs; raises NumericalFailure when it is not finite at the identity."""
     objective = _MaskedObjective(pairs, inputs, mask)
     # a non-finite start is never improved on (comparisons with NaN fail)
-    if not np.isfinite(objective.at_identity):
-        raise NumericalFailure(f"search objective is not finite ({objective.at_identity})")
+    _finite(objective.at_identity, "search objective at the identity")
     return objective
 
 
@@ -930,14 +936,7 @@ def classical_restriction(source, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> n
     projection, so diag vectors evolve by matrix action: a Q-matrix for a
     Markov generator, a stochastic matrix for a unital CP map.
     """
-    images = _projection_images(source, masa)
-    verdict = _invariance_verdict(images, tol)
-    if not verdict.ok:
-        raise NotInvariant(
-            f"masa is not invariant, residual {verdict.residual:.3e} "
-            f"exceeds {verdict.threshold:.3e}"
-        )
-    diags = np.diagonal(images, axis1=1, axis2=2)
+    diags = np.diagonal(_require_invariant(source, masa, tol), axis1=1, axis2=2)
     a = diags.real.T.copy()
     imag_worst = float(np.abs(diags.imag).max())
     if imag_worst > 10 * tol.threshold(max(1.0, float(np.abs(a).max()))):

@@ -27,7 +27,7 @@ from cpmasa import (
     verify_example,
 )
 from cpmasa import corpus
-from cpmasa.errors import DimensionMismatch, ParseError
+from cpmasa.errors import DimensionMismatch, HypothesisFailed, ParseError
 
 
 def test_corpus_ids_and_bad_id():
@@ -193,6 +193,19 @@ def test_ex3_4_unit_image_and_margins():
     assert is_unital(halved).residual <= 1e-12
     _, residual = search_masa(halved, restarts=25, seed=17)
     assert residual >= 1e-3
+
+
+def test_ex3_3_build_refuses_a_larger_commutant(monkeypatch):
+    monkeypatch.setattr(corpus, "commutant_intersection", lambda mats, tol: (2, []))
+    with pytest.raises(HypothesisFailed):
+        build_example("ex3_3")
+
+
+def test_ex3_4_build_refuses_a_missed_margin(monkeypatch):
+    # seed 7's smallest margin, that of an eigenvector's component along e, is 0.108
+    monkeypatch.setattr(corpus, "HYPOTHESIS_MARGIN", 0.11)
+    with pytest.raises(HypothesisFailed):
+        build_example("ex3_4")
 
 
 def test_verify_example_all_pass():

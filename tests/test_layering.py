@@ -200,7 +200,6 @@ def test_only_the_evolution_base_defines_the_protocol():
             ("linalg", "_Evolution", "superoperator"),
             ("linalg", "_PairForm", "apply"),
             ("linalg", "_PairForm", "superoperator"),
-            ("masa", "_Superoperator", "apply"),
             ("masa", "_Superoperator", "projection_images"),
             ("masa", "_Superoperator", "superoperator"),
         ]

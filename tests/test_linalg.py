@@ -218,6 +218,12 @@ def test_real_least_squares_identity_and_overdetermined():
 def test_real_least_squares_zero_system():
     x, res = real_linear_least_squares(np.zeros((2, 2)), np.zeros(2))
     assert np.allclose(x, 0) and res == 0.0
+    # no unknowns: lstsq's own empty solution, in the system's dtype, leaves b as the residual
+    for dtype in (float, complex):
+        for b in (np.ones(2), np.ones((2, 3))):
+            x, res = least_squares(np.zeros((2, 0), dtype=dtype), b)
+            assert x.shape == (0,) + b.shape[1:] and x.dtype == np.dtype(dtype)
+            assert np.allclose(res, np.sqrt(2))
 
 
 def test_real_least_squares_minimum_norm():

@@ -16,6 +16,7 @@ from cpmasa import (
     apply_generator,
     build_example,
     classical_restriction,
+    cp_part_diagonalizable,
     dag,
     embed_corner,
     expm_skew,
@@ -99,6 +100,15 @@ def test_every_evolution_kind_answers_one_protocol():
         assert frobenius(evolution.apply(x) - t.apply(x)) <= 1e-13 * frobenius(s)
         images = evolution.projection_images(masa)
         assert frobenius(images - t.projection_images(masa)) <= 1e-13 * frobenius(s)
+
+
+def test_raw_superoperator_apply_checks_x_as_every_evolution_does():
+    raw = _Superoperator(np.eye(4))
+    for x in (np.eye(3), np.ones(4)):
+        with pytest.raises(DimensionMismatch):
+            raw.apply(x)
+    with pytest.raises(NumericalFailure):
+        raw.apply(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 def test_masa_basics():
@@ -648,8 +658,16 @@ def test_find_masa_m2_rejects_non_star_map():
         lambda t, masa: solve_kraus_coefficients(t, masa),
         lambda t, masa: solve_generator_coefficients(GkslGenerator(t, np.zeros((2, 2))), masa),
         lambda t, masa: rebolledo_check(t, masa),
+        lambda t, masa: classical_restriction(t, masa),
+        lambda t, masa: cp_part_diagonalizable(GkslGenerator(t, np.zeros((2, 2))), masa),
     ],
-    ids=["solve_kraus_coefficients", "solve_generator_coefficients", "rebolledo_check"],
+    ids=[
+        "solve_kraus_coefficients",
+        "solve_generator_coefficients",
+        "rebolledo_check",
+        "classical_restriction",
+        "cp_part_diagonalizable",
+    ],
 )
 def test_coefficient_criteria_reject_masa_of_other_dimension(call):
     with pytest.raises(DimensionMismatch):
