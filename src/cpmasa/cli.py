@@ -125,7 +125,6 @@ class _Problem:
         dim = data.get("dim", operators[0].shape[0])
         if any(op.shape != (dim, dim) for op in operators):
             raise DimensionMismatch(f"{path}: kraus operators must be {dim}x{dim}")
-        self.kind = kind
         self.dim = int(dim)
         self.echo = {"kind": kind, "dim": self.dim, "kraus": operators}
         beta_raw = data.get("beta")
@@ -194,11 +193,6 @@ def _resolve_tol(args, problem: _Problem | None) -> Tolerance:
         atol=DEFAULT_TOL.atol if atol is None else atol,
         rtol=DEFAULT_TOL.rtol if rtol is None else rtol,
     )
-
-
-def _require_kind(problem: _Problem, kind: str, command: str):
-    if problem.kind != kind:
-        raise ParseError(f"{command} needs kind = '{kind}', got '{problem.kind}'")
 
 
 def _witness_record(witness: TransformWitness) -> dict:
@@ -326,46 +320,32 @@ _ARGUMENTS = {
     "example_id": {},
 }
 
-# name: (arguments read, problem kind needed, keyed by the variant argument
-# when there is one and by None otherwise, body)
+# name: (arguments read, choices of the variant argument if it takes one, body).
+# A problem of the wrong kind is refused by the library call in the body.
 _TABLE = {
-    "check-invariance": (("--input", "--masa"), {}, _check_invariance),
-    "find-masa": (("--input", "--seed", "--restarts"), {}, _find_masa),
-    "search-masa": (("--input", "--seed", "--restarts"), {}, _find_masa),
-    "criterion": (
-        ("variant", "--input", "--masa"),
-        {"thm11": "cp_map", "thm12": "generator"},
-        _criterion,
-    ),
-    "rebolledo": (("--input", "--masa"), {None: "cp_map"}, _rebolledo),
-    "split": (
-        ("variant", "--input", "--masa"),
-        {"cp-part": "generator", "hamiltonian": "generator"},
-        _split,
-    ),
-    "equiv": (("--input", "--other"), {None: "generator"}, _equiv),
-    "restrict": (("--input", "--masa"), {}, _restrict),
-    "corpus": (("example_id",), {}, _corpus),
+    "check-invariance": (("--input", "--masa"), (), _check_invariance),
+    "find-masa": (("--input", "--seed", "--restarts"), (), _find_masa),
+    "search-masa": (("--input", "--seed", "--restarts"), (), _find_masa),
+    "criterion": (("--input", "--masa"), ("thm11", "thm12"), _criterion),
+    "rebolledo": (("--input", "--masa"), (), _rebolledo),
+    "split": (("--input", "--masa"), ("cp-part", "hamiltonian"), _split),
+    "equiv": (("--input", "--other"), (), _equiv),
+    "restrict": (("--input", "--masa"), (), _restrict),
+    "corpus": (("example_id",), (), _corpus),
 }
 
 
 def _run(name: str, args) -> tuple[dict, bool]:
-    """Run one command: load and check what it reads, call its body and wrap
-    the record in the envelope of the tolerance and the echoed inputs."""
-    reads, kinds, body = _TABLE[name]
-    variant = getattr(args, "variant", None)
-    kind = kinds.get(variant)
-    label = name if variant is None else f"{name} {variant}"
+    """Run one command: load what it reads, call its body and wrap the
+    record in the envelope of the tolerance and the echoed inputs."""
+    reads, _, body = _TABLE[name]
     run = argparse.Namespace(**vars(args))
     run.problem = _load_problem(args.input, "--input") if "--input" in reads else None
-    if kind is not None:
-        _require_kind(run.problem, kind, label)
     run.tol = _resolve_tol(args, run.problem)
     if "--masa" in reads:
         run.masa = _load_masa(args.masa, run.problem, run.tol)
     if "--other" in reads:
         run.other = _load_problem(args.other, "--other")
-        _require_kind(run.other, kind, label)
     record, ok = body(run)
     record["tolerance"] = {"atol": run.tol.atol, "rtol": run.tol.rtol}
     if run.problem is not None:
@@ -387,13 +367,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "Lindblad generators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (reads, kinds, body) in _TABLE.items():
+    for name, (reads, variants, body) in _TABLE.items():
         cmd = sub.add_parser(name, description=body.__doc__)
+        if variants:
+            cmd.add_argument("variant", choices=variants)
         for arg in reads:
-            if arg == "variant":
-                cmd.add_argument("variant", choices=tuple(kinds))
-            else:
-                cmd.add_argument(arg, **_ARGUMENTS[arg])
+            cmd.add_argument(arg, **_ARGUMENTS[arg])
         cmd.add_argument("--atol", type=float, help="absolute tolerance")
         cmd.add_argument("--rtol", type=float, help="relative tolerance")
         cmd.add_argument(

@@ -27,6 +27,7 @@ from .gksl import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _of_kind,
     commutant_intersection,
     dag,
     frobenius,
@@ -213,7 +214,7 @@ def embed_corner(t: KrausMap, new_dim: int) -> KrausMap:
     The embedded map acts as X ↦ T(PXP) on the corner, so unit images and
     their products reproduce the corner values padded with zeros.
     """
-    if new_dim <= t.dim:
+    if new_dim <= _of_kind(t, "cp_map").dim:
         raise DimensionMismatch(f"new dim {new_dim} must exceed {t.dim}")
     padded = np.zeros((len(t), new_dim, new_dim), dtype=complex)
     padded[:, : t.dim, : t.dim] = t.operators

@@ -25,6 +25,7 @@ from .linalg import (
     _Evolution,
     _finite,
     _haar_isometries,
+    _of_kind,
     _PairForm,
     _phase_normalize_columns,
     _span,
@@ -53,12 +54,16 @@ class KrausMap(_Evolution):
 
     `operators` is the family as one read-only (n, d, d) stack. ``==`` is
     identity; whether two presentations are one map is `kraus_transform`'s call.
+    `operators` may also be a KrausMap; any other evolution raises PreconditionFailed.
     """
 
+    kind = "cp_map"
     dim: int
     operators: np.ndarray
 
     def __init__(self, operators):
+        if isinstance(operators, _Evolution):
+            operators = _of_kind(operators, "cp_map").operators
         ops = [require_matrix(op, name=f"operators[{k}]") for k, op in enumerate(operators)]
         if not ops:
             raise DimensionMismatch("a Kraus family needs at least one operator")
@@ -122,7 +127,7 @@ def minimal_kraus(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     family is σ_k·conj(v_k), in O(n²d²) without forming F*F; the eigenvector
     phase convention makes the output deterministic.
     """
-    d = t.dim
+    d = _of_kind(t, "cp_map").dim
     _, sigma, vh = _span(t.operators, tol)
     v = _phase_normalize_columns(dag(vh))
     ops = (sigma[:, None] * dag(v)).reshape(-1, d, d)
@@ -175,7 +180,7 @@ def kraus_transform(t: KrausMap, s: KrausMap, tol: Tolerance = DEFAULT_TOL):
     S_j = Σ_i v_ji T_i and T_i = Σ_j conj(v_ji) S_j, read off T's thin SVD by
     `_mixing`. Otherwise returns Inequivalent carrying the superoperator distance.
     """
-    distance, equal = _superoperator_distance(t, s, tol)
+    distance, equal = _superoperator_distance(_of_kind(t, "cp_map"), _of_kind(s, "cp_map"), tol)
     if not equal:
         return Inequivalent(distance)
     return DecompositionTransform(v_matrix=_mixing(t.operators, s.operators, tol))
@@ -187,7 +192,7 @@ def is_unital(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     Raises NumericalFailure when the residual is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = frobenius(apply_cp(t, np.eye(t.dim)) - np.eye(t.dim))
+        residual = frobenius(apply_cp(_of_kind(t, "cp_map"), np.eye(t.dim)) - np.eye(t.dim))
     return _decide(residual, np.sqrt(t.dim), tol, "unit image is")
 
 

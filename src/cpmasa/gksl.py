@@ -26,6 +26,7 @@ from .linalg import (
     _Evolution,
     _finite,
     _hermiticity_preserving_exp,
+    _of_kind,
     _PairForm,
     _require_hermitian,
     complex_from_realified,
@@ -72,13 +73,13 @@ class GkslGenerator(_Evolution):
     are one generator is `gksl_equivalent`'s call.
     """
 
+    kind = "generator"
     dim: int
     kraus: KrausMap
     beta: np.ndarray
 
     def __init__(self, kraus: KrausMap, beta):
-        if not isinstance(kraus, KrausMap):
-            kraus = KrausMap(kraus)
+        kraus = kraus if isinstance(kraus, KrausMap) else KrausMap(kraus)
         b = require_matrix(beta, dim=kraus.dim, name="beta")
         object.__setattr__(self, "dim", kraus.dim)
         object.__setattr__(self, "kraus", kraus)
@@ -124,8 +125,7 @@ def markov_form(kraus: KrausMap, hamiltonian, tol: Tolerance = DEFAULT_TOL) -> G
     h recoverable as the imaginary part of the drift. Raises NumericalFailure
     when Σ L_i* L_i is not finite.
     """
-    if not isinstance(kraus, KrausMap):
-        kraus = KrausMap(kraus)
+    kraus = kraus if isinstance(kraus, KrausMap) else KrausMap(kraus)
     h = require_matrix(hamiltonian, dim=kraus.dim, name="hamiltonian")
     _require_hermitian(h, tol, "hamiltonian")
     h = (h + dag(h)) / 2
@@ -237,7 +237,8 @@ def gksl_equivalent(
     independent, which makes the witness unique; NotMinimal is raised
     otherwise.
     """
-    distance, equal = _superoperator_distance(gen, other, tol)
+    _of_kind(other, "generator")
+    distance, equal = _superoperator_distance(_of_kind(gen, "generator"), other, tol)
     if not equal:
         return Inequivalent(distance)
     if strict and not _family_minimal_with_identity(gen.kraus, tol):
@@ -309,7 +310,7 @@ def cp_part_diagonalizable(
     decides; NotInvariant is raised otherwise, and NumericalFailure when the
     drift system's residual or right-hand side is not finite.
     """
-    _require_invariant(gen, masa, tol)
+    _require_invariant(_of_kind(gen, "generator"), masa, tol)
     d, ops = gen.dim, gen.kraus.operators
     a, b = _drift_system(*gen._in_coordinates(masa))
     # unknowns are conj(eta); the system is complex-linear in them
@@ -387,7 +388,7 @@ def hamiltonian_part_diagonalizable(
     the verdict carries a certificate exhibiting the forced coefficient
     values and the violated equations.
     """
-    d = _on_masa(gen, masa).dim
+    d = _on_masa(gen, masa, "generator").dim
     r, s = np.nonzero(~np.eye(d, dtype=bool))
     with np.errstate(over="ignore", invalid="ignore"):
         ops, b = gen._in_coordinates(masa)

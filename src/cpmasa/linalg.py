@@ -215,7 +215,7 @@ def least_squares(a, b) -> tuple[np.ndarray, float | np.ndarray]:
     achieved residual: a float for a vector `b`, one per column for a matrix.
     Singular values below numpy's default cut, ``eps·max(a.shape)·σ_max(a)``,
     count as zero; there is no other cut to choose. Raises NumericalFailure
-    when the solver fails on non-finite entries.
+    when `a` is not finite, before LAPACK sees it, or when the solver fails.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -225,7 +225,7 @@ def least_squares(a, b) -> tuple[np.ndarray, float | np.ndarray]:
     if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"incompatible system shapes {a.shape} and {b.shape}")
     try:
-        x, _, _, _ = np.linalg.lstsq(a, b)
+        x, _, _, _ = np.linalg.lstsq(_finite(a, "system matrix"), b)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"least squares failed: {exc}") from exc
     # residues from lstsq are unreliable for rank-deficient systems
@@ -514,12 +514,13 @@ class _PairForm(NamedTuple):
 class _Evolution:
     """The evolution protocol: a linear map on M_d, known through its pair form.
 
-    A CP map, a generator and a raw superoperator each supply `dim` and
-    `_pairs()`; application, the superoperator and the projection images are
-    each one `_PairForm` call on those pairs.
+    A CP map, a generator and a raw superoperator each supply `dim`, their
+    `kind` for `_of_kind` and `_pairs()`; application, the superoperator and
+    the projection images are each one `_PairForm` call on those pairs.
     """
 
     dim: int
+    kind: str
 
     def _pairs(self) -> _PairForm:
         raise NotImplementedError
@@ -538,6 +539,14 @@ class _Evolution:
         Computed from the pair form in O(n·d³), without the superoperator.
         """
         return self._pairs().images(masa.basis_unitary)
+
+
+def _of_kind(source, kind: str):
+    """`source` itself when it is an evolution of `kind`; raises PreconditionFailed otherwise."""
+    got = source.kind if isinstance(source, _Evolution) else type(source).__name__
+    if got != kind:
+        raise PreconditionFailed(f"needs kind {kind!r}, got {got!r}")
+    return source
 
 
 def _haar_isometries(rngs: Sequence[np.random.Generator], rows: int, cols: int) -> np.ndarray:

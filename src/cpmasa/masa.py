@@ -35,6 +35,7 @@ from .linalg import (
     _exp_from_eigh,
     _finite,
     _haar_isometries,
+    _of_kind,
     _phase_normalize_columns,
     _realify,
     _span,
@@ -132,6 +133,8 @@ class _Superoperator(_Evolution):
     and the superoperator itself come straight from the matrix.
     """
 
+    kind = "superoperator"
+
     def __init__(self, matrix):
         s = require_matrix(matrix, name="superoperator")
         d = int(round(np.sqrt(s.shape[0])))
@@ -166,9 +169,10 @@ def _evolution(source):
     return source if isinstance(source, _Evolution) else _Superoperator(source)
 
 
-def _on_masa(source, masa: Masa):
-    """The evolution `source` reads as; raises DimensionMismatch unless its dim is the masa's."""
-    evolution = _evolution(source)
+def _on_masa(source, masa: Masa, kind: str | None = None):
+    """The evolution `source` reads as, of `kind` if one is given (`linalg._of_kind`);
+    raises DimensionMismatch unless its dim is the masa's."""
+    evolution = _evolution(source) if kind is None else _of_kind(source, kind)
     if evolution.dim != masa.dim:
         raise DimensionMismatch(f"evolution dim {evolution.dim} vs masa dim {masa.dim}")
     return evolution
@@ -288,7 +292,7 @@ def solve_kraus_coefficients(t, masa: Masa, tol: Tolerance = DEFAULT_TOL):
     least-squares residual either way. Raises NumericalFailure when the
     residual or the norm of the right-hand sides is not finite.
     """
-    ops = masa.to_coordinates(_on_masa(t, masa).operators)
+    ops = masa.to_coordinates(_on_masa(t, masa, "cp_map").operators)
     with np.errstate(over="ignore", invalid="ignore"):
         c_blocks, residual, rhs_norm = _kraus_coefficient_solution(ops)
     verdict = _decide(residual, rhs_norm, tol, "commutator expansion is")
@@ -339,7 +343,7 @@ def solve_generator_coefficients(gen, masa: Masa, tol: Tolerance = DEFAULT_TOL):
     exactly when L(C) ⊆ C. Raises NumericalFailure when the residual or the
     scale of the images is not finite.
     """
-    d = _on_masa(gen, masa).dim
+    d = _on_masa(gen, masa, "generator").dim
     ops, beta = gen._in_coordinates(masa)
     idx = np.arange(d)
     diagonals = ops[:, idx, idx]
@@ -407,7 +411,7 @@ def rebolledo_check(t, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> RebolledoVer
     Raises PatternExplosion above dimension _MAX_ENUMERATION_DIM, and
     NumericalFailure when a per-operator residual or its scale is not finite.
     """
-    d = _on_masa(t, masa).dim
+    d = _on_masa(t, masa, "cp_map").dim
     if d > _MAX_ENUMERATION_DIM:
         raise PatternExplosion(
             f"{(d + 1) ** d} support patterns at dim {d} exceed the enumeration cap"

@@ -186,9 +186,19 @@ def test_criterion_thm12(capsys, generator_problem):
     assert report["result"]["threshold"] == witness.threshold
 
 
-def test_criterion_kind_mismatch(capsys, map_problem):
-    code, _ = run_cli(capsys, "criterion", "thm12", "--input", map_problem)
-    assert code == 2
+def test_criterion_kind_mismatch(capsys, map_problem, generator_problem):
+    for argv in (
+        ["criterion", "thm12", "--input", map_problem],
+        ["criterion", "thm11", "--input", generator_problem],
+        ["rebolledo", "--input", generator_problem],
+        ["split", "cp-part", "--input", map_problem],
+        ["split", "hamiltonian", "--input", map_problem],
+        ["equiv", "--input", map_problem, "--other", generator_problem],
+        ["equiv", "--input", generator_problem, "--other", map_problem],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), argv
 
 
 def test_rebolledo(capsys, map_problem):

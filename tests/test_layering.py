@@ -8,7 +8,8 @@ so no other module builds a superoperator from Kronecker products, and
 least squares has its one entry point there, so no other module calls
 numpy's solver. Maps, generators and raw superoperators share one evolution
 base in linalg.py, which defines application, the superoperator and the
-projection images once; no module tells the kinds apart by their attributes.
+projection images once; no module tells the kinds apart by their attributes,
+and only linalg.py reads an evolution's `kind`, in the one check `_of_kind`.
 No module imports a name it never uses. Every function the benchmark's
 tracer wraps exists on the module it names. scipy is imported by one
 function, the exponential, so importing the package loads no scipy module.
@@ -172,6 +173,12 @@ def test_only_linalg_calls_lstsq():
     # every least-squares solve goes through linalg's one entry point
     paths = sorted(PACKAGE.glob("*.py"))
     assert [path.name for path in paths if _calls(path, "lstsq")] == ["linalg.py"]
+
+
+def test_only_linalg_reads_the_kind():
+    # every question that takes one kind of evolution refuses the others through linalg._of_kind
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [path.name for path in paths if _calls(path, "kind")] == ["linalg.py"]
 
 
 _PROTOCOL = {"apply", "superoperator", "projection_images"}

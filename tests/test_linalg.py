@@ -273,9 +273,11 @@ def test_least_squares_matrix_rhs_matches_column_solves():
     assert x_real.dtype == np.float64
 
 
-def test_least_squares_non_finite_system_raises():
+def test_least_squares_non_finite_system_raises(capfd):
     with pytest.raises(NumericalFailure):
         least_squares(np.array([[np.inf, 1.0], [0.0, 1.0]]), np.array([1.0, 2.0]))
+    # refused before LAPACK, which would print its complaints to stdout
+    assert capfd.readouterr().out == ""
 
 
 def test_disjoint_least_squares_cuts_against_the_whole():

@@ -3,24 +3,36 @@
 The direct verdicts, the unital check, the per-operator Rebolledo checks,
 both coefficient criteria (witnesses and Infeasible alike) and both drift
 splits are Verdicts, or subclasses carrying a payload, decided by one rule.
+A question asked of one kind of evolution refuses every other kind.
 """
 
 import numpy as np
+import pytest
 
 from cpmasa import (
     GeneratorCoefficientWitness,
+    GkslGenerator,
     Infeasible,
     KrausCoefficientWitness,
+    KrausMap,
+    Masa,
     SplitVerdict,
     Verdict,
     cp_part_diagonalizable,
+    embed_corner,
+    generator_from_map,
+    gksl_equivalent,
     hamiltonian_part_diagonalizable,
     is_invariant,
     is_unital,
+    kraus_transform,
+    markov_form,
+    minimal_kraus,
     rebolledo_check,
     solve_generator_coefficients,
     solve_kraus_coefficients,
 )
+from cpmasa.errors import PreconditionFailed
 
 from _ensembles import (
     generic_generator_instance,
@@ -83,3 +95,57 @@ def test_every_answer_is_a_verdict_decided_by_its_threshold():
             outcomes.add(("generator", bool(direct), bool(witness)))
     # both answers of both criteria, for maps and for generators
     assert outcomes >= {(kind, ok, ok) for kind in ("map", "generator") for ok in (True, False)}
+
+
+# a unital map and a generator that both leave the diagonal masa invariant,
+# so that every question answers its own kind
+_MAP = KrausMap([np.diag([0.6, 0.8]), np.diag([0.8, 0.6])])
+_GENERATOR = GkslGenerator(_MAP, -np.eye(2) / 2)
+_DIAGONAL = Masa.diagonal(2)
+_ONE_KIND = {
+    "solve_kraus_coefficients": ("cp_map", lambda x: solve_kraus_coefficients(x, _DIAGONAL)),
+    "rebolledo_check": ("cp_map", lambda x: rebolledo_check(x, _DIAGONAL)),
+    "minimal_kraus": ("cp_map", minimal_kraus),
+    "embed_corner": ("cp_map", lambda x: embed_corner(x, 3)),
+    "kraus_transform_first": ("cp_map", lambda x: kraus_transform(x, _MAP)),
+    "kraus_transform_second": ("cp_map", lambda x: kraus_transform(_MAP, x)),
+    "is_unital": ("cp_map", is_unital),
+    "generator_from_map": ("cp_map", generator_from_map),
+    "solve_generator_coefficients": (
+        "generator",
+        lambda x: solve_generator_coefficients(x, _DIAGONAL),
+    ),
+    "cp_part_diagonalizable": ("generator", lambda x: cp_part_diagonalizable(x, _DIAGONAL)),
+    "hamiltonian_part_diagonalizable": (
+        "generator",
+        lambda x: hamiltonian_part_diagonalizable(x, _DIAGONAL),
+    ),
+    "gksl_equivalent_first": ("generator", lambda x: gksl_equivalent(x, _GENERATOR)),
+    "gksl_equivalent_second": ("generator", lambda x: gksl_equivalent(_GENERATOR, x)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_KIND))
+def test_a_question_of_one_kind_refuses_the_others(name):
+    kind, call = _ONE_KIND[name]
+    own, other = (_MAP, _GENERATOR) if kind == "cp_map" else (_GENERATOR, _MAP)
+    call(own)
+    for source in (other, own.superoperator()):
+        with pytest.raises(PreconditionFailed, match=f"needs kind '{kind}'"):
+            call(source)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        KrausMap,
+        lambda x: GkslGenerator(x, np.zeros((2, 2))),
+        lambda x: markov_form(x, np.zeros((2, 2))),
+    ],
+    ids=["KrausMap", "GkslGenerator", "markov_form"],
+)
+def test_a_kraus_family_refuses_a_generator(build):
+    # these also take a list of operators, as which a raw array is read
+    build(_MAP)
+    with pytest.raises(PreconditionFailed, match="needs kind 'cp_map', got 'generator'"):
+        build(_GENERATOR)
