@@ -123,9 +123,11 @@ class _Problem:
             _parse_matrix(mat, f"kraus[{i}]") for i, mat in enumerate(kraus_raw)
         ]
         dim = data.get("dim", operators[0].shape[0])
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ParseError(f"{path}: dim must be an integer, got {dim!r}")
         if any(op.shape != (dim, dim) for op in operators):
             raise DimensionMismatch(f"{path}: kraus operators must be {dim}x{dim}")
-        self.dim = int(dim)
+        self.dim = dim
         self.echo = {"kind": kind, "dim": self.dim, "kraus": operators}
         beta_raw = data.get("beta")
         hamiltonian_raw = data.get("hamiltonian")

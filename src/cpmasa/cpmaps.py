@@ -134,8 +134,7 @@ def minimal_kraus(t: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     # the zero map still needs a carrier operator
     out = KrausMap(ops if len(ops) else np.zeros((1, d, d), dtype=complex))
     distance, norm, _ = t._pairs().distance(out._pairs())
-    # negated so that a NaN residual fails the check too
-    if not distance <= 10 * tol.threshold(1.0 + norm):
+    if distance > tol._bound(distance, 1.0 + norm, "reproduction distance is", slack=10):
         raise NumericalFailure("minimal Kraus reduction failed to reproduce the map")
     return out
 
@@ -146,7 +145,8 @@ def _superoperator_distance(a, b, tol: Tolerance) -> tuple[float, bool]:
     This is the package's equality oracle for maps and for generators alike.
     ‖S_a − S_b‖_F is read off one QR factorization of each side of the joint
     pair form, without building either superoperator; a distance that is not
-    finite raises NumericalFailure.
+    finite raises NumericalFailure. Not `Tolerance._bound`: equality is
+    relative to the operands, with no floor at 1.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch {a.dim} vs {b.dim}")
@@ -161,14 +161,14 @@ def _mixing(t_ops: np.ndarray, s_ops: np.ndarray, tol: Tolerance) -> np.ndarray:
     With F_t = U Σ W the span of T (`linalg._span`), coordinates over the
     orthonormal rows of W are F W*: U Σ for T and Q Σ for S, so V = Q U* with
     Q = F_s W* Σ⁻¹. Raises NumericalFailure when a member of either family
-    leaves the span by more than ``10·tol.threshold(max(1, ‖member‖_F))``.
+    leaves the span by more than ``tol._bound`` at its norm with slack 10.
     """
     u, sigma, w = _span(t_ops, tol)
     flat = np.concatenate((t_ops, s_ops)).reshape(len(t_ops) + len(s_ops), -1)
     coords = flat @ dag(w)
     residuals = np.linalg.norm(flat - coords @ w, axis=1)
     for j, (res, norm) in enumerate(zip(residuals, np.linalg.norm(flat, axis=1))):
-        if res > 10 * tol.threshold(max(1.0, norm)):
+        if res > tol._bound(res, norm, "span residual is", slack=10):
             raise NumericalFailure(f"operator {j} of (T, S) leaves T's span (residual {res:.3e})")
     return (coords[len(t_ops):] / sigma) @ dag(u)
 

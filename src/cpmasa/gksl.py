@@ -192,8 +192,8 @@ def _transform_witness(gen, other, m, eta_prime, distance, tol: Tolerance) -> Tr
     residual_matrix = other.beta - gen.beta - np.tensordot(eta.conj(), gen.kraus.operators, 1)
     gamma = complex(np.trace(residual_matrix) / d)
     drift_residual = frobenius(residual_matrix - gamma * np.eye(d))
-    drift_scale = max(1.0, frobenius(gen.beta), frobenius(other.beta))
-    if drift_residual > 10 * tol.threshold(drift_scale):
+    drift_scale = max(frobenius(gen.beta), frobenius(other.beta))
+    if drift_residual > tol._bound(drift_residual, drift_scale, "drift residual is", slack=10):
         raise NumericalFailure(f"drift equation failed, residual {drift_residual:.3e}")
     mtm = dag(m) @ m
     mmt_eta = m @ (dag(m) @ eta_prime)
@@ -273,7 +273,7 @@ class InfeasibilityCertificate:
         return [
             (label, float(value))
             for label, value in zip(self.row_labels, self.residual_vector)
-            if abs(value) > cutoff
+            if abs(value) > cutoff  # a display filter, not a tolerance decision
         ]
 
 
@@ -345,7 +345,7 @@ def _certificate(a_real, b_real, labels, tol: Tolerance) -> InfeasibilityCertifi
     """
     eps, (m, n) = np.finfo(float).eps, a_real.shape
     scale = max(1.0, float(np.abs(a_real).max(initial=0.0)))
-    nonzeros = (np.abs(a_real) > 1e-12 * scale).sum(axis=1)
+    nonzeros = (np.abs(a_real) > 1e-12 * scale).sum(axis=1)  # only orders the rows
     whole = np.linalg.svd(a_real, compute_uv=False)
     b_norm = float(np.linalg.norm(b_real))
     skip = np.zeros(m, dtype=bool)

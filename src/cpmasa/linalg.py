@@ -13,6 +13,7 @@ never exponentiates never loads scipy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -55,9 +56,9 @@ __all__ = [
 class Tolerance:
     """Absolute/relative tolerance pair used by every numeric verdict.
 
-    A matrix equality test ``A ≈ B`` means
-    ``‖A − B‖_F ≤ atol + rtol · max(‖A‖_F, ‖B‖_F)``; singular values below
-    ``atol + rtol · s_max`` count as zero in every rank decision.
+    A residual against a norm `scale` passes at most ``_bound``'s
+    ``slack·(atol + rtol·max(1, scale))``, slack 1, 10 or 1000; singular values
+    below ``atol + rtol · s_max`` count as zero in every rank decision.
     """
 
     atol: float = 1e-9
@@ -75,7 +76,14 @@ class Tolerance:
         """Feasibility cutoff for a residual against `scale`; as `rank_cut`, the cut against σ_max."""
         return self.atol + self.rtol * float(scale)
 
+    def _bound(self, residual: float, scale: float, what: str, slack: float = 1.0) -> float:
+        """slack·threshold(max(1, scale)); raises NumericalFailure naming `what` if either is not finite."""
+        if not (math.isfinite(residual) and math.isfinite(scale)):
+            raise NumericalFailure(f"{what} not finite (residual {residual}, scale {scale})")
+        return slack * self.threshold(max(1.0, scale))
+
     def close(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """‖a − b‖_F ≤ threshold(max(‖a‖_F, ‖b‖_F)): relative to the operands, with no floor at 1."""
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
         scale = max(frobenius(a), frobenius(b))
@@ -105,16 +113,12 @@ class Verdict:
 
 
 def _decide(residual: float, scale: float, tol: Tolerance, what: str) -> Verdict:
-    """The one rule for an answer: residual ≤ atol + rtol·max(1, scale).
+    """The Verdict whose threshold is `tol._bound(residual, scale, what)`: atol + rtol·max(1, scale).
 
-    Raises NumericalFailure, naming `what`, when the residual or the scale is
-    not finite. A subclass answer is built from the result as
-    ``Cls(payload…, **vars(verdict))``.
+    A subclass answer is built from the result as ``Cls(payload…, **vars(verdict))``.
     """
-    if not (np.isfinite(residual) and np.isfinite(scale)):
-        raise NumericalFailure(f"{what} not finite (residual {residual}, scale {scale})")
-    threshold = tol.threshold(max(1.0, scale))
-    return Verdict(ok=residual <= threshold, residual=residual, threshold=threshold)
+    threshold = tol._bound(residual, scale, what)
+    return Verdict(ok=bool(residual <= threshold), residual=residual, threshold=threshold)
 
 
 def dag(a: np.ndarray) -> np.ndarray:
@@ -150,6 +154,7 @@ def _finite(x, what: str):
 
 def _require_hermitian(m: np.ndarray, tol: Tolerance, what: str) -> None:
     """Raises NotSelfAdjoint, naming `what`, when ‖m − m*‖_F exceeds the threshold at ‖m‖_F."""
+    # not `Tolerance._bound`: the defect is relative to ‖m‖_F alone, with no floor at 1
     defect = frobenius(m - dag(m))
     if defect > tol.threshold(frobenius(m)):
         raise NotSelfAdjoint(f"{what} symmetry defect {defect:.3e} exceeds tolerance")
@@ -215,7 +220,7 @@ def least_squares(a, b) -> tuple[np.ndarray, float | np.ndarray]:
     achieved residual: a float for a vector `b`, one per column for a matrix.
     Singular values below numpy's default cut, ``eps·max(a.shape)·σ_max(a)``,
     count as zero; there is no other cut to choose. Raises NumericalFailure
-    when `a` is not finite, before LAPACK sees it, or when the solver fails.
+    when `a` or `b` is not finite, before LAPACK sees it, or when the solver fails.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -225,7 +230,7 @@ def least_squares(a, b) -> tuple[np.ndarray, float | np.ndarray]:
     if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"incompatible system shapes {a.shape} and {b.shape}")
     try:
-        x, _, _, _ = np.linalg.lstsq(_finite(a, "system matrix"), b)
+        x, _, _, _ = np.linalg.lstsq(_finite(a, "system matrix"), _finite(b, "right-hand side"))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"least squares failed: {exc}") from exc
     # residues from lstsq are unreliable for rank-deficient systems
@@ -248,9 +253,10 @@ def _disjoint_least_squares(a: np.ndarray, b: np.ndarray, reference: float) -> t
     of the operators the system was read from), is larger. A block that
     vanishes up to that rounding then gets zero unknowns, not ones fitted to
     its noise. Returns x (k, n, c) and the residuals ‖a x − b‖ of each block's
-    columns (k, c). Raises NumericalFailure if `a` is not finite.
+    columns (k, c). Raises NumericalFailure if `a` or `b` is not finite.
     """
     k, m, n = _finite(a, "system matrix").shape
+    _finite(b, "right-hand side")
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here

@@ -81,8 +81,9 @@ class Masa:
     def __init__(self, basis_unitary, tol: Tolerance = DEFAULT_TOL):
         u = require_matrix(basis_unitary, name="basis_unitary")
         d = u.shape[0]
-        defect = frobenius(dag(u) @ u - np.eye(d))
-        if defect > tol.threshold(np.sqrt(d)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = frobenius(dag(u) @ u - np.eye(d))
+        if defect > tol._bound(defect, np.sqrt(d), "unitarity defect is"):
             raise PreconditionFailed(f"basis unitarity defect {defect:.3e} exceeds tolerance")
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "basis_unitary", u)
@@ -111,13 +112,10 @@ def masa_from_selfadjoint(c, tol: Tolerance = DEFAULT_TOL) -> Masa:
     """The masa generated by a self-adjoint element with simple spectrum."""
     cm = require_matrix(c, name="c")
     w, v = hermitian_eig(cm, tol)
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
     if len(w) > 1:
         smallest_gap = float(np.diff(w).min())
-        if smallest_gap <= tol.threshold(scale):
-            raise DegenerateSpectrum(
-                f"smallest eigenvalue gap {smallest_gap:.3e} is below tolerance"
-            )
+        if smallest_gap <= tol._bound(smallest_gap, float(np.abs(w).max()), "eigenvalue gap is"):
+            raise DegenerateSpectrum(f"smallest eigenvalue gap {smallest_gap:.3e} is below tolerance")
     return Masa(v, tol)
 
 
@@ -129,8 +127,9 @@ class Infeasible(Verdict):
 class _Superoperator(_Evolution):
     """An evolution known only through its d²×d² matrix under column-stacking vec.
 
-    Its pair form serves the finders and application; the projection images
-    and the superoperator itself come straight from the matrix.
+    Its pair form serves the finders, application and the superoperator,
+    which it reproduces bit for bit; the projection images come straight
+    from the matrix.
     """
 
     kind = "superoperator"
@@ -142,9 +141,6 @@ class _Superoperator(_Evolution):
             raise DimensionMismatch(f"superoperator side {s.shape[0]} is not a square")
         self.dim = d
         self.matrix = s
-
-    def superoperator(self) -> np.ndarray:
-        return self.matrix
 
     def _pairs(self) -> _PairForm:
         """The d² pairs (E_rp, B_rp) with B_rp[q, c] = S[(c, r), (q, p)] = T(E_pq)[r, c]."""
@@ -487,13 +483,13 @@ def find_masa_m2(alpha_map, tol: Tolerance = DEFAULT_TOL) -> Masa:
         # ‖T(σ_b)‖_F = √2·‖m[:, b]‖ since P is unitary
         norms = np.sqrt(2) * np.linalg.norm(m, axis=0)
     _finite(norms, "norms of the unit's and the Pauli matrices' images")
-    scale = max(1.0, float(norms.max()))
+    scale = float(norms.max())
     unit_defect = np.sqrt(2) * float(np.linalg.norm(m[1:, 0]))
-    if unit_defect > tol.threshold(scale):
+    if unit_defect > tol._bound(unit_defect, scale, "unit defect is"):
         raise PreconditionFailed(f"image of the unit is not scalar, defect {unit_defect:.3e}")
     # T(σ_b) − T(σ_b)* = 2i Σ_a Im(m[a, b]) σ_a
     sa_defect = 2 * np.sqrt(2) * float(np.linalg.norm(m[:, 1:].imag, axis=0).max())
-    if sa_defect > tol.threshold(scale):
+    if sa_defect > tol._bound(sa_defect, scale, "self-adjointness defect is"):
         raise PreconditionFailed(f"not a *-map, self-adjointness defect {sa_defect:.3e}")
 
     # LAPACK's dgeev returns each real eigenvalue of a real matrix with an
@@ -506,7 +502,7 @@ def find_masa_m2(alpha_map, tol: Tolerance = DEFAULT_TOL) -> Masa:
         residual = is_invariant(evolution, masa, tol).residual
         if best is None or residual < best[0]:
             best = (residual, masa)
-    if best[0] > 1000 * tol.threshold(scale):
+    if best[0] > tol._bound(best[0], scale, "best candidate residual is", slack=1000):
         raise NumericalFailure(
             f"no real-eigenvalue candidate yields an invariant masa "
             f"(best residual {best[0]:.3e})"
@@ -878,7 +874,7 @@ def search_masa(
     eye = np.eye(d)
     objective = _masked_objective(pairs, eye, 1 - eye)
     best_u, best_value = np.eye(d, dtype=complex), objective.at_identity
-    exit_residual = tol.atol / 10
+    exit_residual = tol.atol / 10  # an early exit, not a decision: the caller's verdict judges the masa
     if np.sqrt(max(best_value, 0.0)) < exit_residual:
         restarts = 1  # the exit test first runs after restart 0
     keys = [[seed, r] for r in range(restarts)]
@@ -926,7 +922,7 @@ def search_invariant_projections(
                 continue
             frame = u[:, :rank]
             q = frame @ dag(frame)
-            if any(frobenius(q - prev) <= 1e-8 for prev, _ in found):
+            if any(frobenius(q - prev) <= 1e-8 for prev, _ in found):  # a duplicate test, not a decision
                 continue
             found.append((q, residual))
     found.sort(key=lambda item: item[1])
@@ -943,7 +939,7 @@ def classical_restriction(source, masa: Masa, tol: Tolerance = DEFAULT_TOL) -> n
     diags = np.diagonal(_require_invariant(source, masa, tol), axis1=1, axis2=2)
     a = diags.real.T.copy()
     imag_worst = float(np.abs(diags.imag).max())
-    if imag_worst > 10 * tol.threshold(max(1.0, float(np.abs(a).max()))):
+    if imag_worst > tol._bound(imag_worst, float(np.abs(a).max()), "diagonal defect is", slack=10):
         raise NumericalFailure(
             f"projection images have non-real diagonal, defect {imag_worst:.3e}"
         )

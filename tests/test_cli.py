@@ -442,6 +442,17 @@ def test_malformed_numbers_exit_2(capsys, tmp_path, fields):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("dim", [True, 1.0, "1"], ids=["bool", "float", "string"])
+def test_dim_that_is_not_a_json_integer_exits_2(capsys, tmp_path, dim):
+    # the operators are 1x1, so only the type of dim is wrong
+    path = write_json(tmp_path / "problem.json", {"kind": "cp_map", "kraus": [[[1]]], "dim": dim})
+    assert main(["check-invariance", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "dim must be an integer" in captured.err
+
+
 def test_numeric_string_tolerances_are_read(capsys, tmp_path):
     problem = {"kind": "cp_map", "kraus": [[[1, 0], [0, 1]]], "atol": "1e-4", "rtol": "1e-5"}
     path = write_json(tmp_path / "problem.json", problem)

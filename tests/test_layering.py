@@ -10,6 +10,9 @@ numpy's solver. Maps, generators and raw superoperators share one evolution
 base in linalg.py, which defines application, the superoperator and the
 projection images once; no module tells the kinds apart by their attributes,
 and only linalg.py reads an evolution's `kind`, in the one check `_of_kind`.
+A residual is judged against `Tolerance._bound`, so outside linalg.py only
+the equality oracle, whose threshold has no floor at 1, calls a
+tolerance's `threshold` or `rank_cut`.
 No module imports a name it never uses. Every function the benchmark's
 tracer wraps exists on the module it names. scipy is imported by one
 function, the exponential, so importing the package loads no scipy module.
@@ -181,6 +184,30 @@ def test_only_linalg_reads_the_kind():
     assert [path.name for path in paths if _calls(path, "kind")] == ["linalg.py"]
 
 
+def _threshold_callers() -> list:
+    """(module, innermost function) of every call of `.threshold(` or `.rank_cut(` outside linalg.py."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("threshold", "rank_cut")
+            ):
+                enclosing = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((path.stem, max(enclosing, key=lambda f: f.lineno).name))
+    return sorted(found)
+
+
+def test_only_the_equality_oracle_reads_a_threshold_outside_linalg():
+    # every other check compares against Tolerance._bound; reading verdict.threshold is no call
+    assert _threshold_callers() == [("cpmaps", "_superoperator_distance")]
+
+
 _PROTOCOL = {"apply", "superoperator", "projection_images"}
 
 
@@ -199,7 +226,7 @@ def _protocol_methods() -> list:
 
 
 def test_only_the_evolution_base_defines_the_protocol():
-    # the raw wrapper keeps its matrix path; _PairForm is the kernel the base calls
+    # the raw wrapper keeps its matrix path for the images; _PairForm is the kernel the base calls
     assert _protocol_methods() == sorted(
         [
             ("linalg", "_Evolution", "apply"),
@@ -208,7 +235,6 @@ def test_only_the_evolution_base_defines_the_protocol():
             ("linalg", "_PairForm", "apply"),
             ("linalg", "_PairForm", "superoperator"),
             ("masa", "_Superoperator", "projection_images"),
-            ("masa", "_Superoperator", "superoperator"),
         ]
     )
 

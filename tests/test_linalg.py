@@ -280,6 +280,15 @@ def test_least_squares_non_finite_system_raises(capfd):
     assert capfd.readouterr().out == ""
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_least_squares_non_finite_right_hand_side_raises(capfd, bad):
+    with pytest.raises(NumericalFailure, match="right-hand side"):
+        least_squares(np.eye(2), np.array([bad, 1.0]))
+    with pytest.raises(NumericalFailure, match="right-hand side"):
+        least_squares(np.eye(2), np.array([[1.0, 0.0], [0.0, bad]]))
+    assert capfd.readouterr().out == ""
+
+
 def test_disjoint_least_squares_cuts_against_the_whole():
     # singular values at rounding level next to a unit block are zero at
     # working precision, as in one solve of the block-diagonal whole
@@ -305,6 +314,14 @@ def test_disjoint_least_squares_non_finite_system_raises():
     a = np.stack([np.eye(2), np.array([[np.inf, 1.0], [0.0, 1.0]])])
     with pytest.raises(NumericalFailure):
         _disjoint_least_squares(a, np.ones((2, 2, 1)), 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_disjoint_least_squares_non_finite_right_hand_side_raises(bad):
+    b = np.ones((2, 2, 1))
+    b[1, 0, 0] = bad
+    with pytest.raises(NumericalFailure, match="right-hand side"):
+        _disjoint_least_squares(np.stack([np.eye(2)] * 2), b, 1.0)
 
 
 def test_disjoint_least_squares_complex_blocks_and_reference():

@@ -3,13 +3,19 @@
 The direct verdicts, the unital check, the per-operator Rebolledo checks,
 both coefficient criteria (witnesses and Infeasible alike) and both drift
 splits are Verdicts, or subclasses carrying a payload, decided by one rule.
+The checks that scale a threshold by a slack take their bound from the same
+rule, `Tolerance._bound`: each accepts or refuses on either side of its own
+defect as it always did, and a defect that is not finite raises.
 A question asked of one kind of evolution refuses every other kind.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from cpmasa import (
+    DEFAULT_TOL,
     GeneratorCoefficientWitness,
     GkslGenerator,
     Infeasible,
@@ -17,9 +23,12 @@ from cpmasa import (
     KrausMap,
     Masa,
     SplitVerdict,
+    Tolerance,
     Verdict,
+    classical_restriction,
     cp_part_diagonalizable,
     embed_corner,
+    find_masa_m2,
     generator_from_map,
     gksl_equivalent,
     hamiltonian_part_diagonalizable,
@@ -27,12 +36,15 @@ from cpmasa import (
     is_unital,
     kraus_transform,
     markov_form,
+    masa_from_selfadjoint,
     minimal_kraus,
     rebolledo_check,
     solve_generator_coefficients,
     solve_kraus_coefficients,
 )
-from cpmasa.errors import PreconditionFailed
+from cpmasa import cpmaps, gksl, masa as masa_module
+from cpmasa.errors import DegenerateSpectrum, NumericalFailure, PreconditionFailed
+from cpmasa.linalg import _decide, _PairForm
 
 from _ensembles import (
     generic_generator_instance,
@@ -149,3 +161,130 @@ def test_a_kraus_family_refuses_a_generator(build):
     build(_MAP)
     with pytest.raises(PreconditionFailed, match="needs kind 'cp_map', got 'generator'"):
         build(_GENERATOR)
+
+
+def test_a_verdict_of_numpy_scalars_is_a_bool():
+    verdict = _decide(np.float64(1e-12), np.float64(1.0), DEFAULT_TOL, "residual is")
+    assert bool(verdict) is True and verdict.ok is True
+
+
+@pytest.mark.parametrize("residual, scale", [(np.nan, 1.0), (1.0, np.inf), (np.float64(np.inf), 0.0)])
+def test_the_bound_refuses_what_is_not_finite(residual, scale):
+    with pytest.raises(NumericalFailure, match="defect is not finite"):
+        DEFAULT_TOL._bound(residual, scale, "defect is", slack=10)
+
+
+def test_the_bound_is_the_threshold_at_a_floor_of_one_times_the_slack():
+    tol = Tolerance(atol=1e-7, rtol=1e-5)
+    assert DEFAULT_TOL._bound(0.0, 0.25, "x") == DEFAULT_TOL.threshold(1.0)
+    assert tol._bound(0.0, 3.0, "x", slack=1000) == 1000 * tol.threshold(3.0)
+
+
+@pytest.mark.parametrize("basis", [1e200 * np.eye(2), np.diag([1e200, 1.0])], ids=["scaled", "one"])
+def test_an_overflowing_basis_raises_without_a_warning(basis):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="unitarity defect is not finite"):
+            Masa(basis)
+
+
+def _tolerances(defect, scale, slack=1):
+    """Tolerances whose bound slack·rtol·max(1, scale) sits just above and just below `defect`."""
+    rtol = defect / (slack * max(1.0, scale))
+    return Tolerance(atol=0.0, rtol=rtol * (1 + 1e-3)), Tolerance(atol=0.0, rtol=rtol * (1 - 1e-3))
+
+
+_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _from_transfer(m):
+    """The superoperator whose Pauli transfer matrix is m: S = P m P* for P the columns vec(σ_a)/√2."""
+    p = np.stack([s.ravel(order="F") for s in _PAULI], axis=1) / np.sqrt(2)
+    return p @ m @ p.conj().T
+
+
+_TRANSFER = np.diag([1.0, 0.5, 0.25, 0.125]).astype(complex)
+_E = 1e-3
+
+
+def _transfer_with(index, value):
+    m = _TRANSFER.copy()
+    m[index] = value
+    return m
+
+
+def _threshold_cases():
+    """(name, call(tol), defect, scale, slack, the error a defect above the bound raises; None for the gap)."""
+    gen = GkslGenerator(KrausMap([np.diag([1.0, 0.0])]), 2 * np.eye(2))
+    # the drift moves by 1 + e·σ_z: a scalar, which gamma absorbs, and a defect of √2·e
+    shifted = GkslGenerator(gen.kraus, 3 * np.eye(2) + _E * np.diag([1.0, -1.0]))
+    yield (
+        "masa_unitarity",
+        lambda tol: Masa(np.diag([1 + _E, 1.0]), tol),
+        2 * _E + _E**2, np.sqrt(2), 1, PreconditionFailed,
+    )
+    yield (
+        "selfadjoint_gap",
+        lambda tol: masa_from_selfadjoint(np.diag([0.0, _E, 5.0]), tol),
+        _E, 5.0, 1, None,
+    )
+    yield (
+        "m2_unit_defect",
+        # T(1) = 1 + e·σ_x
+        lambda tol: find_masa_m2(_from_transfer(_transfer_with((1, 0), _E)), tol),
+        np.sqrt(2) * _E, np.sqrt(2 * (1 + _E**2)), 1, PreconditionFailed,
+    )
+    yield (
+        "m2_self_adjointness",
+        # T(σ_x) = σ_x/2 + ie·σ_y
+        lambda tol: find_masa_m2(_from_transfer(_transfer_with((2, 1), 1j * _E)), tol),
+        2 * np.sqrt(2) * _E, np.sqrt(2), 1, PreconditionFailed,
+    )
+    yield (
+        "classical_restriction",
+        lambda tol: classical_restriction(3 * (1 + 1j * _E) * np.eye(4), Masa.diagonal(2), tol),
+        3 * _E, 3.0, 10, NumericalFailure,
+    )
+    yield (
+        "mixing",
+        lambda tol: cpmaps._mixing(np.array([np.diag([1.0, 0.0])]), np.array([np.diag([3.0, 3 * _E])]), tol),
+        3 * _E, 3 * np.sqrt(1 + _E**2), 10, NumericalFailure,
+    )
+    yield (
+        "transform_witness",
+        lambda tol: gksl._transform_witness(gen, shifted, np.eye(1), np.zeros(1), 0.0, tol),
+        np.sqrt(2) * _E, np.sqrt(18 + 2 * _E**2), 10, NumericalFailure,
+    )
+
+
+@pytest.mark.parametrize("case", list(_threshold_cases()), ids=lambda case: case[0])
+def test_each_hand_scaled_check_decides_on_either_side_of_its_defect(case):
+    _, call, defect, scale, slack, error = case
+    loose, tight = _tolerances(defect, scale, slack)
+    if error is None:  # a gap passes above the bound; a defect passes below it
+        with pytest.raises(DegenerateSpectrum):
+            call(loose)
+        call(tight)
+    else:
+        call(loose)
+        with pytest.raises(error):
+            call(tight)
+
+
+def test_minimal_kraus_reproduction_bound_is_ten_thresholds_at_one_plus_the_norm(monkeypatch):
+    # the distance is rounding-level in practice; a planted one pins the bound
+    monkeypatch.setattr(_PairForm, "distance", lambda self, other: (_E, 3.0, 3.0))
+    loose, tight = _tolerances(_E, 4.0, slack=10)
+    minimal_kraus(KrausMap([np.eye(2)]), loose)
+    with pytest.raises(NumericalFailure, match="failed to reproduce"):
+        minimal_kraus(KrausMap([np.eye(2)]), tight)
+
+
+def test_m2_candidate_bound_is_a_thousand_thresholds(monkeypatch):
+    # every candidate of a map that meets the preconditions is invariant; a planted residual pins the bound
+    monkeypatch.setattr(masa_module, "is_invariant", lambda *args: Verdict(False, _E, 0.0))
+    loose, tight = _tolerances(_E, np.sqrt(2), slack=1000)
+    source = _from_transfer(_TRANSFER)
+    find_masa_m2(source, loose)
+    with pytest.raises(NumericalFailure, match="no real-eigenvalue candidate"):
+        find_masa_m2(source, tight)
