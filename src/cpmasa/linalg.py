@@ -82,13 +82,6 @@ class Tolerance:
             raise NumericalFailure(f"{what} not finite (residual {residual}, scale {scale})")
         return slack * self.threshold(max(1.0, scale))
 
-    def close(self, a: np.ndarray, b: np.ndarray) -> bool:
-        """‖a − b‖_F ≤ threshold(max(‖a‖_F, ‖b‖_F)): relative to the operands, with no floor at 1."""
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        scale = max(frobenius(a), frobenius(b))
-        return frobenius(a - b) <= self.threshold(scale)
-
     rank_cut = threshold
 
 
@@ -432,6 +425,9 @@ def _stack_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return _finite(x.reshape(m, d * d).T @ y.reshape(m, d * d), "pair-form product")
 
 
+_HermitianForm = NamedTuple("_HermitianForm", [("weights", np.ndarray), ("ops", np.ndarray)])
+
+
 class _PairForm(NamedTuple):
     """A linear map T(X) = Σ_i A_i X B_i on M_d: the stacks `left` (A_i) and `right` (B_i).
 
@@ -481,23 +477,30 @@ class _PairForm(NamedTuple):
             # the root of vdot is frobenius without np.linalg.norm's call overhead
             return tuple(float(np.sqrt(np.vdot(m, m).real)) for m in (own - theirs, own, theirs))
 
-    def compressed(self) -> _PairForm:
-        """The fewest pairs of the same map: reduced QRs of both stacks, then an SVD of the p×p core.
+    def hermitian(self, tol: Tolerance = DEFAULT_TOL) -> _HermitianForm:
+        """The fewest terms of T(X) = Σ_k ε_k C_k* X C_k (Choi, 1975): `weights` ε_k = ±1, `ops` C_k.
 
-        With a = Q_a R_a, b = Q_b R_b (numpy's reduced `qr`) and
-        R_a R_bᵀ = U Σ Vh, a bᵀ = (Q_a U Σ)(Q_b Vhᵀ)ᵀ; singular values at or
-        below eps·d²·σ_max are dropped. The right stack is orthonormal, so
-        ‖left‖_F = ‖S‖_F. Raises NumericalFailure if the core is not finite.
+        numpy's reduced QR of the joint stack [B_i; A_i*] gives orthonormal F_j, B_i =
+        Σ_j β_ji F_j and A_i* = Σ_j α_ji F_j, so T(X) = Σ_jl h_jl F_j* X F_l for the core
+        h = conj(α) βᵀ, Hermitian exactly when T preserves Hermiticity. With h's Hermitian
+        part V Λ V*, ε_k = sign(λ_k) and C_k = √|λ_k|·Σ_j conj(V_jk) F_j, dropping
+        |λ_k| ≤ eps·d²·max|λ|; the C_k are orthogonal, ‖C_k‖²_F = |λ_k| and ‖λ‖₂ = ‖S‖_F.
+        Raises NumericalFailure if the core is not finite, and PreconditionFailed when
+        ‖h − h*‖_F exceeds `tol._bound` against ‖h‖_F, both of h/max|h_jl|: no scale of T
+        moves them, and their norms cannot overflow.
         """
-        d = self.left.shape[-1]
+        n, d = len(self.left), self.left.shape[-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            q_a, r_a = np.linalg.qr(self.left.reshape(-1, d * d).T)
-            q_b, r_b = np.linalg.qr(self.right.reshape(-1, d * d).T)
-            core = r_a @ r_b.T
-        u, s, vh = np.linalg.svd(_finite(core, "pair form"))
-        keep = s > np.finfo(float).eps * d * d * s[0]
-        left = (q_a @ (u[:, keep] * s[keep])).T.reshape(-1, d, d)
-        return _PairForm(left, (q_b @ vh[keep].T).T.reshape(-1, d, d))
+            q, r = np.linalg.qr(np.concatenate([self.right, dag(self.left)]).reshape(-1, d * d).T)
+            core = _finite(r[:, n:].conj() @ r[:, :n].T, "pair form")
+        unit = core / max(np.abs(core).max(), np.finfo(float).tiny)
+        defect, scale = frobenius(unit - dag(unit)), frobenius(unit)
+        if defect > tol._bound(defect, scale, "Hermiticity defect is"):
+            raise PreconditionFailed(f"map does not preserve Hermiticity, core defect {defect:.3e}")
+        w, v = np.linalg.eigh((core + dag(core)) / 2)
+        keep = np.abs(w) > np.finfo(float).eps * d * d * np.abs(w).max()
+        ops = (q @ (v[:, keep].conj() * np.sqrt(np.abs(w[keep])))).T.reshape(-1, d, d)
+        return _HermitianForm(np.sign(w[keep]), ops)
 
     def choi(self) -> np.ndarray:
         """The Choi matrix Σ_kl E_kl ⊗ T(E_kl).

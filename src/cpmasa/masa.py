@@ -524,57 +524,58 @@ _ROUNDING_UNITS = 4.0
 _MEMORY = 16
 
 
-def _stack_width(pairs) -> int:
+def _stack_width(form) -> int:
     """Starts per lockstep chunk within _STACK_ENTRIES.
 
-    Each start is charged d²·(d + 6·pairs + 13) complex entries for the
+    Each start is charged d²·(d + 3·terms + 16) complex entries for the
     objective and the descent's d×d state, and k·(2m + k + 1) more, k =
     _MEMORY and m = d(d − 1), for its `_Curvature`: 2·k·m reals of pairs, k²
     for R⁻¹ and k for D, held twice while a direction gathers its copy of
-    them. The objective's peak comes while it forms Z: K (the masked images
-    for search_masa's inputs, a d×d×d stack) is held once, beside six d×d
-    per pair (the rotated pairs' conjugates, G, H and two reordered copies),
-    the descent's own d×d state (the eigenvectors it keeps per direction and
-    the last tick's gradients among them) and a few scalars per start that
-    weigh most at d = 2. The two peaks come at different times, so the sum
-    overcharges where both are large. Measured by tracemalloc over 5 ticks at
-    full width, d 2–16, 1–9 pairs and search_masa's inputs or one projection
-    of rank 1, d/2 or d − 1, the peak stays between 0.67 and 0.98 of the
-    budget, highest at d = 2 with one pair, where the curvature state and a
-    direction's vectors of length k weigh most.
+    them. The objective's peak comes while it forms H: the d×d×d stack K is
+    held once, beside three d×d per term of the Hermitian form (the rotated
+    operators, their weighted conjugates and H), the descent's own d×d state
+    (the eigenvectors it keeps per direction and the last tick's gradients
+    among them) and a few scalars per start that weigh most at d = 2. The two
+    peaks come at different times, so the sum overcharges where both are
+    large. Measured by tracemalloc over 5 ticks at full width, d 2–16, 1–9
+    terms and search_masa's inputs or one projection of rank 1, d/2 or
+    d − 1, the peak stays between 0.64 and 0.98 of the budget, highest at
+    d = 2 with one term, where the curvature state and a direction's vectors
+    of length k weigh most.
     """
-    count, d, _ = pairs[0].shape
+    count, d, _ = form.ops.shape
     curvature = _MEMORY * (2 * d * (d - 1) + _MEMORY + 1)
-    return max(1, _STACK_ENTRIES // (d * d * (d + 6 * count + 13) + curvature))
+    return max(1, _STACK_ENTRIES // (d * d * (d + 3 * count + 16) + curvature))
 
 
 class _MaskedObjective:
     """f(u) = Σ_m ‖mask ⊙ u* T(u X_m u*) u‖²_F over unitaries u, and its gradient, in one pass.
 
-    `pairs` is T's pair form, row m of `inputs` the diagonal of X_m. In
-    u-coordinates the image of E_cc is P_c = Σ_i a_i E_cc b_i with
-    a_i = u* A_i u and b_i = u* B_i u, so every image costs O(|pairs|·d³).
-    With K_c = Σ_m X_m[c] (mask ⊙ Σ_c' X_m[c'] P_c'), the derivative of f
-    along u·exp(tΩ) is 2 Re⟨Z, Ω⟩ for
-    Z = Σ_i [a_i*, Σ_c K_c b_i* E_cc] + [b_i*, Σ_c E_cc a_i* K_c];
-    the gradient g = Z − Z* is skew-Hermitian and gives that derivative as
-    Re tr(g* Ω).
+    `form` is T's Hermitian form T(X) = Σ_k ε_k C_k* X C_k, row m of
+    `inputs` the diagonal of X_m. In u-coordinates, c_k = u* C_k u, the
+    image of E_cc is P_c = R_c* diag(ε) R_c for R_c the n×d stack of the
+    c_k's rows c: one weighted Gram product. With the Hermitian
+    K_c = Σ_m X_m[c] (mask ⊙ Σ_c' X_m[c'] P_c') and G_k = Σ_c K_c c_k* E_cc,
+    the derivative of f along u·exp(tΩ) is Re tr(g* Ω) for the
+    skew-Hermitian g = 2(Y − Y*), Y = Σ_k ε_k [c_k, G_k]. Row c of H_k = G_k*
+    is row c of c_k K_c, so one product forms every H_k, and two more give
+    Y* = Σ_k ε_k (H_k c_k* − c_k* H_k).
 
     Called on a stack of shape (R, d, d), the objective returns
     (values[R], gradients[R, d, d]), each row's value and gradient formed
     together from one rotation and one set of masked images. `at_identity`
     is f at the identity, found once on construction. For search_masa's
     inputs X_m = E_mm both products with the inputs are the identity, and
-    they are skipped. Every sum over the pair index is the inner dimension
+    they are skipped. Every sum over the term index is the inner dimension
     of a batched matrix product, and slice r of a stack gets the bits that
     u = stack[r] alone gets.
     """
 
-    def __init__(self, pairs, inputs: np.ndarray, mask: np.ndarray):
-        left, right = pairs
-        self.count, self.dim, _ = left.shape
-        # [A_1 … A_n B_1 … B_n] side by side, so u* times it rotates all of them at once
-        self.side = np.concatenate([left, right]).transpose(1, 0, 2).reshape(self.dim, -1)
+    def __init__(self, form, inputs: np.ndarray, mask: np.ndarray):
+        self.weights = form.weights[:, None]
+        self.count, self.dim, _ = form.ops.shape
+        # [C_1 … C_n] side by side, so u* times it rotates all of them at once
+        self.side = form.ops.transpose(1, 0, 2).reshape(self.dim, -1)
         self.inputs = None if np.array_equal(inputs, np.eye(self.dim)) else inputs
         self.mask = mask.ravel()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -582,37 +583,29 @@ class _MaskedObjective:
 
     def __call__(self, stack: np.ndarray):
         r, n, d = len(stack), self.count, self.dim
-        # one (R·d, d) × (d, 2nd) product rotates every pair of every start
-        rows = (dag(stack).reshape(r * d, d) @ self.side).reshape(r, d, 2 * n, d)
-        rotated = (rows.swapaxes(1, 2).reshape(r, 2 * n * d, d) @ stack).reshape(r, 2 * n, d, d)
-        # a_cols[r, c, x, i] = a_i[x, c] and b_rows[r, c, i, y] = b_i[c, y]
-        a_cols = rotated[:, :n].transpose(0, 3, 2, 1).copy()
-        b_rows = rotated[:, n:].swapaxes(1, 2).copy()
-        del rows, rotated  # only the two reordered copies are used from here on
-        masked = (a_cols @ b_rows).reshape(r, d, d * d)
+        # two products rotate every operator of every start: rows[r, c, k, y] = c_k[c, y]
+        rows = (dag(stack).reshape(r * d, d) @ self.side).reshape(r, d * n, d)
+        rows = (rows @ stack).reshape(r, d, n, d)
+        # weighted[r, c, k, x] = ε_k conj(c_k[c, x])
+        weighted = rows.conj() * self.weights
+        masked = (weighted.swapaxes(2, 3) @ rows).reshape(r, d, d * d)
         if self.inputs is not None:
             masked = self.inputs @ masked
         masked *= self.mask
         values = _squared_norms(masked)
         k = (masked if self.inputs is None else self.inputs.T @ masked).reshape(r, d, d, d)
-        a_adj, b_adj = a_cols.conj(), b_rows.conj()
-        del masked, a_cols, b_rows  # only K and the conjugates are used from here on
-        # column c of G_i = Σ_c K_c b_i* E_cc, and row c of H_i = Σ_c E_cc a_i* K_c
-        g_cols = k @ b_adj.swapaxes(2, 3)
-        h_rows = a_adj.swapaxes(2, 3) @ k
-        # Z = Σ_i a_i* G_i − G_i a_i* + b_i* H_i − H_i b_i*, each sum one product over (i, ·)
-        z = (
-            a_adj.reshape(r, d, d * n) @ g_cols.reshape(r, d, d * n).swapaxes(1, 2)
-            - g_cols.swapaxes(1, 2).reshape(r, d, d * n) @ a_adj.swapaxes(2, 3).reshape(r, d * n, d)
-            + b_adj.reshape(r, d * n, d).swapaxes(1, 2) @ h_rows.reshape(r, d * n, d)
-            - h_rows.reshape(r, d, n * d) @ b_adj.reshape(r, d, n * d).swapaxes(1, 2)
-        )
-        return values, z - dag(z)
+        # h_rows[r, c, k, :] is row c of H_k
+        h_rows = rows @ k
+        del rows, k  # only H and the weighted conjugates are used from here on
+        # Y* = Σ_k ε_k (H_k c_k* − c_k* H_k), each sum one product over (k, ·)
+        y_adj = h_rows.reshape(r, d, n * d) @ weighted.reshape(r, d, n * d).swapaxes(1, 2)
+        y_adj -= weighted.reshape(r, d * n, d).swapaxes(1, 2) @ h_rows.reshape(r, d * n, d)
+        return values, 2 * (dag(y_adj) - y_adj)
 
 
-def _masked_objective(pairs, inputs: np.ndarray, mask: np.ndarray) -> _MaskedObjective:
-    """The _MaskedObjective of T's pairs; raises NumericalFailure when it is not finite at the identity."""
-    objective = _MaskedObjective(pairs, inputs, mask)
+def _masked_objective(form, inputs: np.ndarray, mask: np.ndarray) -> _MaskedObjective:
+    """The _MaskedObjective of T's form; raises NumericalFailure when it is not finite at the identity."""
+    objective = _MaskedObjective(form, inputs, mask)
     # a non-finite start is never improved on (comparisons with NaN fail)
     _finite(objective.at_identity, "search objective at the identity")
     return objective
@@ -682,8 +675,9 @@ class _Curvature:
         two scatters per pair, more than the product it saves.
         """
         pairs, inverse, gamma = self.pairs[rows], self.inverse[rows], self.gamma[rows]
-        sg, yg = np.split(pairs @ grads[:, :, None], 2, axis=1)
-        s, y = np.split(pairs, 2, axis=1)
+        products = pairs @ grads[:, :, None]
+        sg, yg = products[:, :_MEMORY], products[:, _MEMORY:]
+        s, y = pairs[:, :_MEMORY], pairs[:, _MEMORY:]
         c = inverse @ sg
         yc = y.swapaxes(1, 2) @ c
         e = self.diagonal[rows] * c + gamma * (y @ yc - yg)
@@ -822,7 +816,7 @@ def _descend(
     return u[:limit], value[:limit]
 
 
-def _descents(objective, pairs, keys: list, exit_residual: float = 0.0):
+def _descents(objective, form, keys: list, exit_residual: float = 0.0):
     """(u, value) of `_descend` from the Haar start of each rng key, in key order.
 
     The one place that draws and chunks starts: a chunk of _stack_width is
@@ -832,8 +826,8 @@ def _descents(objective, pairs, keys: list, exit_residual: float = 0.0):
     `exit_residual` is the last one yielded, since `_descend` drops the rest
     of its chunk.
     """
-    d = pairs.left.shape[-1]
-    width = _stack_width(pairs)
+    d = form.ops.shape[-1]
+    width = _stack_width(form)
     for lo in range(0, len(keys), width):
         chunk = keys[lo : lo + width]
         starts = _haar_isometries([np.random.default_rng(key) for key in chunk], d, d)
@@ -849,36 +843,38 @@ def search_masa(
     """Multi-start quasi-Newton descent for an invariant masa of a map or generator.
 
     Minimizes the summed squared off-diagonal mass of the rotated projection
-    images over the unitary group; returns the best masa found and the
-    square root of the best objective value, which matches the invariance
-    residual scale. Restart r descends (`_descend`: limited-memory BFGS
-    directions from the last 16 curvature pairs in compact form, each
-    restart stopping at convergence, at its budget of 150
-    directions, or once rounding in the value hides the decrease its step
-    predicts) from a Haar unitary drawn from default_rng([seed, r]), in
-    `_descents`' lockstep chunks, so its result depends only on (seed, r).
-    The restarts are read in order, keeping the first strictly best, and the
-    search stops at the first restart whose residual is below atol/10: no
-    restart after it is kept or drawn. A residual bounded away from zero is
-    numerical evidence of nonexistence, not a proof. Raises
-    PreconditionFailed when `restarts` < 1 or `seed` < 0, and
-    NumericalFailure when the evolution's compressed pair form or the
-    objective at the identity is not finite.
+    images over the unitary group, on the evolution's Hermitian form
+    (`_MaskedObjective`); returns the best masa found and the square root of
+    the best objective value, which matches the invariance residual scale.
+    Restart r descends (`_descend`: limited-memory BFGS directions from the
+    last 16 curvature pairs in compact form, each restart stopping at
+    convergence, at its budget of 150 directions, or once rounding in the
+    value hides the decrease its step predicts) from a Haar unitary drawn
+    from default_rng([seed, r]), in `_descents`' lockstep chunks, so its
+    result depends only on (seed, r). The restarts are read in order,
+    keeping the first strictly best, and the search stops at the first
+    restart whose residual is below atol/10: no restart after it is kept or
+    drawn. A residual bounded away from zero is numerical evidence of
+    nonexistence, not a proof. Raises PreconditionFailed when `restarts` < 1,
+    `seed` < 0 or the evolution, as only a raw superoperator can, does not
+    preserve Hermiticity (`linalg._PairForm.hermitian`), and NumericalFailure
+    when the Hermitian form's core or the objective at the identity is not
+    finite.
     """
     if restarts < 1:
         raise PreconditionFailed("restarts must be positive")
     if seed < 0:  # default_rng takes no negative entropy
         raise PreconditionFailed(f"seed must be nonnegative, got {seed}")
-    pairs = _evolution(objective_source)._pairs().compressed()
-    d = pairs.left.shape[-1]
+    form = _evolution(objective_source)._pairs().hermitian(tol)
+    d = form.ops.shape[-1]
     eye = np.eye(d)
-    objective = _masked_objective(pairs, eye, 1 - eye)
+    objective = _masked_objective(form, eye, 1 - eye)
     best_u, best_value = np.eye(d, dtype=complex), objective.at_identity
     exit_residual = tol.atol / 10  # an early exit, not a decision: the caller's verdict judges the masa
     if np.sqrt(max(best_value, 0.0)) < exit_residual:
         restarts = 1  # the exit test first runs after restart 0
     keys = [[seed, r] for r in range(restarts)]
-    for u, value in _descents(objective, pairs, keys, exit_residual):
+    for u, value in _descents(objective, form, keys, exit_residual):
         if value < best_value:
             best_u, best_value = u, value
     return Masa(best_u), float(np.sqrt(max(best_value, 0.0)))
@@ -898,15 +894,16 @@ def search_invariant_projections(
     diagonal blocks. 0 and 1 are always included with residual 0. Returns
     (projection, residual) pairs whose residual falls below the tolerance
     threshold against ‖L‖_F (`_decide`), best first. Raises
-    PreconditionFailed when `seed` < 0, and NumericalFailure when the pair
-    form or the objective at the identity is not finite.
+    PreconditionFailed when `seed` < 0 or the evolution does not preserve
+    Hermiticity, and NumericalFailure when the Hermitian form's core or the
+    objective at the identity is not finite, as search_masa does.
     """
     if seed < 0:
         raise PreconditionFailed(f"seed must be nonnegative, got {seed}")
-    pairs = _evolution(gen)._pairs().compressed()
-    d = pairs.left.shape[-1]
+    form = _evolution(gen)._pairs().hermitian(tol)
+    d = form.ops.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = frobenius(pairs.left)
+        scale = float(np.linalg.norm(np.linalg.norm(form.ops, axis=(1, 2)) ** 2))  # ‖λ‖₂ = ‖L‖_F
     results = [
         (np.zeros((d, d), dtype=complex), 0.0),
         (np.eye(d, dtype=complex), 0.0),
@@ -915,8 +912,8 @@ def search_invariant_projections(
     for rank in range(1, d):
         block = np.arange(d) < rank
         inputs = block[None, :].astype(float)
-        objective = _masked_objective(pairs, inputs, block[:, None] != block)
-        for u, value in _descents(objective, pairs, [[seed, rank, t] for t in range(20)]):
+        objective = _masked_objective(form, inputs, block[:, None] != block)
+        for u, value in _descents(objective, form, [[seed, rank, t] for t in range(20)]):
             residual = float(np.sqrt(max(value, 0.0)))
             if not _decide(residual, scale, tol, "projection residual is"):
                 continue

@@ -52,12 +52,9 @@ def test_tolerance_requires_positive_component():
         Tolerance(atol=-1e-9, rtol=1e-9)
 
 
-def test_tolerance_threshold_and_close():
+def test_tolerance_threshold():
     tol = Tolerance(atol=1e-6, rtol=1e-3)
     assert tol.threshold(2.0) == pytest.approx(1e-6 + 2e-3)
-    a = np.eye(2, dtype=complex)
-    assert tol.close(a, a + 1e-7)
-    assert not tol.close(a, a + 1.0)
 
 
 def test_vec_unvec_column_stacking():
@@ -97,7 +94,7 @@ def test_pair_form_kernel_matches_definitions():
 
 
 def _compression_sources(rng, d):
-    """(evolution, its superoperator, the pair count it compresses to) for each kind."""
+    """(evolution, the term count of its Hermitian form) for each kind."""
     ops = list(complex_gaussian(rng, (3, d, d)))
     t = KrausMap(ops)
     gen = GkslGenerator(t, complex_gaussian(rng, (d, d)))
@@ -115,13 +112,21 @@ def _compression_sources(rng, d):
 @pytest.mark.parametrize("d", [3, 6])
 @pytest.mark.parametrize("kind", ["map", "generator", "superoperator", "dependent"])
 def test_compressed_pairs_rebuild_the_superoperator(d, kind):
+    # the Hermitian form's terms are the fewest pairs (ε_k C_k*, C_k) of the map
     evolution, count = _compression_sources(np.random.default_rng([7, d]), d)[kind]
     s = evolution.matrix if kind == "superoperator" else evolution.superoperator()
-    compressed = evolution._pairs().compressed()
-    assert compressed.left.shape == compressed.right.shape == (count, d, d)
-    rebuilt = sum(np.kron(b.T, a) for a, b in zip(*compressed))
+    form = evolution._pairs().hermitian()
+    assert form.ops.shape == (count, d, d)
+    assert set(form.weights.tolist()) <= {-1.0, 1.0}
+    rebuilt = sum(e * np.kron(c.T, dag(c)) for e, c in zip(*form))
     assert frobenius(rebuilt - s) <= 1e-12 * frobenius(s)
-    assert abs(frobenius(compressed.left) - frobenius(s)) <= 1e-13 * frobenius(s)
+    # the C_k are orthogonal, with ‖C_k‖²_F = |λ_k| and ‖λ‖₂ = ‖S‖_F
+    gram = np.einsum("kxy,lxy->kl", form.ops.conj(), form.ops)
+    squared = np.diag(gram).real
+    assert frobenius(gram - np.diag(squared)) <= 1e-13 * squared.max()
+    assert abs(np.linalg.norm(squared) - frobenius(s)) <= 1e-13 * frobenius(s)
+    # a generator's drift terms X·β + β*·X carry a negative sign; a CP map's terms none
+    assert (form.weights < 0).any() == (kind == "generator")
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -131,7 +136,7 @@ def test_compressed_overflowing_pair_form_raises_without_warning(d):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailure):
-            pairs.compressed()
+            pairs.hermitian()
 
 
 def test_offdiag_and_frobenius():

@@ -62,6 +62,7 @@ from cpmasa.masa import (
     _hermitian_from_coordinates,
     _kraus_coefficient_solution,
     _masked_objective,
+    _squared_norms,
     _stack_width,
     _tangent_coordinates,
 )
@@ -204,7 +205,7 @@ def test_search_masa_raw_superoperator_matches_kraus_map():
     t, _ = invariant_map_instance(rng, 3, 2)
     masa, residual = search_masa(t, restarts=3, seed=5)
     raw_masa, raw_residual = search_masa(map_superoperator(t), restarts=3, seed=5)
-    # each input compresses its own pairs, so the two searches agree to rounding, not bitwise
+    # each input reaches its own Hermitian form, so the two searches agree to rounding, not bitwise
     assert is_invariant(t, raw_masa).ok == is_invariant(t, masa).ok
     assert abs(raw_residual - residual) <= 1e-12
 
@@ -227,6 +228,23 @@ def test_find_masa_m2_on_raw_superoperator():
 def test_raw_superoperator_side_must_be_square(call):
     with pytest.raises(DimensionMismatch):
         call(np.eye(5, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda s: search_masa(s, restarts=2, seed=1), lambda s: search_invariant_projections(s, seed=1)],
+    ids=["search_masa", "search_invariant_projections"],
+)
+def test_finders_refuse_a_superoperator_that_breaks_hermiticity(call):
+    # X ↦ AX maps a Hermitian X to one that is not; is_invariant still judges it
+    rng = np.random.default_rng(44)
+    a = complex_gaussian(rng, (3, 3))
+    s = np.kron(np.eye(3), a)
+    assert isinstance(is_invariant(s, Masa.diagonal(3)).ok, bool)
+    with pytest.raises(PreconditionFailed):
+        call(s)
+    # the superoperator of a CP map passes the same check
+    call(map_superoperator(KrausMap([a])))
 
 
 def _criterion_cases(root):
@@ -829,6 +847,13 @@ def test_search_masa_non_finite_superoperator_raises(call):
         call()
 
 
+def test_finders_accept_the_zero_map():
+    # the Hermitian form of T = 0 has no terms; the objective is 0 everywhere
+    zero = KrausMap([np.zeros((3, 3), dtype=complex)])
+    assert search_masa(zero, restarts=2)[1] == 0.0
+    assert all(residual == 0.0 for _, residual in search_invariant_projections(zero, seed=1))
+
+
 def test_search_masa_overflow_in_descent_keeps_the_identity():
     # the objective is 0 at the identity and not finite at restart 0's start,
     # whose non-finite trials lose every comparison, without a warning
@@ -840,7 +865,7 @@ def test_search_masa_overflow_in_descent_keeps_the_identity():
 
 
 def _realigned_svd_pairs(s):
-    """The pairs of a superoperator by one SVD of its realignment: the reference compression."""
+    """The pairs of a superoperator by one SVD of its realignment: the reference term count."""
     d = int(round(np.sqrt(s.shape[0])))
     realigned = s.reshape(d, d, d, d).transpose(1, 3, 2, 0).reshape(d * d, d * d)
     u, sigma, vh = np.linalg.svd(realigned)
@@ -861,10 +886,10 @@ def test_descent_objective_gradient_and_pair_form(d, kind):
     rng = np.random.default_rng([30, d])
     source = _descent_sources(rng, d)[kind]
     s = source if kind == "superoperator" else source.superoperator()
-    pairs = _evolution(source)._pairs().compressed()
-    rebuilt = sum(np.kron(b.T, a) for a, b in zip(*pairs))
+    form = _evolution(source)._pairs().hermitian()
+    rebuilt = sum(e * np.kron(c.T, dag(c)) for e, c in zip(*form))
     assert frobenius(rebuilt - s) <= 1e-12 * frobenius(s)
-    assert len(pairs.left) == len(_realigned_svd_pairs(s)[0])
+    assert len(form.ops) == len(_realigned_svd_pairs(s)[0])
     block = np.arange(d) < 2
     # search_masa's off-diagonal mask on every E_kk; the projection search's
     # off-block mask on one rank-2 projection
@@ -872,7 +897,7 @@ def test_descent_objective_gradient_and_pair_form(d, kind):
         (np.eye(d), 1 - np.eye(d)),
         (block[None, :].astype(float), block[:, None] != block),
     ]:
-        objective = _masked_objective(pairs, inputs, mask)
+        objective = _masked_objective(form, inputs, mask)
         u = haar_unitary(rng, d)
         _, grad = objective(u[None])
         for _ in range(3):
@@ -948,9 +973,9 @@ def _scalar_descend(objective, u, max_iters):
 
 
 def _search_objective(source):
-    pairs = _evolution(source)._pairs().compressed()
-    eye = np.eye(pairs[0].shape[-1])
-    return _masked_objective(pairs, eye, 1 - eye)
+    form = _evolution(source)._pairs().hermitian()
+    eye = np.eye(form.ops.shape[-1])
+    return _masked_objective(form, eye, 1 - eye)
 
 
 class _Walled:
@@ -1136,11 +1161,11 @@ def test_search_masa_chunks_match_one_stack(monkeypatch):
     gen = random_markov_generator(rng, 3, 2)
     whole = search_masa(gen, restarts=10, seed=5)
     assert whole[1] >= DEFAULT_TOL.atol / 10  # no early exit: every chunk runs
-    pairs = _evolution(gen)._pairs().compressed()
-    width = _stack_width(pairs)
+    form = _evolution(gen)._pairs().hermitian()
+    width = _stack_width(form)
     assert width >= 10
     monkeypatch.setattr(masa_module, "_STACK_ENTRIES", masa_module._STACK_ENTRIES * 4 // width)
-    assert _stack_width(pairs) == 4  # chunks of 4, 4 and 2 restarts
+    assert _stack_width(form) == 4  # chunks of 4, 4 and 2 restarts
     chunked = search_masa(gen, restarts=10, seed=5)
     assert chunked[1] == whole[1]
     assert np.array_equal(chunked[0].basis_unitary, whole[0].basis_unitary)
@@ -1152,11 +1177,11 @@ def test_search_masa_draws_one_chunk_of_starts_at_a_time(monkeypatch):
     rng = np.random.default_rng(23)
     t, _ = invariant_map_instance(rng, 2, 2)
     short = search_masa(t, restarts=2, seed=7)
-    pairs = _evolution(t)._pairs().compressed()
+    form = _evolution(t)._pairs().hermitian()
     monkeypatch.setattr(
-        masa_module, "_STACK_ENTRIES", masa_module._STACK_ENTRIES * 4 // _stack_width(pairs)
+        masa_module, "_STACK_ENTRIES", masa_module._STACK_ENTRIES * 4 // _stack_width(form)
     )
-    assert _stack_width(pairs) == 4
+    assert _stack_width(form) == 4
     draws = []
     draw = masa_module._haar_isometries
 
@@ -1175,11 +1200,11 @@ def test_search_invariant_projections_chunks_match_one_stack(monkeypatch):
     rng = np.random.default_rng(34)
     gen = random_markov_generator(rng, 3, 2)
     whole = search_invariant_projections(gen, seed=5)
-    pairs = _evolution(gen)._pairs().compressed()
-    width = _stack_width(pairs)
+    form = _evolution(gen)._pairs().hermitian()
+    width = _stack_width(form)
     assert width >= 20  # unpatched, the 20 trials of a rank are one stack
     monkeypatch.setattr(masa_module, "_STACK_ENTRIES", masa_module._STACK_ENTRIES * 4 // width)
-    assert _stack_width(pairs) == 4  # chunks of 4 trials, five per rank
+    assert _stack_width(form) == 4  # chunks of 4 trials, five per rank
     chunked = search_invariant_projections(gen, seed=5)
     assert len(chunked) == len(whole)
     for (q, residual), (ref_q, ref_residual) in zip(chunked, whole):
@@ -1187,11 +1212,40 @@ def test_search_invariant_projections_chunks_match_one_stack(monkeypatch):
         assert residual == ref_residual
 
 
-def _one_pass_objective(pairs, inputs, mask):
-    """A plain one-pass objective, kept as the finders' reference.
+def _one_pass_objective(form, inputs, mask):
+    """A plain one-pass objective on T's Hermitian form, kept as the finders' reference.
 
     Every call forms the value and the gradient of every row, and multiplies
     by the inputs even when they are the identity.
+    """
+    weights, ops = form
+    n, d, _ = ops.shape
+    mask_flat = mask.ravel()
+    side = ops.transpose(1, 0, 2).reshape(d, n * d)
+
+    def objective(stack):
+        r = len(stack)
+        rows = ((dag(stack) @ side).reshape(r, d * n, d) @ stack).reshape(r, d, n, d)
+        weighted = rows.conj() * weights[:, None]
+        masked = inputs @ (weighted.swapaxes(2, 3) @ rows).reshape(r, d, d * d)
+        masked *= mask_flat
+        k = (inputs.T @ masked).reshape(r, d, d, d)
+        h_rows = rows @ k
+        y_adj = h_rows.reshape(r, d, n * d) @ weighted.reshape(r, d, n * d).swapaxes(1, 2)
+        y_adj -= weighted.reshape(r, d * n, d).swapaxes(1, 2) @ h_rows.reshape(r, d * n, d)
+        flat = masked.reshape(r, 1, -1)
+        values = (flat.real @ flat.real.swapaxes(1, 2) + flat.imag @ flat.imag.swapaxes(1, 2))[:, 0, 0]
+        return values, 2 * (dag(y_adj) - y_adj)
+
+    return objective
+
+
+def _pair_form_objective(pairs, inputs, mask):
+    """The objective on a generic pair form T(X) = Σ_i A_i X B_i, kept as a cross-check to rounding.
+
+    With a_i = u* A_i u and b_i = u* B_i u the image of E_cc is
+    Σ_i a_i E_cc b_i, and the gradient is Z − Z* for
+    Z = Σ_i [a_i*, Σ_c K_c b_i* E_cc] + [b_i*, Σ_c E_cc a_i* K_c].
     """
     left, right = pairs
     n, d, _ = left.shape
@@ -1216,9 +1270,7 @@ def _one_pass_objective(pairs, inputs, mask):
             + b_adj.reshape(r, d * n, d).swapaxes(1, 2) @ h_rows.reshape(r, d * n, d)
             - h_rows.reshape(r, d, n * d) @ b_adj.reshape(r, d, n * d).swapaxes(1, 2)
         )
-        flat = masked.reshape(r, 1, -1)
-        values = (flat.real @ flat.real.swapaxes(1, 2) + flat.imag @ flat.imag.swapaxes(1, 2))[:, 0, 0]
-        return values, z - dag(z)
+        return _squared_norms(masked), z - dag(z)
 
     return objective
 
@@ -1236,11 +1288,11 @@ def _descent_inputs(d):
 @pytest.mark.parametrize("kind", ["map", "generator", "superoperator"])
 def test_descent_equals_one_pass_reference(d, kind):
     rng = np.random.default_rng([36, d])
-    pairs = _evolution(_descent_sources(rng, d)[kind])._pairs().compressed()
+    form = _evolution(_descent_sources(rng, d)[kind])._pairs().hermitian()
     starts = np.array([haar_unitary(rng, d) for _ in range(3)])
     for inputs, mask in _descent_inputs(d).values():
-        objective = _masked_objective(pairs, inputs, mask)
-        reference = _one_pass_objective(pairs, inputs, mask)
+        objective = _masked_objective(form, inputs, mask)
+        reference = _one_pass_objective(form, inputs, mask)
         for got, want in zip(objective(starts), reference(starts)):
             assert np.array_equal(got, want)
         finals, values = _descend(objective, starts, _MAX_ITERS)
@@ -1250,12 +1302,27 @@ def test_descent_equals_one_pass_reference(d, kind):
             assert value == ref_value
 
 
+@pytest.mark.parametrize("d", [3, 4, 6])
+@pytest.mark.parametrize("kind", ["map", "generator", "superoperator"])
+def test_hermitian_form_objective_equals_pair_form_to_rounding(d, kind):
+    rng = np.random.default_rng([36, d])
+    source = _evolution(_descent_sources(rng, d)[kind])
+    form = source._pairs().hermitian()
+    starts = np.array([haar_unitary(rng, d) for _ in range(3)])
+    for inputs, mask in _descent_inputs(d).values():
+        values, grads = _masked_objective(form, inputs, mask)(starts)
+        pair_values, pair_grads = _pair_form_objective(source._pairs(), inputs, mask)(starts)
+        assert np.all(np.abs(values - pair_values) <= 1e-13 * pair_values)
+        gaps = np.linalg.norm(grads - pair_grads, axis=(1, 2))
+        assert np.all(gaps <= 1e-13 * np.linalg.norm(pair_grads, axis=(1, 2)))
+
+
 class _OnePassReference:
     """The one-pass reference with the `at_identity` that the finders read."""
 
-    def __init__(self, pairs, inputs, mask):
-        self.objective = _one_pass_objective(pairs, inputs, mask)
-        self.at_identity = float(self.objective(np.eye(pairs[0].shape[-1], dtype=complex)[None])[0][0])
+    def __init__(self, form, inputs, mask):
+        self.objective = _one_pass_objective(form, inputs, mask)
+        self.at_identity = float(self.objective(np.eye(form.ops.shape[-1], dtype=complex)[None])[0][0])
 
     def __call__(self, stack):
         return self.objective(stack)
@@ -1284,8 +1351,8 @@ def test_finders_equal_one_pass_reference(monkeypatch, source_seed):
 @pytest.mark.parametrize("inputs_kind", ["diagonal", "projection"])
 def test_descent_makes_one_objective_call_per_tick(kind, inputs_kind):
     rng = np.random.default_rng(39)
-    pairs = _evolution(_descent_sources(rng, 4)[kind])._pairs().compressed()
-    objective = _masked_objective(pairs, *_descent_inputs(4)[inputs_kind])
+    form = _evolution(_descent_sources(rng, 4)[kind])._pairs().hermitian()
+    objective = _masked_objective(form, *_descent_inputs(4)[inputs_kind])
     starts = np.array([haar_unitary(rng, 4) for _ in range(5)])
     trials = [_scalar_descend(objective, start, 40)[3]["trials"] for start in starts]
     assert len(set(trials)) > 1  # the starts stop at different ticks
@@ -1301,9 +1368,9 @@ def test_descent_makes_one_objective_call_per_tick(kind, inputs_kind):
 @pytest.mark.parametrize("inputs_kind", ["diagonal", "projection"])
 def test_descent_decomposes_each_direction_once(monkeypatch, kind, inputs_kind):
     rng = np.random.default_rng(39)
-    pairs = _evolution(_descent_sources(rng, 4)[kind])._pairs().compressed()
+    form = _evolution(_descent_sources(rng, 4)[kind])._pairs().hermitian()
     inputs, mask = _descent_inputs(4)[inputs_kind]
-    objective = _masked_objective(pairs, inputs, mask)
+    objective = _masked_objective(form, inputs, mask)
     starts = np.array([haar_unitary(rng, 4) for _ in range(5)])
     rows = []
     eigh = np.linalg.eigh
@@ -1379,7 +1446,7 @@ def test_search_masa_makes_no_product_with_its_inputs(monkeypatch):
     monkeypatch.setattr(
         masa_module,
         "_masked_objective",
-        lambda pairs, inputs, mask: build(pairs, inputs.view(Counted), mask),
+        lambda form, inputs, mask: build(form, inputs.view(Counted), mask),
     )
     gen = random_markov_generator(np.random.default_rng(40), 3, 2)
     search_masa(gen, restarts=4, seed=1)
@@ -1399,10 +1466,10 @@ def test_descent_chunk_stays_within_stack_budget(inputs_kind, d, count):
     # at d = 2 the scalars per start weigh most, and three pairs add the
     # per-pair terms beside them
     rng = np.random.default_rng(41)
-    pairs = _evolution(KrausMap(list(complex_gaussian(rng, (count, d, d)))))._pairs().compressed()
-    assert len(pairs.left) == count
-    objective = _masked_objective(pairs, *_descent_inputs(d)[inputs_kind])
-    width = _stack_width(pairs)
+    form = _evolution(KrausMap(list(complex_gaussian(rng, (count, d, d)))))._pairs().hermitian()
+    assert len(form.ops) == count
+    objective = _masked_objective(form, *_descent_inputs(d)[inputs_kind])
+    width = _stack_width(form)
     starts = np.array([haar_unitary(rng, d) for _ in range(width)])
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
