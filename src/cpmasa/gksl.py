@@ -139,12 +139,15 @@ def semigroup_at(gen: GkslGenerator, t: float) -> np.ndarray:
 
     Every Lindblad generator preserves Hermiticity, L(X*) = L(X)*, so tL is
     exponentiated in its real form over a Hermitian basis. Raises
+    PreconditionFailed unless t is a finite, nonnegative real number, and
     NumericalFailure when e^{tL} is not finite.
     """
-    if not np.isfinite(t) or t < 0:
-        raise PreconditionFailed(f"time must be finite and nonnegative, got {t}")
+    time = np.asarray(t)
+    # the cast test first: a complex t has no order, and isfinite refuses a string
+    if time.ndim or not np.can_cast(time.dtype, float, "same_kind") or not np.isfinite(time) or time < 0:
+        raise PreconditionFailed(f"time must be a finite, nonnegative real number, got {t!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = float(t) * superoperator(gen)
+        scaled = float(time) * superoperator(gen)
     return _hermiticity_preserving_exp(scaled, gen.dim)
 
 

@@ -352,17 +352,20 @@ def _hermiticity_preserving_exp(s, d: int) -> np.ndarray:
 
 
 def _exp_from_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v·e^{−iw}·v*: e^a for the skew-Hermitian a (or stack) whose i·a has eigenpairs (w, v)."""
+    """v·e^{−iw}·v*: e^a for the skew-Hermitian a (or stack) whose i·a has eigenpairs (w, v).
+
+    `expm_skew`'s last step.
+    """
     return (v * np.exp(-1j * w)[..., None, :]) @ dag(v)
 
 
 def expm_skew(a: np.ndarray) -> np.ndarray:
     """Exponential of a skew-Hermitian matrix, or of each in a stack, via eigendecomposition.
 
-    Exact for the unitary-group retractions used by the masa search, and
-    cheaper than the general-purpose exponential at small dimensions. One
-    `eigh` of i·a, then `_exp_from_eigh`, which the masa descent shares: it
-    keeps each direction's eigenpairs and forms its trials from them.
+    Unitary up to rounding, and cheaper than the general-purpose exponential
+    at small dimensions: one `eigh` of i·a, then `_exp_from_eigh`. The masa
+    descent steps along the Cayley transform instead (`masa._cayley_trials`),
+    which needs one inverse and no eigendecomposition.
     """
     return _exp_from_eigh(*np.linalg.eigh(1j * np.asarray(a, dtype=complex)))
 

@@ -12,6 +12,7 @@ evolution to its classical Markov kernel on the masa.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ from .linalg import (
     _decide,
     _disjoint_least_squares,
     _Evolution,
-    _exp_from_eigh,
     _finite,
     _haar_isometries,
     _of_kind,
@@ -534,14 +534,14 @@ def _stack_width(form) -> int:
     them. The objective's peak comes while it forms H: the d×d×d stack K is
     held once, beside three d×d per term of the Hermitian form (the rotated
     operators, their weighted conjugates and H), the descent's own d×d state
-    (the eigenvectors it keeps per direction and the last tick's gradients
-    among them) and a few scalars per start that weigh most at d = 2. The two
-    peaks come at different times, so the sum overcharges where both are
-    large. Measured by tracemalloc over 5 ticks at full width, d 2–16, 1–9
-    terms and search_masa's inputs or one projection of rank 1, d/2 or
-    d − 1, the peak stays between 0.64 and 0.98 of the budget, highest at
-    d = 2 with one term, where the curvature state and a direction's vectors
-    of length k weigh most.
+    (its unitaries, a trial's Cayley factor 1 − αΩ/2 and its inverse, and the
+    last tick's gradients among them) and a few scalars per start that weigh
+    most at d = 2. The two peaks come at different times, so the sum
+    overcharges where both are large. Measured by tracemalloc over 5 ticks
+    at full width, d 2–16, 1–9 terms and search_masa's inputs or one
+    projection of rank 1, d/2 or d − 1, the peak stays between 0.63 and 0.97
+    of the budget, highest at d = 2 with one term, where the curvature state
+    and a direction's vectors of length k weigh most.
     """
     count, d, _ = form.ops.shape
     curvature = _MEMORY * (2 * d * (d - 1) + _MEMORY + 1)
@@ -633,14 +633,27 @@ def _tangent_coordinates(grads: np.ndarray, upper) -> np.ndarray:
     return np.sqrt(2) * np.concatenate([entries.real, entries.imag], axis=1)
 
 
-def _hermitian_from_coordinates(p: np.ndarray, upper, d: int) -> np.ndarray:
-    """i·Ω for the skew-Hermitian Ω with zero diagonal whose coordinates are the rows of p."""
-    r, s = upper
-    entries = (p[:, : len(r)] + 1j * p[:, len(r) :]) * (1j / np.sqrt(2))
-    out = np.zeros((len(p), d, d), dtype=complex)
-    out[:, r, s] = entries
-    out[:, s, r] = entries.conj()
-    return out
+def _tangent_basis(d: int) -> np.ndarray:
+    """Flattened Ω_j with Ω = Σ_j p_j Ω_j for a zero-diagonal skew Ω and p its `_tangent_coordinates`."""
+    r, s = np.triu_indices(d, 1)
+    line, m = np.arange(len(r)), len(r)
+    basis = np.zeros((2 * m, d, d), dtype=complex)
+    basis[line, r, s], basis[line, s, r] = np.sqrt(0.5), -np.sqrt(0.5)
+    basis[m + line, r, s] = basis[m + line, s, r] = 1j * np.sqrt(0.5)
+    return basis.reshape(2 * m, d * d)
+
+
+def _cayley_trials(u: np.ndarray, steps: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """u·(1 − Ω/2)⁻¹(1 + Ω/2) = 2·u·(1 − Ω/2)⁻¹ − u for each u, Ω = steps[i] @ basis.
+
+    The Cayley retraction on U(d) (Wen & Yin, Math. Program., 2013): Ω is
+    skew-Hermitian, so 1 − Ω/2 is never singular and the trial is unitary up
+    to rounding. `inv` inverts each slice alone, and each real component of
+    an entry of Ω is ±√½ times one coordinate, so no row depends on its stack.
+    """
+    d = u.shape[-1]
+    inverse = np.linalg.inv(np.eye(d) - 0.5 * (steps @ basis).reshape(-1, d, d))
+    return 2 * (u @ inverse) - u
 
 
 class _Curvature:
@@ -713,7 +726,7 @@ class _Curvature:
 def _descend(
     objective, starts: np.ndarray, max_iters: int, *, exit_residual: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quasi-Newton descent on U(d) along u·exp(α·Ω), with L-BFGS directions and a halving α.
+    """Quasi-Newton descent on U(d) along Cayley steps, with L-BFGS directions and a halving α.
 
     Every start of the (R, d, d) stack `starts` descends on its own, in
     lockstep with the others: on each tick each live start makes one trial.
@@ -735,36 +748,27 @@ def _descend(
     of an iteration, after `max_iters` iterations (directions), when its
     direction is not finite, or when the decrease α·|⟨g, p⟩| its next trial
     predicts is at most _ROUNDING_UNITS·eps·value, which rounding in the
-    value cannot resolve. A tick makes one objective call, which forms value
-    and gradient for every trial, and keeps the gradients of the trials it
-    accepts. Each direction is decomposed once: `eigh` of i·Ω runs when a
-    start takes a new direction, and a rejected trial halves the kept
-    eigenvalues, since `eigh` of exactly half a Hermitian matrix returns
-    exactly half its eigenvalues and the same eigenvectors while every entry
-    of α·Ω is a normal float (a subnormal one would round when halved).
-    Every row's arithmetic is its own, so a start gets the same bits in any
-    stack. The stack descends as one; `_descents`
-    cuts starts into chunks. Once the residual √value of start r falls below
-    `exit_residual`, every start after r is dropped, since a search stops at
+    value cannot resolve. A tick makes one batched `inv`, which forms the
+    trials, the Cayley steps u·(1 − αΩ/2)⁻¹(1 + αΩ/2) of `_cayley_trials`
+    for Ω of coordinates p, whose slope at α = 0 is ⟨g, p⟩; and one
+    objective call, which forms value and gradient for every trial. Every
+    row's arithmetic is its own, so a start gets the same bits in any stack;
+    `_descents` cuts starts into chunks. Once √value of start r falls below
+    `exit_residual`, every later start is dropped, since a search stops at
     the first restart whose residual does. Returns the final unitaries and
-    values of the starts that were not dropped, a leading part of the stack.
+    values of the starts kept, a leading part of the stack.
     """
     u = np.array(starts, dtype=complex)  # the stack descends in place
     count, d, _ = u.shape
-    upper = np.triu_indices(d, 1)
+    upper, basis = np.triu_indices(d, 1), _tangent_basis(d)
     value, grad = objective(u)
     grad = _tangent_coordinates(grad, upper)
-    m = grad.shape[1]
-    # per start: its curvature pairs, direction, slope ⟨g, p⟩, step α and the
-    # eigenpairs of i·α·Ω, kept while its direction is
-    curvature = _Curvature(count, m)
-    direction = np.empty((count, m))
-    slope, alpha = np.empty(count), np.empty(count)
-    w, v = np.empty(u.shape[:2]), np.empty_like(u)
+    # per start: its curvature pairs, direction, slope ⟨g, p⟩ and step α
+    curvature = _Curvature(*grad.shape)
+    direction, slope, alpha = np.empty_like(grad), np.empty(count), np.empty(count)
     rounding = _ROUNDING_UNITS * np.finfo(float).eps
     iters = np.zeros(count, dtype=int)
-    live = np.ones(count, dtype=bool)
-    fresh = live.copy()
+    live, fresh = np.ones(count, dtype=bool), np.ones(count, dtype=bool)
     while True:
         # a value only falls, so the first start below exit_residual stays below it
         reached = np.flatnonzero(np.sqrt(np.maximum(value, 0.0)) < exit_residual)
@@ -781,18 +785,17 @@ def _descend(
             p = curvature.direction(go, g)
             gp = _dots(g, p)
             steep = ~(gp < 0)  # also where no pair is kept yet: p = 0
-            p[steep] = g[steep] * (-0.1 / norm[steep, None])
-            gp[steep] = _dots(g[steep], p[steep])
+            if steep.any():
+                p[steep] = g[steep] * (-0.1 / norm[steep, None])
+                gp[steep] = _dots(g[steep], p[steep])
             direction[go], slope[go], alpha[go] = p, gp, 1.0
             fit = np.isfinite(p).all(axis=1) & (np.abs(gp) > rounding * value[go])
             live[go[~fit]] = False
-            go = go[fit]
-            w[go], v[go] = np.linalg.eigh(_hermitian_from_coordinates(direction[go], upper, d))
-            iters[go] += 1
+            iters[go[fit]] += 1
         active = np.flatnonzero(live)
         if not active.size:
             break
-        candidate = u[active] @ _exp_from_eigh(w[active], v[active])
+        candidate = _cayley_trials(u[active], alpha[active, None] * direction[active], basis)
         candidate_value, candidate_grad = objective(candidate)
         before = value[active]
         better = (candidate_value < before) & (
@@ -810,7 +813,6 @@ def _descend(
             u[won], value[won] = candidate[better], candidate_value[better]
             fresh[won] = True
         alpha[lost] *= 0.5
-        w[lost] *= 0.5  # the eigenpairs of the halved step: exact, see above
         spent = alpha[lost] * np.abs(slope[lost]) <= rounding * value[lost]
         live[lost[spent | (alpha[lost] <= 1e-10)]] = False
     return u[:limit], value[:limit]
@@ -837,6 +839,17 @@ def _descents(objective, form, keys: list, exit_residual: float = 0.0):
             return
 
 
+def _integer(value, what: str, least: int) -> int:
+    """`value` as an int (`operator.index`) of at least `least`; raises PreconditionFailed otherwise."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise PreconditionFailed(f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        raise PreconditionFailed(f"{what} must be at least {least}, got {value}")
+    return value
+
+
 def search_masa(
     objective_source, restarts: int = 200, seed: int = 42, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[Masa, float]:
@@ -855,16 +868,14 @@ def search_masa(
     keeping the first strictly best, and the search stops at the first
     restart whose residual is below atol/10: no restart after it is kept or
     drawn. A residual bounded away from zero is numerical evidence of
-    nonexistence, not a proof. Raises PreconditionFailed when `restarts` < 1,
-    `seed` < 0 or the evolution, as only a raw superoperator can, does not
-    preserve Hermiticity (`linalg._PairForm.hermitian`), and NumericalFailure
-    when the Hermitian form's core or the objective at the identity is not
-    finite.
+    nonexistence, not a proof. Raises PreconditionFailed when `restarts` or
+    `seed` is not an integer, `restarts` < 1, `seed` < 0 or the evolution,
+    as only a raw superoperator can, does not preserve Hermiticity
+    (`linalg._PairForm.hermitian`), and NumericalFailure when the Hermitian
+    form's core or the objective at the identity is not finite.
     """
-    if restarts < 1:
-        raise PreconditionFailed("restarts must be positive")
-    if seed < 0:  # default_rng takes no negative entropy
-        raise PreconditionFailed(f"seed must be nonnegative, got {seed}")
+    # default_rng takes no negative entropy
+    restarts, seed = _integer(restarts, "restarts", 1), _integer(seed, "seed", 0)
     form = _evolution(objective_source)._pairs().hermitian(tol)
     d = form.ops.shape[-1]
     eye = np.eye(d)
@@ -894,12 +905,12 @@ def search_invariant_projections(
     diagonal blocks. 0 and 1 are always included with residual 0. Returns
     (projection, residual) pairs whose residual falls below the tolerance
     threshold against ‖L‖_F (`_decide`), best first. Raises
-    PreconditionFailed when `seed` < 0 or the evolution does not preserve
-    Hermiticity, and NumericalFailure when the Hermitian form's core or the
-    objective at the identity is not finite, as search_masa does.
+    PreconditionFailed when `seed` is not an integer or < 0 or the evolution
+    does not preserve Hermiticity, and NumericalFailure when the Hermitian
+    form's core or the objective at the identity is not finite, as
+    search_masa does.
     """
-    if seed < 0:
-        raise PreconditionFailed(f"seed must be nonnegative, got {seed}")
+    seed = _integer(seed, "seed", 0)
     form = _evolution(gen)._pairs().hermitian(tol)
     d = form.ops.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -143,8 +143,12 @@ def test_semigroup_at_is_exponential():
     assert np.allclose(
         semigroup_at(gen, 1.3), semigroup_at(gen, 0.6) @ semigroup_at(gen, 0.7)
     )
-    with pytest.raises(PreconditionFailed):
-        semigroup_at(gen, -0.1)
+    for time in (-0.1, np.nan, np.inf, 1j, 0.7 + 0j, "1", None, np.array([0.7])):
+        with pytest.raises(PreconditionFailed):
+            semigroup_at(gen, time)
+    # a real number of any numpy type is a time
+    assert np.array_equal(semigroup_at(gen, np.float32(0.5)), semigroup_at(gen, 0.5))
+    assert np.array_equal(semigroup_at(gen, np.array(1)), semigroup_at(gen, 1.0))
 
 
 def test_semigroup_of_markov_form_is_unital():

@@ -55,15 +55,16 @@ from cpmasa.masa import (
     _MEMORY,
     _Curvature,
     _Superoperator,
+    _cayley_trials,
     _descend,
+    _descents,
     _dots,
     _evolution,
-    _exp_from_eigh,
-    _hermitian_from_coordinates,
     _kraus_coefficient_solution,
     _masked_objective,
     _squared_norms,
     _stack_width,
+    _tangent_basis,
     _tangent_coordinates,
 )
 
@@ -763,21 +764,24 @@ def test_search_masa_deterministic():
 
 def test_search_masa_rejects_bad_restarts():
     t = KrausMap([np.eye(2, dtype=complex)])
-    with pytest.raises(PreconditionFailed):
-        search_masa(t, restarts=0)
+    for restarts in (0, -1, 2.5, 2.0, "2", None):
+        with pytest.raises(PreconditionFailed):
+            search_masa(t, restarts=restarts)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda t: search_masa(t, restarts=2, seed=-1),
-        lambda t: search_invariant_projections(t, seed=-3),
+        lambda t, seed: search_masa(t, restarts=2, seed=seed),
+        lambda t, seed: search_invariant_projections(t, seed=seed),
     ],
     ids=["search_masa", "search_invariant_projections"],
 )
 def test_finders_reject_negative_seed(call):
-    with pytest.raises(PreconditionFailed):
-        call(KrausMap([np.eye(2, dtype=complex)]))
+    for seed in (-1, -3, 1.5, 1.0, "1", None):
+        with pytest.raises(PreconditionFailed):
+            call(KrausMap([np.eye(2, dtype=complex)]), seed)
+    call(KrausMap([np.eye(2, dtype=complex)]), np.int64(1))  # an integer type need not be int
 
 
 @pytest.mark.parametrize(
@@ -916,14 +920,15 @@ def _scalar_descend(objective, u, max_iters):
     """The one-start quasi-Newton loop, kept as the lockstep descent's reference.
 
     It runs the descent's own primitives on (1, d, d) stacks and forms value
-    and gradient for every trial. Also returns why the start stopped, and a
-    tally of its trials, accepted trials and directions (eigendecompositions).
+    and gradient for every trial, and takes each trial from `_cayley_trials`
+    as the descent does. Also returns why the start stopped, and a tally of
+    its trials, accepted trials and directions.
     A start that reaches the rounding stop right after a rejected trial stops
     with "rounding_after_rejection", one that halves α to 1e-10 with
     "out_of_step": in both, its last direction won no trial.
     """
     d = u.shape[-1]
-    upper = np.triu_indices(d, 1)
+    upper, basis = np.triu_indices(d, 1), _tangent_basis(d)
     u = u[None]
     value, grad = objective(u)
     grad = _tangent_coordinates(grad, upper)
@@ -948,16 +953,14 @@ def _scalar_descend(objective, u, max_iters):
         if not np.abs(slope) > rounding * value:
             return stopped("rounding")
         alpha = 1.0
-        w, v = np.linalg.eigh(_hermitian_from_coordinates(p, upper, d))
         tally["directions"] += 1
         while True:
-            candidate = u @ _exp_from_eigh(w, v)
+            candidate = _cayley_trials(u, alpha * p, basis)
             candidate_value, candidate_grad = objective(candidate)
             tally["trials"] += 1
             if candidate_value < value and candidate_value <= value + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
-            w = w * 0.5
             if alpha * np.abs(slope) <= rounding * value:
                 return stopped("rounding_after_rejection")
             if alpha <= 1e-10:
@@ -1038,8 +1041,8 @@ def test_descent_primitives_match_their_definitions():
     coords = _tangent_coordinates(skew, upper)
     # the coordinates' dot product is the Frobenius one, Re tr(a* b)
     assert np.isclose(_dots(coords[:1], coords[1:])[0], np.vdot(skew[0], skew[1]).real, rtol=1e-13)
-    # and the Hermitian they map back to is i times the skew-Hermitian they came from
-    assert np.allclose(_hermitian_from_coordinates(coords, upper, d), 1j * skew, rtol=0, atol=1e-15)
+    # and the basis maps them back to the skew-Hermitian they came from
+    assert np.allclose((coords @ _tangent_basis(d)).reshape(2, d, d), skew, rtol=0, atol=1e-15)
     # the compact direction is −H·g for the BFGS H from the newest _MEMORY pairs,
     # with H₀ = (sᵀy/yᵀy)·1 of the newest: (1 − ρ s yᵀ) H (1 − ρ y sᵀ) + ρ s sᵀ
     m = d * (d - 1)
@@ -1072,7 +1075,7 @@ def test_descent_primitives_match_their_definitions():
 @pytest.mark.parametrize("d, instance, directions", [(4, [64, 4], 50), (6, [64, 6, 4], 120)])
 def test_descent_converges_beyond_eight_coordinates(d, instance, directions):
     # 12 and 30 tangent coordinates. With 16 pairs these starts fall below
-    # (atol/10)² in 43 and 105 directions; with 8 pairs they took 58 and more than 150
+    # (atol/10)² in 42 and 110 directions; with 8 pairs they took 58 and more than 150
     t, _ = invariant_map_instance(np.random.default_rng(instance), d, 3)
     start = haar_unitary(np.random.default_rng([65, d, 0]), d)
     _, value, *_ = _scalar_descend(_search_objective(t), start, directions)
@@ -1089,6 +1092,26 @@ def test_lockstep_restart_ignores_its_stack_mates(kind):
         alone, alone_values = _descend(objective, starts[order], 40)
         assert np.array_equal(alone, finals[order])
         assert np.array_equal(alone_values, values[order])
+
+
+@pytest.mark.parametrize("case", ["ex2_1", "planted-6", "planted-12"])
+def test_descent_keeps_every_start_unitary(case):
+    # a Cayley step is unitary up to rounding only, and each accepted step
+    # multiplies its rounding into u: the corpus's 200-restart ex2_1 search,
+    # and search_masa's 20 restarts on planted maps at d = 6 and 12
+    if case == "ex2_1":
+        source, restarts = build_example("ex2_1").payload, 200
+    else:
+        d = int(case.split("-")[1])
+        source, _ = invariant_map_instance(np.random.default_rng([66, d]), d, 3)
+        restarts = 20
+    form = _evolution(source)._pairs().hermitian()
+    d = form.ops.shape[-1]
+    eye = np.eye(d)
+    objective = _masked_objective(form, eye, 1 - eye)
+    finals = [u for u, _ in _descents(objective, form, [[1, r] for r in range(restarts)])]
+    assert len(finals) == restarts
+    assert max(frobenius(dag(u) @ u - eye) for u in finals) <= 1e-12
 
 
 class _OverflowingGradient:
@@ -1366,20 +1389,21 @@ def test_descent_makes_one_objective_call_per_tick(kind, inputs_kind):
 
 @pytest.mark.parametrize("kind", ["map", "generator"])
 @pytest.mark.parametrize("inputs_kind", ["diagonal", "projection"])
-def test_descent_decomposes_each_direction_once(monkeypatch, kind, inputs_kind):
+def test_descent_inverts_one_row_per_trial(monkeypatch, kind, inputs_kind):
     rng = np.random.default_rng(39)
     form = _evolution(_descent_sources(rng, 4)[kind])._pairs().hermitian()
     inputs, mask = _descent_inputs(4)[inputs_kind]
     objective = _masked_objective(form, inputs, mask)
     starts = np.array([haar_unitary(rng, 4) for _ in range(5)])
     rows = []
-    eigh = np.linalg.eigh
+    inv = np.linalg.inv
 
     def counted(a, *args, **kwargs):
         rows.append(len(a))
-        return eigh(a, *args, **kwargs)
+        return inv(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    monkeypatch.setattr(np.linalg, "eigh", None)  # and no descent decomposes a matrix
     unfinished = []
     for wall in _walls(objective, starts):
         walled = _Walled(objective, wall)
@@ -1396,7 +1420,7 @@ def test_descent_decomposes_each_direction_once(monkeypatch, kind, inputs_kind):
         rows.clear()
         walled = _Walled(objective, wall)
         _descend(walled, starts, _MAX_ITERS)
-        assert sum(rows) == directions
+        assert sum(rows) == trials  # one Cayley step per trial
         assert sum(walled.calls[1:]) == trials
     assert 1 in unfinished
 
